@@ -465,6 +465,8 @@ def _parse_deltas(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad delta list {text!r}") from exc
     if not deltas or any(d <= 0 for d in deltas):
         raise argparse.ArgumentTypeError("deltas must be positive")
+    if len(set(deltas)) != len(deltas):
+        raise argparse.ArgumentTypeError(f"deltas must be distinct, got {text!r}")
     return deltas
 
 

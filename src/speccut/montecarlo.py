@@ -54,6 +54,9 @@ class ExperimentConfig:
         object.__setattr__(self, "deltas", deltas)
         if not deltas or any(d <= 0 for d in deltas):
             raise ValueError("deltas must be nonempty and positive")
+        if len(set(deltas)) != len(deltas):
+            # summarize groups records by delta, so a repeat would merge two rows
+            raise ValueError(f"deltas must be distinct, got {deltas}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
 
@@ -258,10 +261,13 @@ def example1_frequency(kappa: float, delta: float, replicates: int, seed: int) -
     p = build_synthetic(D, "exp")
     rng = np.random.default_rng(seed)
     z_all = rng.standard_normal((replicates, D))
+    y_all = delta * z_all
     zero = np.zeros(D)
+    for a in (z_all, y_all, zero):  # read-only rows go into the observations uncopied
+        a.flags.writeable = False
     hits = 0
     for i in range(replicates):
-        obs = NoisyObservation(delta * z_all[i], zero, z_all[i], delta, seed)
+        obs = NoisyObservation(y_all[i], zero, z_all[i], delta, seed)
         k = balancing(p, obs, kappa, D)
         norm_sq = float(np.sum((obs.y_obs[:k] / p.sigma[:k]) ** 2))
         hits += norm_sq >= 1.0

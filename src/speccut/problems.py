@@ -18,12 +18,38 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 
 class DecompositionError(RuntimeError):
     """Dense SVD failed to converge or the operator is numerically zero."""
+
+
+def readonly(a) -> np.ndarray:
+    """`a` as a read-only float array that no other reference can write through.
+
+    An array that is read-only down to the array owning its memory is returned
+    as is; anything else is copied first, so later writes to the caller's array
+    cannot reach the result.
+    """
+    a = np.asarray(a, dtype=float)
+    owner = a
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        if owner.base is None:
+            return a
+        owner = owner.base
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+def suffix_sum(x: np.ndarray) -> np.ndarray:
+    """Read-only T with T[k] = sum of x[k:], T[x.size] = 0, summed from the back."""
+    tail = np.concatenate([np.cumsum(x[::-1])[::-1], [0.0]])
+    tail.flags.writeable = False
+    return tail
 
 
 @dataclass(frozen=True)
@@ -68,7 +94,9 @@ class SpectralProblem:
 
     `sigma[j]` is the j-th singular value and `x_true[j]` the coefficient of
     the true solution against the j-th right singular vector. Everything the
-    selection rules need is contained in these two vectors.
+    selection rules need is contained in these two vectors. Both are stored
+    read-only (copied when the caller's array is still writeable), which is
+    what keeps the memoised sums below valid.
     """
 
     name: str
@@ -77,8 +105,8 @@ class SpectralProblem:
     ill_posedness: str = "synthetic"
 
     def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=float)
-        x_true = np.asarray(self.x_true, dtype=float)
+        sigma = readonly(self.sigma)
+        x_true = readonly(self.x_true)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "x_true", x_true)
         if sigma.ndim != 1 or x_true.shape != sigma.shape:
@@ -91,6 +119,27 @@ class SpectralProblem:
     @property
     def size(self) -> int:
         return int(self.sigma.size)
+
+    @cached_property
+    def inv_sigma_sq_cumsum(self) -> np.ndarray:
+        """w with w[j] = sum of sigma_i^(-2) over i <= j (zero-based), read-only.
+
+        Built on first use and memoised, which is valid because `sigma` is
+        read-only. A sequential cumulative sum of a prefix equals the prefix
+        of this one, so callers slice `[:m]` instead of summing again.
+        """
+        w = np.cumsum(self.sigma ** (-2.0))
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def truth_tail(self) -> np.ndarray:
+        """`suffix_sum(x_true**2)`: the bias of every truncation level, read-only.
+
+        Built on first use and memoised, which is valid because `x_true` is
+        read-only.
+        """
+        return suffix_sum(self.x_true**2)
 
 
 _SEVERITY = {"phillips": "mild", "deriv2": "mild", "gravity": "severe", "heat": "severe"}

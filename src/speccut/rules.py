@@ -14,10 +14,20 @@ defining sets, and k = 0 is always admitted. All selectors are invariant under
 rescaling (y_obs, y_clean, delta) by a common positive factor.
 
 Implementation note: with S_k the prefix sum of squared data coefficients, the
-per-m discrepancy choice is the smallest k with S_k >= S_m - tau^2 m delta^2,
-found by binary search in the nondecreasing S. The comparison rules use suffix
-maxima of S_m minus its threshold, which makes every selector O(D log D) or
-better; the O(D^2) literal scans survive as test oracles.
+per-m discrepancy choice is the smallest k with S_k >= T_m = S_m - tau^2 m
+delta^2, found by binary search in the nondecreasing S. That search is
+nondecreasing in the threshold, so the largest per-m choice over m equals the
+choice for max_m T_m exactly: `dp_modified` and `combined` build the D
+thresholds, take their maximum and search once, O(D) plus one O(log D)
+search, with no floating-point operation changed. The full per-m trace (D
+searches) is built only on request. The comparison rules use suffix maxima of
+S_m minus its threshold, O(D). Each observation memoises S
+(`NoisyObservation.prefix_sq`) and the tail sums of its clean data
+(`clean_tail`); each problem memoises the cumulative sum of sigma^(-2)
+(`SpectralProblem.inv_sigma_sq_cumsum`) and the tail sums of its squared truth
+(`truth_tail`). All rules of one replicate share these, so the only other
+cumulative sum a replicate builds is the prefix sum of (y_obs/sigma)^2 in
+`balancing`. The O(D^2) literal scans survive as test oracles.
 """
 
 from __future__ import annotations
@@ -27,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import SpectralProblem
-from .sequence_model import NoisyObservation, strong_error_sq_profile
+from .problems import SpectralProblem, suffix_sum
+from .sequence_model import NoisyObservation, _prefix_sq, strong_error_sq_profile
 
 
 @dataclass(frozen=True)
@@ -111,17 +121,24 @@ def constants(
     return TheoremConstants(tau, a_tau, b_tau, c_weak, c_strong, c_cor)
 
 
-def _prefix_sq(y: np.ndarray) -> np.ndarray:
-    """S with S[k] = sum of the first k squared entries, S[0] = 0."""
-    S = np.empty(y.size + 1)
-    S[0] = 0.0
-    np.cumsum(y * y, out=S[1:])
-    return S
-
-
-def _min_levels(S: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+def _min_levels(S: np.ndarray, thresholds: np.ndarray | float):
     """For each threshold T, the smallest k with S[k] >= T (S nondecreasing)."""
     return np.searchsorted(S, thresholds, side="left")
+
+
+def _dp_thresholds(obs: NoisyObservation, tau: float, m_cap: int) -> np.ndarray:
+    """T with T[m-1] = S_m - tau^2 m delta^2 for m in [1, m_cap]."""
+    S = obs.prefix_sq
+    return S[1 : m_cap + 1] - (tau * obs.delta) ** 2 * np.arange(1, m_cap + 1)
+
+
+def _max_level(S: np.ndarray, thresholds: np.ndarray) -> int:
+    """Largest per-threshold level, max over T of the smallest k with S[k] >= T.
+
+    `_min_levels` is nondecreasing in T for nondecreasing S, so the maximum is
+    attained at the largest threshold: one search gives it exactly.
+    """
+    return int(_min_levels(S, thresholds.max()))
 
 
 def dp_at_m(obs: NoisyObservation, tau: float, m: int) -> int:
@@ -134,14 +151,8 @@ def dp_at_m(obs: NoisyObservation, tau: float, m: int) -> int:
         raise ValueError(f"tau must exceed 1, got {tau}")
     if not 1 <= m <= obs.size:
         raise ValueError(f"m={m} outside [1, {obs.size}]")
-    S = _prefix_sq(obs.y_obs)
-    return int(_min_levels(S, np.array([S[m] - (tau * obs.delta) ** 2 * m]))[0])
-
-
-def _dp_trace(obs: NoisyObservation, tau: float, m_cap: int) -> np.ndarray:
-    S = _prefix_sq(obs.y_obs)
-    m = np.arange(1, m_cap + 1)
-    return _min_levels(S, S[1 : m_cap + 1] - (tau * obs.delta) ** 2 * m)
+    S = obs.prefix_sq
+    return int(_min_levels(S, S[m] - (tau * obs.delta) ** 2 * m))
 
 
 def dp_modified(
@@ -149,16 +160,20 @@ def dp_modified(
 ) -> SelectionResult:
     """Residual rule with the discretization level as a second free parameter.
 
-    Returns the largest per-m discrepancy choice over m in [1, m_cap]; the
-    per-m trace is attached when keep_trace is set.
+    Returns the largest per-m discrepancy choice over m in [1, m_cap], found
+    with one search; the per-m trace is built and attached only when
+    keep_trace is set.
     """
     if tau <= 1:
         raise ValueError(f"tau must exceed 1, got {tau}")
     m_cap = obs.size if m_cap is None else m_cap
     if not 1 <= m_cap <= obs.size:
         raise ValueError(f"m_cap={m_cap} outside [1, {obs.size}]")
-    trace = _dp_trace(obs, tau, m_cap)
-    return SelectionResult("dp", int(trace.max()), trace if keep_trace else None)
+    thresholds = _dp_thresholds(obs, tau, m_cap)
+    if keep_trace:
+        trace = _min_levels(obs.prefix_sq, thresholds)
+        return SelectionResult("dp", int(trace.max()), trace)
+    return SelectionResult("dp", _max_level(obs.prefix_sq, thresholds))
 
 
 def lepski_direct(obs: NoisyObservation, kappa: float, sigma: np.ndarray | None = None) -> int:
@@ -172,7 +187,7 @@ def lepski_direct(obs: NoisyObservation, kappa: float, sigma: np.ndarray | None 
         raise ValueError(f"kappa must exceed 1, got {kappa}")
     if sigma is not None and not np.all(sigma == 1.0):
         raise ValueError("direct-regime rule called with non-unit singular values")
-    S = _prefix_sq(obs.y_obs)
+    S = obs.prefix_sq
     D = obs.size
     gaps = S[1:] - (kappa * obs.delta) ** 2 * np.arange(1, D + 1)
     # suffix[k] = max over m > k of gaps; k admissible iff suffix[k] <= S[k]
@@ -203,7 +218,7 @@ def balancing(
     if not 1 <= m_cap <= D:
         raise ValueError(f"m_cap={m_cap} outside [1, {D}]")
     P = _prefix_sq(obs.y_obs / p.sigma)
-    w = np.cumsum(p.sigma[:m_cap] ** (-2.0))
+    w = p.inv_sigma_sq_cumsum[:m_cap]
     if printed_rhs:
         thresh = (kappa * obs.delta**2 * w) ** 2
     else:
@@ -220,8 +235,8 @@ def early_stop(obs: NoisyObservation, D_used: int | None = None) -> int:
     D_used = obs.size if D_used is None else D_used
     if not 1 <= D_used <= obs.size:
         raise ValueError(f"D_used={D_used} outside [1, {obs.size}]")
-    S = _prefix_sq(obs.y_obs)
-    return int(_min_levels(S, np.array([S[D_used] - obs.delta**2 * D_used]))[0])
+    S = obs.prefix_sq
+    return int(_min_levels(S, S[D_used] - obs.delta**2 * D_used))
 
 
 def combined(
@@ -240,12 +255,11 @@ def combined(
     D_used = obs.size if D_used is None else D_used
     if not 1 <= D_used <= obs.size:
         raise ValueError(f"D_used={D_used} outside [1, {obs.size}]")
-    S = _prefix_sq(obs.y_obs)
-    m_max = int(_min_levels(S, np.array([S[D_used] - (tau_min * obs.delta) ** 2 * D_used]))[0])
+    S = obs.prefix_sq
+    m_max = int(_min_levels(S, S[D_used] - (tau_min * obs.delta) ** 2 * D_used))
     if m_max == 0:
         return SelectionResult("com", 0, None, 0)
-    trace = _dp_trace(obs, tau, m_max)
-    return SelectionResult("com", int(trace.max()), None, m_max)
+    return SelectionResult("com", _max_level(S, _dp_thresholds(obs, tau, m_max)), None, m_max)
 
 
 def oracle_opt(p: SpectralProblem, obs: NoisyObservation) -> int:
@@ -253,23 +267,22 @@ def oracle_opt(p: SpectralProblem, obs: NoisyObservation) -> int:
     return int(np.argmin(strong_error_sq_profile(p, obs)))
 
 
-def _balanced_level(acc: np.ndarray, tail: np.ndarray) -> int:
-    """Smallest k with accumulated term acc[k] >= remaining term tail[k]."""
+def _balanced_level(acc: np.ndarray, rest: np.ndarray) -> int:
+    """Smallest k with the sum of acc[:k] >= rest[k], the remaining term (`suffix_sum`)."""
     prefix = np.concatenate([[0.0], np.cumsum(acc)])
-    rest = np.concatenate([np.cumsum(tail[::-1])[::-1], [0.0]])
     return int(np.argmax(prefix >= rest))
 
 
 def oracle_weak(p: SpectralProblem, obs: NoisyObservation) -> int:
     """Level where accumulated squared noise overtakes the remaining squared clean data."""
     noise = (obs.y_obs - obs.y_clean) ** 2
-    return _balanced_level(noise, obs.y_clean**2)
+    return _balanced_level(noise, obs.clean_tail)
 
 
 def oracle_strong(p: SpectralProblem, obs: NoisyObservation) -> int:
     """Level where accumulated amplified noise overtakes the remaining squared truth."""
     noise = ((obs.y_obs - obs.y_clean) / p.sigma) ** 2
-    return _balanced_level(noise, p.x_true**2)
+    return _balanced_level(noise, p.truth_tail)
 
 
 def det_weak(p: SpectralProblem, delta: float) -> int:
@@ -277,7 +290,7 @@ def det_weak(p: SpectralProblem, delta: float) -> int:
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     var = np.full(p.size, delta**2)
-    return _balanced_level(var, (p.sigma * p.x_true) ** 2)
+    return _balanced_level(var, suffix_sum((p.sigma * p.x_true) ** 2))
 
 
 def det_strong(p: SpectralProblem, delta: float) -> int:
@@ -285,7 +298,7 @@ def det_strong(p: SpectralProblem, delta: float) -> int:
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     var = delta**2 * p.sigma ** (-2.0)
-    return _balanced_level(var, p.x_true**2)
+    return _balanced_level(var, p.truth_tail)
 
 
 def empirical_sup_deviation(z: np.ndarray, kappa_idx: int) -> float:

@@ -7,16 +7,21 @@ image-space (weak, predictive) errors split exactly into a variance part that
 grows with k and a bias part that shrinks with k. Sums beyond the problem
 resolution D are identically zero: the truth is represented exactly at
 resolution D.
+
+An observation stores its vectors read-only and memoises the cumulative sums
+that several rules and error profiles read, so each is built once per
+observation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .problems import SpectralProblem
+from .problems import SpectralProblem, readonly, suffix_sum
 
 
 @dataclass(frozen=True)
@@ -51,9 +56,26 @@ class NoiseModel:
         return 3.0 * (self.df - 2.0) / (self.df - 4.0)
 
 
+def _prefix_sq(y: np.ndarray) -> np.ndarray:
+    """S with S[k] = sum of the first k squared entries, S[0] = 0.
+
+    Callers reach it by its module-level name (here and as `rules._prefix_sq`),
+    which is how `perfbench` counts prefix-sum builds per replicate.
+    """
+    S = np.empty(y.size + 1)
+    S[0] = 0.0
+    np.cumsum(y * y, out=S[1:])
+    return S
+
+
 @dataclass(frozen=True)
 class NoisyObservation:
-    """One realization y_obs = y_clean + delta * z with its ingredients kept."""
+    """One realization y_obs = y_clean + delta * z with its ingredients kept.
+
+    The three vectors are stored read-only; a caller's array that is still
+    writeable is copied, so writing to it later cannot change the observation
+    or the sums memoised on it.
+    """
 
     y_obs: np.ndarray
     y_clean: np.ndarray
@@ -64,10 +86,32 @@ class NoisyObservation:
     def __post_init__(self):
         if self.delta <= 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
+        for name in ("y_obs", "y_clean", "z"):
+            object.__setattr__(self, name, readonly(getattr(self, name)))
 
     @property
     def size(self) -> int:
         return int(self.y_obs.size)
+
+    @cached_property
+    def prefix_sq(self) -> np.ndarray:
+        """S with S[k] = sum of y_obs_j^2 over j <= k, S[0] = 0; nondecreasing, read-only.
+
+        Shared by every residual and comparison rule. Built on first use and
+        memoised, which is valid because `y_obs` is read-only.
+        """
+        S = _prefix_sq(self.y_obs)
+        S.flags.writeable = False
+        return S
+
+    @cached_property
+    def clean_tail(self) -> np.ndarray:
+        """`suffix_sum(y_clean**2)`: the image-space bias of every level, read-only.
+
+        Shared by the weak oracle and the image-space error profile. Built on
+        first use and memoised, which is valid because `y_clean` is read-only.
+        """
+        return suffix_sum(self.y_clean**2)
 
 
 def sample_noise(model: NoiseModel, D: int, seed: int) -> np.ndarray:
@@ -89,7 +133,10 @@ def observe(p: SpectralProblem, delta: float, model: NoiseModel, seed: int) -> N
         raise ValueError(f"delta must be positive, got {delta}")
     z = sample_noise(model, p.size, seed)
     y_clean = p.sigma * p.x_true
-    return NoisyObservation(y_clean + delta * z, y_clean, z, float(delta), int(seed))
+    y_obs = y_clean + delta * z
+    for fresh in (y_obs, y_clean, z):  # nobody else holds them: freeze, do not copy
+        fresh.flags.writeable = False
+    return NoisyObservation(y_obs, y_clean, z, float(delta), int(seed))
 
 
 def _check_level(k: int, D: int):
@@ -108,23 +155,21 @@ def cutoff_coeffs(p: SpectralProblem, obs: NoisyObservation, k: int) -> np.ndarr
 def strong_error_sq_profile(p: SpectralProblem, obs: NoisyObservation) -> np.ndarray:
     """Squared solution-space error for every level: entry k is ||x_k - x_true||^2."""
     var = (obs.y_obs / p.sigma - p.x_true) ** 2
-    bias = p.x_true**2
-    return _profile(var, bias)
+    return _profile(var, p.truth_tail)
 
 
 def weak_error_sq_profile(p: SpectralProblem, obs: NoisyObservation) -> np.ndarray:
     """Squared image-space error for every level: entry k is ||K(x_k - x_true)||^2."""
     var = (obs.y_obs - obs.y_clean) ** 2
-    bias = obs.y_clean**2
-    return _profile(var, bias)
+    return _profile(var, obs.clean_tail)
 
 
-def _profile(var: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def _profile(var: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Accumulated variance plus the remaining bias `tail` at every level."""
     D = var.size
     out = np.empty(D + 1)
     out[0] = 0.0
     np.cumsum(var, out=out[1:])
-    tail = np.concatenate([np.cumsum(bias[::-1])[::-1], [0.0]])
     out += tail
     return out
 

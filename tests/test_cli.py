@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -70,6 +71,27 @@ def test_bench_rejects_bad_deltas():
         cli.main(["bench", "--deltas", "0.1,-1"])
     with pytest.raises(SystemExit):
         cli.main(["bench", "--deltas", "abc"])
+    with pytest.raises(SystemExit):  # one noise level three times would merge into one row
+        cli.main(["bench", "--deltas", "1e-2,1e-2,0.01", "--replicates", "3"])
+
+
+# SHA-256 of the tables of the run below; a faster rule or harness must keep them.
+GUARDED_DIGESTS = {
+    "errors.csv": "a6c901ec12caf88e29edc596604c2698a0e9efd6a94a2b1b6bb44659bd31864d",
+    "ks.csv": "bbecc2e45fcb51dc7e8f89f0dac24d8c31d6cb1ea4f59c4d0e16b6f1f4359b6e",
+    "boxplot.csv": "57fe165e2b4a9ddd0e36fc2372701e71b70a9148911163f8ddd09f01a555f307",
+}
+
+
+def test_bench_tables_are_byte_identical_to_reference(tmp_path):
+    # synthetic-poly needs no factorization, so the digests hold for any BLAS thread count
+    out = tmp_path / "guard"
+    assert cli.main([
+        "bench", "--problem", "synthetic-poly", "--size", "256", "--replicates", "5",
+        "--deltas", "1e0,1e-2,1e-4,1e-6", "--seed", "20240717", "--out", str(out),
+    ]) == 0
+    for name, digest in GUARDED_DIGESTS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_single_trace(tmp_path, capsys):

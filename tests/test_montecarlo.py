@@ -89,6 +89,8 @@ def test_experiment_config_validation():
         ExperimentConfig(ProblemSpec("direct", 8), deltas=(0.0,))
     with pytest.raises(ValueError):
         ExperimentConfig(ProblemSpec("direct", 8), replicates=0)
+    with pytest.raises(ValueError, match="distinct"):
+        ExperimentConfig(ProblemSpec("direct", 8), deltas=(1e-2, 1e-1, 0.01))
 
 
 def test_summarize_statistics(small_records):

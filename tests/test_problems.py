@@ -7,6 +7,7 @@ from speccut.problems import (
     DecompositionError,
     DenseProblem,
     ProblemSpec,
+    SpectralProblem,
     build_deriv2,
     build_gravity,
     build_heat,
@@ -141,6 +142,23 @@ def test_synthetic_truth_variants():
     assert np.allclose(power.x_true, [1.0, 0.5, 1.0 / 3.0, 0.25], rtol=1e-15)
     zero = build_synthetic(4, "exp")
     assert np.all(zero.x_true == 0.0)
+
+
+def test_problem_is_immune_to_later_writes():
+    truth = np.array([1.0, -2.0, 0.0, 4.0])
+    p = build_synthetic(4, "poly", q=1.0, truth=truth)
+    assert p.truth_tail[0] == 21.0
+    truth[:] = 7.0
+    assert np.array_equal(p.x_true, [1.0, -2.0, 0.0, 4.0]) and p.truth_tail[0] == 21.0
+    sigma = np.array([2.0, 1.0])
+    q = SpectralProblem("toy", sigma, np.zeros(2))
+    assert np.array_equal(q.inv_sigma_sq_cumsum, [0.25, 1.25])
+    sigma[0] = 4.0
+    assert np.array_equal(q.sigma, [2.0, 1.0])
+    assert np.array_equal(q.inv_sigma_sq_cumsum, [0.25, 1.25])
+    for arr in (p.sigma, p.x_true, p.truth_tail, q.inv_sigma_sq_cumsum):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_synthetic_rejects_bad_arguments():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from speccut.problems import SpectralProblem, build_synthetic
+from speccut.problems import ProblemSpec, SpectralProblem, build_synthetic, make_problem
 from speccut.rules import (
     RuleConfig,
     balancing,
@@ -389,6 +389,46 @@ def test_selectors_scale_invariant():
                 oracle_strong(p2, obs2),
             )
             assert scaled == base
+
+
+def test_single_search_equals_max_of_per_m_trace():
+    # dp and com search once, at the largest threshold; the per-m trace searches
+    # every m. Levels must agree exactly, also where the thresholds underflow
+    # the rounding of the prefix sums (tiny delta), and whether or not the
+    # observation's memoised sums were built by another rule first.
+    rng = np.random.default_rng(73)
+    for i in range(240):
+        D = int(rng.integers(2, 513))
+        kind = ("poly", "exp", "direct")[i % 3]
+        if kind == "direct":
+            p = make_problem(ProblemSpec("direct", D))
+        else:
+            p = build_synthetic(D, kind, q=float(rng.uniform(0.5, 3.0)), truth_power=1.0)
+        delta = float(10.0 ** -rng.uniform(0, 12))
+        tau = float(rng.uniform(1.05, 3.0))
+        tau_min = 1.0 + (tau - 1.0) * float(rng.uniform(0.05, 0.95))
+        kappa = float(rng.uniform(1.05, 5.0))
+        m_cap = int(rng.integers(1, D))
+        seed = int(rng.integers(0, 2**32))
+        rules = {
+            "dp": lambda o: dp_modified(o, tau, m_cap).k,
+            "dp_at_m": lambda o: dp_at_m(o, tau, m_cap),
+            "lepski": lambda o: lepski_direct(o, kappa),
+            "bal": lambda o: balancing(p, o, kappa, m_cap),
+            "es": lambda o: early_stop(o, m_cap),
+            "com": lambda o: combined(o, tau, tau_min, m_cap).k,
+            "opt": lambda o: oracle_opt(p, o),
+            "pr": lambda o: oracle_weak(p, o),
+            "st": lambda o: oracle_strong(p, o),
+        }
+        obs = observe(p, delta, GAUSS, seed)
+        trace = dp_modified(obs, tau, m_cap, keep_trace=True).trace
+        assert dp_modified(obs, tau, m_cap).k == trace.max()
+        com = combined(obs, tau, tau_min, m_cap)
+        assert com.k == (trace[: com.m_max].max() if com.m_max else 0)
+        for name, rule in rules.items():
+            fresh = observe(p, delta, GAUSS, seed)  # this rule builds the sums it reads
+            assert rule(fresh) == rule(obs), (i, name)
 
 
 def test_rule_config_validation():

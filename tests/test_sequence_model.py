@@ -84,6 +84,28 @@ def test_observe_composition():
         observe(p, 0.0, GAUSS, 42)
 
 
+def test_observation_is_immune_to_later_writes():
+    y = np.array([3.0, 1.0, 0.5, 0.0])
+    view = y[:]
+    view.flags.writeable = False  # read-only, but y can still write through it
+    obs = NoisyObservation(view, y, y, 1.0, 0)
+    assert obs.prefix_sq[-1] == 10.25 and obs.clean_tail[0] == 10.25
+    y[0] = 0.0
+    for got in (obs.y_obs, obs.y_clean, obs.z):
+        assert np.array_equal(got, [3.0, 1.0, 0.5, 0.0])
+    assert obs.prefix_sq[-1] == 10.25 and obs.clean_tail[0] == 10.25
+    for arr in (obs.y_obs, obs.y_clean, obs.z, obs.prefix_sq, obs.clean_tail):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_observe_stores_its_own_arrays_uncopied():
+    p = build_synthetic(16, "poly", q=2.0, truth_power=1.0)
+    obs = observe(p, 0.1, GAUSS, 3)
+    again = NoisyObservation(obs.y_obs, obs.y_clean, obs.z, obs.delta, obs.seed)
+    assert again.y_obs is obs.y_obs and again.y_clean is obs.y_clean and again.z is obs.z
+
+
 def test_observe_noise_scales_linearly():
     p = build_synthetic(64, "poly", q=2.0, truth_power=1.0)
     lo = observe(p, 0.05, GAUSS, 11)
