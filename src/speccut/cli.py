@@ -27,6 +27,7 @@ import numpy as np
 from .montecarlo import (
     ExperimentConfig,
     ExperimentSummary,
+    _row_blocks,
     counterexample_tail_prob,
     example1_frequency,
     prop2_check,
@@ -51,7 +52,13 @@ from .rules import (
     oracle_weak,
     select_all,
 )
-from .sequence_model import NoiseModel, NoisyObservation, observe
+from .sequence_model import (
+    NoiseModel,
+    NoisyObservation,
+    observe,
+    strong_error_sq_profile,
+    weak_error_sq_profile,
+)
 
 PRESETS = {"paper": (5000, 1000), "desk": (1024, 200)}
 
@@ -85,9 +92,10 @@ def check_lepski_dp_identity(
     p = make_problem(ProblemSpec("direct", D))
     model = NoiseModel("gaussian")
     agree = 0
-    for i in range(instances):
-        obs = observe(p, delta, model, seed + i)
-        agree += lepski_direct(obs, fudge, p.sigma) == dp_modified(obs, fudge, D).k
+    for lo, hi in _row_blocks(instances, D + 1):
+        obs = observe(p, delta, model, range(seed + lo, seed + hi))
+        same = lepski_direct(obs, fudge, p.sigma) == dp_modified(obs, fudge, D).k
+        agree += int(np.count_nonzero(same))
     return CheckResult(
         "lepski_dp_identity",
         agree == instances,
@@ -180,27 +188,33 @@ def check_oracle_inequalities(
     levels are near-minimizers (squared-error factor 2), the capped rule never
     exceeds the uncapped one, and no rule beats the realized optimum."""
     from .problems import build_synthetic
-    from .sequence_model import strong_error_sq_profile, weak_error_sq_profile
 
     p = build_synthetic(D, "poly", q=2.0, truth_power=1.0)
     model = NoiseModel("gaussian")
     cfg = RuleConfig(tau=1.5, kappa=4.0)
     bad = 0
-    for i in range(replicates):
-        obs = observe(p, delta, model, seed + i)
-        ks = select_all(p, obs, cfg)
-        strong_sq = strong_error_sq_profile(p, obs)
-        weak_sq = weak_error_sq_profile(p, obs)
-        ok = ks["pr"] <= ks["st"] and ks["com"] <= ks["dp"]
-        ok = ok and strong_sq[ks["opt"]] == strong_sq.min()
-        if ks["pr"] >= 1:
-            ok = ok and 2.0 * weak_sq.min() >= min(weak_sq[ks["pr"]], weak_sq[ks["pr"] - 1])
-        if ks["st"] >= 1:
-            ok = ok and 2.0 * strong_sq.min() >= min(strong_sq[ks["st"]], strong_sq[ks["st"] - 1])
-        bad += not ok
+    for lo, hi in _row_blocks(replicates, D + 1):
+        obs = observe(p, delta, model, range(seed + lo, seed + hi))
+        bad += int(np.count_nonzero(~_oracle_orderings_hold(p, obs, cfg)))
     return CheckResult(
         "oracle_orderings", bad == 0, f"{bad}/{replicates} replicates violated an exact inequality"
     )
+
+
+def _oracle_orderings_hold(p, obs: NoisyObservation, cfg: RuleConfig) -> np.ndarray:
+    """Per row of a block of observations: whether all of its exact inequalities hold."""
+    ks = select_all(p, obs, cfg)
+    strong_sq = strong_error_sq_profile(p, obs)
+    weak_sq = weak_error_sq_profile(p, obs)
+    rows = np.arange(strong_sq.shape[0])
+    pr, st = ks["pr"], ks["st"]
+    ok = (pr <= st) & (ks["com"] <= ks["dp"])
+    ok &= strong_sq[rows, ks["opt"]] == strong_sq.min(axis=-1)
+    # a balanced level k >= 1 has k or k-1 within squared-error factor 2 of the optimum
+    for k, sq in ((pr, weak_sq), (st, strong_sq)):
+        near = np.minimum(sq[rows, k], sq[rows, np.maximum(k - 1, 0)])
+        ok &= (k < 1) | (2.0 * sq.min(axis=-1) >= near)
+    return ok
 
 
 def check_thm1_frequency(
@@ -463,24 +477,34 @@ def _parse_deltas(text: str) -> list[float]:
         deltas = [float(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad delta list {text!r}") from exc
-    if not deltas or any(d <= 0 for d in deltas):
-        raise argparse.ArgumentTypeError("deltas must be positive")
+    if not deltas or not all(math.isfinite(d) and d > 0 for d in deltas):
+        raise argparse.ArgumentTypeError("deltas must be positive and finite")
     if len(set(deltas)) != len(deltas):
         raise argparse.ArgumentTypeError(f"deltas must be distinct, got {text!r}")
     return deltas
 
 
+def _finite(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return x
+
+
 def _add_common(sub):
     sub.add_argument("--problem", choices=PROBLEM_NAMES, default="phillips")
     sub.add_argument("--size", type=int, default=None, help="discretization dimension D")
-    sub.add_argument("--depth", type=float, default=0.25, help="gravity source depth")
-    sub.add_argument("--kappa-heat", dest="kappa_heat", type=float, default=1.0)
-    sub.add_argument("--q", type=float, default=2.0, help="polynomial spectrum decay exponent")
-    sub.add_argument("--truth-power", dest="truth_power", type=float, default=1.0)
+    sub.add_argument("--depth", type=_finite, default=0.25, help="gravity source depth")
+    sub.add_argument("--kappa-heat", dest="kappa_heat", type=_finite, default=1.0)
+    sub.add_argument("--q", type=_finite, default=2.0, help="polynomial spectrum decay exponent")
+    sub.add_argument("--truth-power", dest="truth_power", type=_finite, default=1.0)
     sub.add_argument("--deltas", type=_parse_deltas, default=[1e0, 1e-2, 1e-4, 1e-6])
-    sub.add_argument("--tau", type=float, default=1.5)
-    sub.add_argument("--kappa", type=float, default=4.0)
-    sub.add_argument("--tau-min", dest="tau_min", type=float, default=1.0)
+    sub.add_argument("--tau", type=_finite, default=1.5)
+    sub.add_argument("--kappa", type=_finite, default=4.0)
+    sub.add_argument("--tau-min", dest="tau_min", type=_finite, default=1.0)
     sub.add_argument("--replicates", type=int, default=None)
     sub.add_argument("--seed", type=int, default=20240717)
     sub.add_argument("--noise", choices=("gaussian", "rademacher"), default="gaussian")

@@ -11,7 +11,8 @@ standard deviation with the n-1 denominator, reported as 0 for a single
 sample) plus boxplot statistics of the sequential rule's level per noise
 level. `theorem_frequency`, `example1_frequency` and `prop2_check` measure how
 often the probabilistic guarantees and the exponential-spectrum failure mode
-actually occur.
+actually occur. The last two evaluate their replicates on row blocks (see
+`_row_blocks`); `run_experiment` evaluates one replicate at a time.
 """
 
 from __future__ import annotations
@@ -40,6 +41,19 @@ from .sequence_model import (
 )
 
 
+# Entries per (R, D) array of a row block: 2^18 float64 values, 2 MB.
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def _row_blocks(total: int, width: int) -> list[tuple[int, int]]:
+    """Consecutive row ranges [lo, hi) covering `total` rows of `width` entries.
+
+    Each block holds at most `_BLOCK_ELEMENTS` entries, and at least one row.
+    """
+    rows = max(1, _BLOCK_ELEMENTS // width)
+    return [(lo, min(lo + rows, total)) for lo in range(0, total, rows)]
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: ProblemSpec
@@ -52,8 +66,8 @@ class ExperimentConfig:
     def __post_init__(self):
         deltas = tuple(float(d) for d in self.deltas)
         object.__setattr__(self, "deltas", deltas)
-        if not deltas or any(d <= 0 for d in deltas):
-            raise ValueError("deltas must be nonempty and positive")
+        if not deltas or not all(math.isfinite(d) and d > 0 for d in deltas):
+            raise ValueError("deltas must be nonempty, positive and finite")
         if len(set(deltas)) != len(deltas):
             # summarize groups records by delta, so a repeat would merge two rows
             raise ValueError(f"deltas must be distinct, got {deltas}")
@@ -251,8 +265,8 @@ def example1_frequency(kappa: float, delta: float, replicates: int, seed: int) -
     ceil(log delta^(-2)) plus a margin of 10 so the critical index is safely
     inside the horizon.
     """
-    if kappa <= 1:
-        raise ValueError(f"kappa must exceed 1, got {kappa}")
+    if not (math.isfinite(kappa) and kappa > 1):
+        raise ValueError(f"kappa must be finite and exceed 1, got {kappa}")
     if not 0 < delta <= math.exp(-1.0):
         raise ValueError(f"delta must lie in (0, e^-1], got {delta}")
     if replicates < 1:
@@ -261,16 +275,20 @@ def example1_frequency(kappa: float, delta: float, replicates: int, seed: int) -
     p = build_synthetic(D, "exp")
     rng = np.random.default_rng(seed)
     z_all = rng.standard_normal((replicates, D))
-    y_all = delta * z_all
     zero = np.zeros(D)
-    for a in (z_all, y_all, zero):  # read-only rows go into the observations uncopied
+    for a in (z_all, zero):  # read-only rows go into the observations uncopied
         a.flags.writeable = False
     hits = 0
-    for i in range(replicates):
-        obs = NoisyObservation(y_all[i], zero, z_all[i], delta, seed)
+    for lo, hi in _row_blocks(replicates, D + 1):
+        y = delta * z_all[lo:hi]
+        y.flags.writeable = False
+        obs = NoisyObservation(y, zero, z_all[lo:hi], delta, (seed,) * (hi - lo))
         k = balancing(p, obs, kappa, D)
-        norm_sq = float(np.sum((obs.y_obs[:k] / p.sigma[:k]) ** 2))
-        hits += norm_sq >= 1.0
+        coeff_sq = (y / p.sigma) ** 2
+        # rows that stop at one level sum the same prefix length, as each row alone would
+        for level in np.unique(k):
+            norm_sq = np.sum(coeff_sq[k == level, :level], axis=-1)
+            hits += int(np.count_nonzero(norm_sq >= 1.0))
     return hits / replicates
 
 
@@ -283,16 +301,16 @@ def prop2_check(
     kappa_idx exceeds epsilon, mean absolute deviation at kappa_idx divided by
     epsilon). The first should not exceed the second beyond sampling noise.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not 1 <= kappa_idx <= D:
         raise ValueError(f"kappa_idx={kappa_idx} outside [1, {D}]")
     ss = np.random.SeedSequence(seed)
     seeds = ss.generate_state(replicates, dtype=np.uint64)
     exceed = 0
     abs_dev = np.empty(replicates)
-    for i in range(replicates):
-        z = sample_noise(model, D, int(seeds[i]))
-        exceed += empirical_sup_deviation(z, kappa_idx) > epsilon
-        abs_dev[i] = abs(float(np.mean(z[:kappa_idx] ** 2 - 1.0)))
+    for lo, hi in _row_blocks(replicates, D):
+        z = sample_noise(model, D, seeds[lo:hi])
+        exceed += int(np.count_nonzero(empirical_sup_deviation(z, kappa_idx) > epsilon))
+        abs_dev[lo:hi] = np.abs(np.mean(z[:, :kappa_idx] ** 2 - 1.0, axis=-1))
     return exceed / replicates, float(np.mean(abs_dev)) / epsilon

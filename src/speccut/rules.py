@@ -13,21 +13,33 @@ Every defining inequality is inclusive, minimal elements are taken from the
 defining sets, and k = 0 is always admitted. All selectors are invariant under
 rescaling (y_obs, y_clean, delta) by a common positive factor.
 
-Implementation note: with S_k the prefix sum of squared data coefficients, the
-per-m discrepancy choice is the smallest k with S_k >= T_m = S_m - tau^2 m
-delta^2, found by binary search in the nondecreasing S. That search is
+Implementation note: every rule and error profile is one kernel that works
+along the last axis. It takes one observation row (D,) and returns an int, or
+a block of R rows (R, D) (`NoisyObservation` holds either) and returns an
+(R,) array whose entry i equals the rule on row i alone, bit for bit: the
+cumulative sums run sequentially through each row, and maxima, minima and
+comparisons are exact. With S_k the prefix sum of squared data coefficients,
+the per-m discrepancy choice is the smallest k with S_k >= T_m = S_m - tau^2 m
+delta^2. `_min_levels` finds it in two ways. One row keeps a binary search
+(`np.searchsorted`, side "left"). A block counts, per row, the entries of S
+below the row's threshold; since S is nondecreasing those are exactly the
+entries before the first S_k >= T, so the count is the same k. The search is
 nondecreasing in the threshold, so the largest per-m choice over m equals the
-choice for max_m T_m exactly: `dp_modified` and `combined` build the D
-thresholds, take their maximum and search once, O(D) plus one O(log D)
-search, with no floating-point operation changed. The full per-m trace (D
-searches) is built only on request. The comparison rules use suffix maxima of
-S_m minus its threshold, O(D). Each observation memoises S
-(`NoisyObservation.prefix_sq`) and the tail sums of its clean data
+choice for max_m T_m exactly: `dp_modified` and `combined` take the maximum
+threshold and search once, O(D). Entry m of every row is read as `S.T[m]`:
+a float for one row (where `S[..., m]` would make a slower 0-d array), the
+(R,) column of a block. The full per-m trace (D searches, one row only) is
+built only on request. The comparison rules (`lepski_direct`,
+`balancing`) share one suffix-maximum comparison, O(D). Each observation
+memoises S (`NoisyObservation.prefix_sq`) and the tail sums of its clean data
 (`clean_tail`); each problem memoises the cumulative sum of sigma^(-2)
 (`SpectralProblem.inv_sigma_sq_cumsum`) and the tail sums of its squared truth
-(`truth_tail`). All rules of one replicate share these, so the only other
-cumulative sum a replicate builds is the prefix sum of (y_obs/sigma)^2 in
-`balancing`. The O(D^2) literal scans survive as test oracles.
+(`truth_tail`). All rules of one observation share these, so the only other
+cumulative sum it builds is the prefix sum of (y_obs/sigma)^2 in `balancing`.
+Callers that evaluate many replicates pass blocks of at most 2^18 entries
+(2 MB of float64) per (R, D) array, so memory stays bounded for any replicate
+count (`montecarlo._row_blocks`). The O(D^2) literal scans survive as test
+oracles.
 """
 
 from __future__ import annotations
@@ -38,7 +50,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import SpectralProblem, suffix_sum
-from .sequence_model import NoisyObservation, _prefix_sq, strong_error_sq_profile
+from .sequence_model import (
+    NoisyObservation,
+    _check_delta,
+    _cumsum0,
+    _prefix_sq,
+    strong_error_sq_profile,
+)
+
+
+def _check_fudge(name: str, value: float):
+    if not (math.isfinite(value) and value > 1):
+        raise ValueError(f"{name} must be finite and exceed 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -51,24 +74,25 @@ class RuleConfig:
     m_cap: int | None = None  # None: use the full resolution D
 
     def __post_init__(self):
-        if self.tau <= 1:
-            raise ValueError(f"tau must exceed 1, got {self.tau}")
-        if self.kappa <= 1:
-            raise ValueError(f"kappa must exceed 1, got {self.kappa}")
+        _check_fudge("tau", self.tau)
+        _check_fudge("kappa", self.kappa)
         if not 1 <= self.tau_min < self.tau:
             raise ValueError(f"need 1 <= tau_min < tau, got tau_min={self.tau_min}")
-        if self.m_cap is not None and self.m_cap < 1:
+        if self.m_cap is not None and not self.m_cap >= 1:
             raise ValueError(f"m_cap must be positive, got {self.m_cap}")
 
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Chosen level for a named rule plus optional per-m diagnostics."""
+    """Chosen level for a named rule plus optional per-m diagnostics.
+
+    For a block of observation rows, `k` and `m_max` are (R,) arrays.
+    """
 
     rule: str
-    k: int
+    k: int | np.ndarray
     trace: np.ndarray | None = None  # trace[m-1] = per-m choice, when recorded
-    m_max: int | None = None
+    m_max: int | np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -101,8 +125,7 @@ def constants(
     The polynomial-spectrum constant c_tau_cor needs the decay exponent q and
     the spectrum envelope constants 0 < c_q <= C_q; it is left None otherwise.
     """
-    if tau <= 1:
-        raise ValueError(f"tau must exceed 1, got {tau}")
+    _check_fudge("tau", tau)
     a_tau = ((tau + 1.0) / (tau - 1.0)) ** 2
     b_tau = (3.0 * tau + 1.0) ** 2 / 4.0
     c_weak = math.sqrt(6.0) * math.sqrt(1.5 * (a_tau + 1.0) + b_tau)
@@ -111,8 +134,10 @@ def constants(
     )
     c_cor = None
     if q is not None:
-        if c_q is None or C_q is None or not 0 < c_q <= C_q:
-            raise ValueError("polynomial-spectrum constant needs 0 < c_q <= C_q")
+        if not math.isfinite(q):
+            raise ValueError(f"decay exponent q must be finite, got {q}")
+        if c_q is None or C_q is None or not (0 < c_q <= C_q and math.isfinite(C_q)):
+            raise ValueError("polynomial-spectrum constant needs finite 0 < c_q <= C_q")
         c_cor = max(
             math.sqrt(2.0) * ((tau + 1.0) / (tau - 1.0) + 1.0),
             math.sqrt(2.0)
@@ -121,24 +146,50 @@ def constants(
     return TheoremConstants(tau, a_tau, b_tau, c_weak, c_strong, c_cor)
 
 
-def _min_levels(S: np.ndarray, thresholds: np.ndarray | float):
-    """For each threshold T, the smallest k with S[k] >= T (S nondecreasing)."""
-    return np.searchsorted(S, thresholds, side="left")
+def _level(k):
+    """A per-row result as an int for one row, as the (R,) array for a block."""
+    return k if isinstance(k, np.ndarray) and k.ndim else int(k)
+
+
+def _min_levels(S: np.ndarray, thresholds):
+    """Per row of S, the smallest k with S[..., k] >= T (each row nondecreasing).
+
+    One row bisects, for any number of thresholds. A block takes one threshold
+    per row and counts the entries below it, which in a nondecreasing row are
+    exactly the entries before the first one >= T: the same k as the search.
+    """
+    if S.ndim == 1:
+        return S.searchsorted(thresholds)  # side="left"
+    return (S < thresholds[..., None]).sum(axis=-1)
 
 
 def _dp_thresholds(obs: NoisyObservation, tau: float, m_cap: int) -> np.ndarray:
-    """T with T[m-1] = S_m - tau^2 m delta^2 for m in [1, m_cap]."""
+    """T with T[..., m-1] = S_m - tau^2 m delta^2 for m in [1, m_cap]."""
     S = obs.prefix_sq
-    return S[1 : m_cap + 1] - (tau * obs.delta) ** 2 * np.arange(1, m_cap + 1)
+    return S[..., 1 : m_cap + 1] - (tau * obs.delta) ** 2 * np.arange(1, m_cap + 1)
 
 
-def _max_level(S: np.ndarray, thresholds: np.ndarray) -> int:
-    """Largest per-threshold level, max over T of the smallest k with S[k] >= T.
+def _max_level(S: np.ndarray, thresholds: np.ndarray):
+    """Largest per-threshold level, max over T of the smallest k with S[k] >= T, per row.
 
     `_min_levels` is nondecreasing in T for nondecreasing S, so the maximum is
-    attained at the largest threshold: one search gives it exactly.
+    attained at the largest threshold: one search gives it exactly. A row with
+    no thresholds gets level 0.
     """
-    return int(_min_levels(S, thresholds.max()))
+    return _min_levels(S, thresholds.max(axis=-1, initial=-np.inf))
+
+
+def _first_admissible(gaps: np.ndarray, S: np.ndarray):
+    """Smallest k with gaps[..., m-1] <= S[..., k] for every m in (k, n], per row.
+
+    n is the length of the gaps; k = n is always admitted. Compares S with
+    the suffix maxima of the gaps.
+    """
+    n = gaps.shape[-1]
+    suffix = np.empty(gaps.shape[:-1] + (n + 1,))
+    suffix[..., n] = -np.inf
+    np.maximum.accumulate(gaps[..., ::-1], axis=-1, out=suffix[..., :n][..., ::-1])
+    return (suffix <= S[..., : n + 1]).argmax(axis=-1)
 
 
 def dp_at_m(obs: NoisyObservation, tau: float, m: int) -> int:
@@ -147,12 +198,11 @@ def dp_at_m(obs: NoisyObservation, tau: float, m: int) -> int:
     Smallest k in [0, m] whose residual over the first m coefficients,
     sqrt(sum_{j=k+1..m} y_obs_j^2), is at most tau sqrt(m) delta.
     """
-    if tau <= 1:
-        raise ValueError(f"tau must exceed 1, got {tau}")
+    _check_fudge("tau", tau)
     if not 1 <= m <= obs.size:
         raise ValueError(f"m={m} outside [1, {obs.size}]")
     S = obs.prefix_sq
-    return int(_min_levels(S, S[m] - (tau * obs.delta) ** 2 * m))
+    return _level(_min_levels(S, S.T[m] - (tau * obs.delta) ** 2 * m))
 
 
 def dp_modified(
@@ -162,18 +212,19 @@ def dp_modified(
 
     Returns the largest per-m discrepancy choice over m in [1, m_cap], found
     with one search; the per-m trace is built and attached only when
-    keep_trace is set.
+    keep_trace is set, which needs a single observation row.
     """
-    if tau <= 1:
-        raise ValueError(f"tau must exceed 1, got {tau}")
+    _check_fudge("tau", tau)
     m_cap = obs.size if m_cap is None else m_cap
     if not 1 <= m_cap <= obs.size:
         raise ValueError(f"m_cap={m_cap} outside [1, {obs.size}]")
     thresholds = _dp_thresholds(obs, tau, m_cap)
     if keep_trace:
+        if thresholds.ndim != 1:
+            raise ValueError("keep_trace needs a single observation row")
         trace = _min_levels(obs.prefix_sq, thresholds)
         return SelectionResult("dp", int(trace.max()), trace)
-    return SelectionResult("dp", _max_level(obs.prefix_sq, thresholds))
+    return SelectionResult("dp", _level(_max_level(obs.prefix_sq, thresholds)))
 
 
 def lepski_direct(obs: NoisyObservation, kappa: float, sigma: np.ndarray | None = None) -> int:
@@ -183,18 +234,12 @@ def lepski_direct(obs: NoisyObservation, kappa: float, sigma: np.ndarray | None 
     kappa sqrt(m) delta of the level-k one. Pass the problem's singular values
     to assert the regime; non-unit values are rejected.
     """
-    if kappa <= 1:
-        raise ValueError(f"kappa must exceed 1, got {kappa}")
+    _check_fudge("kappa", kappa)
     if sigma is not None and not np.all(sigma == 1.0):
         raise ValueError("direct-regime rule called with non-unit singular values")
     S = obs.prefix_sq
-    D = obs.size
-    gaps = S[1:] - (kappa * obs.delta) ** 2 * np.arange(1, D + 1)
-    # suffix[k] = max over m > k of gaps; k admissible iff suffix[k] <= S[k]
-    suffix = np.empty(D + 1)
-    suffix[D] = -np.inf
-    np.maximum.accumulate(gaps[::-1], out=suffix[:D][::-1])
-    return int(np.argmax(suffix <= S))
+    gaps = S[..., 1:] - (kappa * obs.delta) ** 2 * np.arange(1, obs.size + 1)
+    return _level(_first_admissible(gaps, S))
 
 
 def balancing(
@@ -211,8 +256,7 @@ def balancing(
     switches to the dimensionally odd threshold kappa delta^2 sum sigma_j^(-2)
     for comparison runs.
     """
-    if kappa <= 1:
-        raise ValueError(f"kappa must exceed 1, got {kappa}")
+    _check_fudge("kappa", kappa)
     D = obs.size
     m_cap = D if m_cap is None else m_cap
     if not 1 <= m_cap <= D:
@@ -223,11 +267,7 @@ def balancing(
         thresh = (kappa * obs.delta**2 * w) ** 2
     else:
         thresh = (kappa * obs.delta) ** 2 * w
-    gaps = P[1 : m_cap + 1] - thresh
-    suffix = np.empty(m_cap + 1)
-    suffix[m_cap] = -np.inf
-    np.maximum.accumulate(gaps[::-1], out=suffix[:m_cap][::-1])
-    return int(np.argmax(suffix <= P[: m_cap + 1]))
+    return _level(_first_admissible(P[..., 1 : m_cap + 1] - thresh, P))
 
 
 def early_stop(obs: NoisyObservation, D_used: int | None = None) -> int:
@@ -236,7 +276,7 @@ def early_stop(obs: NoisyObservation, D_used: int | None = None) -> int:
     if not 1 <= D_used <= obs.size:
         raise ValueError(f"D_used={D_used} outside [1, {obs.size}]")
     S = obs.prefix_sq
-    return int(_min_levels(S, S[D_used] - obs.delta**2 * D_used))
+    return _level(_min_levels(S, S.T[D_used] - obs.delta**2 * D_used))
 
 
 def combined(
@@ -248,29 +288,32 @@ def combined(
     returned k is the largest per-m choice over m in [1, m_max], or 0 when
     m_max = 0.
     """
-    if tau <= tau_min:
-        raise ValueError(f"need tau > tau_min, got tau={tau}, tau_min={tau_min}")
-    if tau_min < 1:
+    if not (math.isfinite(tau) and tau > tau_min):
+        raise ValueError(f"need finite tau > tau_min, got tau={tau}, tau_min={tau_min}")
+    if not tau_min >= 1:
         raise ValueError(f"tau_min must be at least 1, got {tau_min}")
     D_used = obs.size if D_used is None else D_used
     if not 1 <= D_used <= obs.size:
         raise ValueError(f"D_used={D_used} outside [1, {obs.size}]")
     S = obs.prefix_sq
-    m_max = int(_min_levels(S, S[D_used] - (tau_min * obs.delta) ** 2 * D_used))
-    if m_max == 0:
-        return SelectionResult("com", 0, None, 0)
-    return SelectionResult("com", _max_level(S, _dp_thresholds(obs, tau, m_max)), None, m_max)
+    m_max = _min_levels(S, S.T[D_used] - (tau_min * obs.delta) ** 2 * D_used)
+    if S.ndim == 1:
+        thresholds = _dp_thresholds(obs, tau, int(m_max))
+    else:  # rows stop at different levels: drop the thresholds past each row's m_max
+        thresholds = _dp_thresholds(obs, tau, int(m_max.max()))
+        m = np.arange(1, thresholds.shape[-1] + 1)
+        thresholds = np.where(m <= m_max[:, None], thresholds, -np.inf)
+    return SelectionResult("com", _level(_max_level(S, thresholds)), None, _level(m_max))
 
 
 def oracle_opt(p: SpectralProblem, obs: NoisyObservation) -> int:
     """Smallest minimizer of the realized solution-space error over all levels."""
-    return int(np.argmin(strong_error_sq_profile(p, obs)))
+    return _level(strong_error_sq_profile(p, obs).argmin(axis=-1))
 
 
 def _balanced_level(acc: np.ndarray, rest: np.ndarray) -> int:
-    """Smallest k with the sum of acc[:k] >= rest[k], the remaining term (`suffix_sum`)."""
-    prefix = np.concatenate([[0.0], np.cumsum(acc)])
-    return int(np.argmax(prefix >= rest))
+    """Smallest k with the sum of acc[..., :k] >= rest[k], the remaining term (`suffix_sum`)."""
+    return _level((_cumsum0(acc) >= rest).argmax(axis=-1))
 
 
 def oracle_weak(p: SpectralProblem, obs: NoisyObservation) -> int:
@@ -287,16 +330,14 @@ def oracle_strong(p: SpectralProblem, obs: NoisyObservation) -> int:
 
 def det_weak(p: SpectralProblem, delta: float) -> int:
     """Deterministic counterpart of the weak oracle: expected variance delta^2 k."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    _check_delta(delta)
     var = np.full(p.size, delta**2)
     return _balanced_level(var, suffix_sum((p.sigma * p.x_true) ** 2))
 
 
 def det_strong(p: SpectralProblem, delta: float) -> int:
     """Deterministic counterpart of the strong oracle: expected variance delta^2 sum sigma^(-2)."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    _check_delta(delta)
     var = delta**2 * p.sigma ** (-2.0)
     return _balanced_level(var, p.truth_tail)
 
@@ -305,13 +346,15 @@ def empirical_sup_deviation(z: np.ndarray, kappa_idx: int) -> float:
     """Largest absolute running mean of z_j^2 - 1 over windows m >= kappa_idx.
 
     This is the quantity whose reverse-martingale maximal bound controls how
-    far squared residual sums can drift from their expectation.
+    far squared residual sums can drift from their expectation. A block of
+    rows (R, D) gives one deviation per row.
     """
-    D = z.size
+    D = z.shape[-1]
     if not 1 <= kappa_idx <= D:
         raise ValueError(f"kappa_idx={kappa_idx} outside [1, {D}]")
-    means = np.cumsum(z * z - 1.0) / np.arange(1, D + 1)
-    return float(np.max(np.abs(means[kappa_idx - 1 :])))
+    means = np.cumsum(z * z - 1.0, axis=-1) / np.arange(1, D + 1)
+    dev = np.max(np.abs(means[..., kappa_idx - 1 :]), axis=-1)
+    return dev if dev.ndim else float(dev)
 
 
 RULE_NAMES = ("dp", "bal", "es", "com", "opt", "pr", "st")
@@ -319,8 +362,11 @@ RULE_NAMES = ("dp", "bal", "es", "com", "opt", "pr", "st")
 
 def select_all(
     p: SpectralProblem, obs: NoisyObservation, cfg: RuleConfig
-) -> dict[str, int]:
-    """Run every benchmark rule on one observation; keys follow RULE_NAMES."""
+) -> dict[str, int | np.ndarray]:
+    """Run every benchmark rule on one observation; keys follow RULE_NAMES.
+
+    For a block of rows each value is the (R,) array of per-row levels.
+    """
     m_cap = p.size if cfg.m_cap is None else min(cfg.m_cap, p.size)
     return {
         "dp": dp_modified(obs, cfg.tau, m_cap).k,

@@ -10,12 +10,15 @@ resolution D.
 
 An observation stores its vectors read-only and memoises the cumulative sums
 that several rules and error profiles read, so each is built once per
-observation.
+observation. It may hold one row (D,) or a block of R rows (R, D) that share
+the noise level and the clean data; every sum and profile works along the last
+axis, row by row, with the same floating-point operations as for one row.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,7 +42,7 @@ class NoiseModel:
         if self.kind not in ("gaussian", "rademacher", "student_t"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind == "student_t":
-            if self.df is None or self.df <= 2:
+            if self.df is None or not (math.isfinite(self.df) and self.df > 2):
                 raise ValueError("student_t needs df > 2 for a finite variance")
 
     def gamma(self, p: int) -> float:
@@ -56,49 +59,74 @@ class NoiseModel:
         return 3.0 * (self.df - 2.0) / (self.df - 4.0)
 
 
+def _check_delta(delta: float):
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+
+
+def _cumsum0(x: np.ndarray) -> np.ndarray:
+    """C with C[..., k] = sum of x[..., :k] along the last axis, C[..., 0] = 0.
+
+    The sum (`np.cumsum`'s ufunc, called directly) runs sequentially through
+    each row, so a row of a block gets the same bits as the row on its own.
+    """
+    C = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    C[..., 0] = 0.0
+    np.add.accumulate(x, axis=-1, out=C[..., 1:])
+    return C
+
+
 def _prefix_sq(y: np.ndarray) -> np.ndarray:
-    """S with S[k] = sum of the first k squared entries, S[0] = 0.
+    """S with S[..., k] = sum of the first k squared entries of each row, S[..., 0] = 0.
 
     Callers reach it by its module-level name (here and as `rules._prefix_sq`),
     which is how `perfbench` counts prefix-sum builds per replicate.
     """
-    S = np.empty(y.size + 1)
-    S[0] = 0.0
-    np.cumsum(y * y, out=S[1:])
-    return S
+    return _cumsum0(y * y)
 
 
 @dataclass(frozen=True)
 class NoisyObservation:
     """One realization y_obs = y_clean + delta * z with its ingredients kept.
 
-    The three vectors are stored read-only; a caller's array that is still
-    writeable is copied, so writing to it later cannot change the observation
-    or the sums memoised on it.
+    `y_obs` and `z` are one row (D,) or a block of R rows (R, D); a block's
+    rows share `delta` and the clean data `y_clean` (D,), and `seed` is then
+    the tuple of row seeds. The three vectors are stored read-only; a caller's
+    array that is still writeable is copied, so writing to it later cannot
+    change the observation or the sums memoised on it.
     """
 
     y_obs: np.ndarray
     y_clean: np.ndarray
     z: np.ndarray
     delta: float
-    seed: int
+    seed: int | tuple[int, ...]
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        _check_delta(self.delta)
         for name in ("y_obs", "y_clean", "z"):
             object.__setattr__(self, name, readonly(getattr(self, name)))
+        shape = self.y_obs.shape
+        if len(shape) not in (1, 2) or 0 in shape:
+            raise ValueError(f"y_obs must be one row (D,) or a block (R, D), got shape {shape}")
+        if self.z.shape != shape or self.y_clean.shape != shape[-1:]:
+            raise ValueError(
+                f"z must have shape {shape} and y_clean shape {shape[-1:]}, "
+                f"got {self.z.shape} and {self.y_clean.shape}"
+            )
 
     @property
     def size(self) -> int:
-        return int(self.y_obs.size)
+        """The resolution D, the length of each row."""
+        return int(self.y_obs.shape[-1])
 
     @cached_property
     def prefix_sq(self) -> np.ndarray:
-        """S with S[k] = sum of y_obs_j^2 over j <= k, S[0] = 0; nondecreasing, read-only.
+        """S with S[..., k] = sum of y_obs_j^2 over j <= k, S[..., 0] = 0; read-only.
 
-        Shared by every residual and comparison rule. Built on first use and
-        memoised, which is valid because `y_obs` is read-only.
+        Each row is nondecreasing. Shared by every residual and comparison
+        rule. Built on first use and memoised, which is valid because `y_obs`
+        is read-only.
         """
         S = _prefix_sq(self.y_obs)
         S.flags.writeable = False
@@ -114,10 +142,23 @@ class NoisyObservation:
         return suffix_sum(self.y_clean**2)
 
 
-def sample_noise(model: NoiseModel, D: int, seed: int) -> np.ndarray:
-    """Draw D independent unit-variance noise coordinates, reproducibly."""
+def sample_noise(model: NoiseModel, D: int, seed: int | Sequence[int]) -> np.ndarray:
+    """Draw D independent unit-variance noise coordinates, reproducibly.
+
+    A sequence of seeds gives an (R, D) block with one row per seed, in order;
+    each row is drawn from its own seed alone.
+    """
     if D < 1:
         raise ValueError(f"need D >= 1, got {D}")
+    if isinstance(seed, (int, np.integer)):
+        return _draw(model, D, seed)
+    rows = np.empty((len(seed), D))
+    for i, s in enumerate(seed):
+        rows[i] = _draw(model, D, int(s))
+    return rows
+
+
+def _draw(model: NoiseModel, D: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if model.kind == "gaussian":
         return rng.standard_normal(D)
@@ -127,16 +168,22 @@ def sample_noise(model: NoiseModel, D: int, seed: int) -> np.ndarray:
     return rng.standard_t(model.df, size=D) / math.sqrt(model.df / (model.df - 2.0))
 
 
-def observe(p: SpectralProblem, delta: float, model: NoiseModel, seed: int) -> NoisyObservation:
-    """Generate one noisy observation of the problem's clean data."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+def observe(
+    p: SpectralProblem, delta: float, model: NoiseModel, seed: int | Sequence[int]
+) -> NoisyObservation:
+    """Generate one noisy observation of the problem's clean data.
+
+    A sequence of seeds gives a block with one row per seed, in order; row i is
+    bit-identical to `observe(p, delta, model, seed[i]).y_obs`.
+    """
+    _check_delta(delta)
     z = sample_noise(model, p.size, seed)
+    seed = int(seed) if z.ndim == 1 else tuple(int(s) for s in seed)
     y_clean = p.sigma * p.x_true
     y_obs = y_clean + delta * z
     for fresh in (y_obs, y_clean, z):  # nobody else holds them: freeze, do not copy
         fresh.flags.writeable = False
-    return NoisyObservation(y_obs, y_clean, z, float(delta), int(seed))
+    return NoisyObservation(y_obs, y_clean, z, float(delta), seed)
 
 
 def _check_level(k: int, D: int):
@@ -153,23 +200,20 @@ def cutoff_coeffs(p: SpectralProblem, obs: NoisyObservation, k: int) -> np.ndarr
 
 
 def strong_error_sq_profile(p: SpectralProblem, obs: NoisyObservation) -> np.ndarray:
-    """Squared solution-space error for every level: entry k is ||x_k - x_true||^2."""
+    """Squared solution-space error for every level: entry k is ||x_k - x_true||^2, per row."""
     var = (obs.y_obs / p.sigma - p.x_true) ** 2
     return _profile(var, p.truth_tail)
 
 
 def weak_error_sq_profile(p: SpectralProblem, obs: NoisyObservation) -> np.ndarray:
-    """Squared image-space error for every level: entry k is ||K(x_k - x_true)||^2."""
+    """Squared image-space error for every level: entry k is ||K(x_k - x_true)||^2, per row."""
     var = (obs.y_obs - obs.y_clean) ** 2
     return _profile(var, obs.clean_tail)
 
 
 def _profile(var: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """Accumulated variance plus the remaining bias `tail` at every level."""
-    D = var.size
-    out = np.empty(D + 1)
-    out[0] = 0.0
-    np.cumsum(var, out=out[1:])
+    """Accumulated variance plus the remaining bias `tail` at every level, per row."""
+    out = _cumsum0(var)
     out += tail
     return out
 

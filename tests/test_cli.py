@@ -1,9 +1,21 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from speccut import cli
+from speccut.problems import build_synthetic
+from speccut.rules import RuleConfig, select_all
+from speccut.sequence_model import (
+    NoiseModel,
+    NoisyObservation,
+    observe,
+    strong_error_sq_profile,
+    weak_error_sq_profile,
+)
+
+GAUSS = NoiseModel("gaussian")
 
 BENCH_ARGS = [
     "bench",
@@ -73,6 +85,13 @@ def test_bench_rejects_bad_deltas():
         cli.main(["bench", "--deltas", "abc"])
     with pytest.raises(SystemExit):  # one noise level three times would merge into one row
         cli.main(["bench", "--deltas", "1e-2,1e-2,0.01", "--replicates", "3"])
+    small = ["bench", "--problem", "synthetic-poly", "--size", "16", "--replicates", "2"]
+    for bad in (
+        ["--deltas", "inf"], ["--deltas", "1e-2,nan"], ["--kappa", "nan"], ["--tau", "inf"],
+        ["--tau-min", "nan"], ["--q", "inf"],
+    ):
+        with pytest.raises(SystemExit):
+            cli.main(small + ["--deltas", "1e-2"] + bad)
 
 
 # SHA-256 of the tables of the run below; a faster rule or harness must keep them.
@@ -132,6 +151,73 @@ def test_verify_quick_passes(tmp_path, capsys):
     assert printed.count("PASS") == 8 and "FAIL" not in printed
     report = json.loads((out / "verify_report.json").read_text())
     assert all(item["passed"] for item in report)
+
+
+# The quick battery's report, byte for byte; a faster battery must print the same.
+QUICK_VERIFY_LINES = [
+    "PASS  lepski_dp_identity: 20/20 exact agreements (D=256, delta=0.1, fudge=1.5)",
+    "PASS  dp_bruteforce_equivalence: 20/20 exact agreements",
+    "PASS  scaling_invariance: 0/10 instances changed under rescaling by 1e-3 or 1e3",
+    "PASS  oracle_orderings: 0/200 replicates violated an exact inequality",
+    "PASS  thm1_frequency: frequency 1.000 (required >= 0.95)",
+    "PASS  cor1_efficiency: median ratio 1.268 (<= 3), 95th pct 1.371 (<= 375.5)",
+    "PASS  example1_counterexample: empirical 0.94250 vs tail bound 0.00431 "
+    "(required >= half the bound)",
+    "PASS  moment_bounds: kappa=10: 0.3425 <= 0.8944; kappa=100: 0.1150 <= 0.2828; "
+    "kappa=1000: 0.0380 <= 0.0894; sup-deviation: P=0.039 <= bound 0.344",
+]
+QUICK_VERIFY_SHA256 = "14e011d4ceccb7c6698b0bb92503f43e35fa1a5a6d4cf835f5c7623f79dbd719"
+
+
+def test_verify_quick_report_is_byte_identical(capsys):
+    assert cli.main(["verify", "--quick"]) == 0
+    printed = capsys.readouterr().out
+    assert printed.splitlines() == QUICK_VERIFY_LINES
+    assert hashlib.sha256(printed.encode()).hexdigest() == QUICK_VERIFY_SHA256
+
+
+def oracle_orderings_hold_literal(ks, strong_sq, weak_sq):
+    """The per-replicate inequalities of the oracle check, one replicate at a time."""
+    ok = ks["pr"] <= ks["st"] and ks["com"] <= ks["dp"]
+    ok = ok and strong_sq[ks["opt"]] == strong_sq.min()
+    if ks["pr"] >= 1:
+        ok = ok and 2.0 * weak_sq.min() >= min(weak_sq[ks["pr"]], weak_sq[ks["pr"] - 1])
+    if ks["st"] >= 1:
+        ok = ok and 2.0 * strong_sq.min() >= min(strong_sq[ks["st"]], strong_sq[ks["st"] - 1])
+    return ok
+
+
+def test_oracle_check_rows_equal_scalar_rules():
+    p = build_synthetic(256, "poly", q=2.0, truth_power=1.0)
+    cfg = RuleConfig(tau=1.5, kappa=4.0)
+    seeds = range(1729, 1729 + 300)
+    block = observe(p, 1e-2, GAUSS, seeds)
+    # clean data that disagree with the truth break the orderings in some rows
+    rng = np.random.default_rng(3)
+    skewed = observe(p, 1e-1, GAUSS, seeds)
+    y_clean = skewed.y_clean * (1.0 + 0.5 * rng.standard_normal(256))
+    skewed = NoisyObservation(skewed.y_obs, y_clean, skewed.z, 1e-1, skewed.seed)
+    failed = 0
+    for obs in (block, skewed):
+        ks = select_all(p, obs, cfg)
+        strong_sq = strong_error_sq_profile(p, obs)
+        weak_sq = weak_error_sq_profile(p, obs)
+        hold = cli._oracle_orderings_hold(p, obs, cfg)
+        for r, seed in enumerate(seeds):
+            row = NoisyObservation(obs.y_obs[r], obs.y_clean, obs.z[r], obs.delta, seed)
+            if obs is block:
+                assert np.array_equal(row.y_obs, observe(p, 1e-2, GAUSS, seed).y_obs)
+            single = select_all(p, row, cfg)
+            assert {rule: int(k[r]) for rule, k in ks.items()} == single
+            assert np.array_equal(strong_sq[r], strong_error_sq_profile(p, row))
+            assert np.array_equal(weak_sq[r], weak_error_sq_profile(p, row))
+            assert hold[r] == oracle_orderings_hold_literal(
+                single, strong_error_sq_profile(p, row), weak_error_sq_profile(p, row)
+            )
+        failed += int(np.count_nonzero(~hold))
+    assert 0 < failed < 300  # only skewed rows fail, and not all of them
+    result = cli.check_oracle_inequalities(replicates=300)
+    assert result.passed and result.detail == "0/300 replicates violated an exact inequality"
 
 
 def test_verify_report_names():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from speccut import montecarlo
 from speccut.montecarlo import (
     BoxplotStats,
     ExperimentConfig,
@@ -18,8 +19,8 @@ from speccut.montecarlo import (
     theorem_frequency,
 )
 from speccut.problems import ProblemSpec, build_synthetic
-from speccut.rules import RuleConfig, constants
-from speccut.sequence_model import NoiseModel, NoisyObservation
+from speccut.rules import RuleConfig, balancing, constants, empirical_sup_deviation
+from speccut.sequence_model import NoiseModel, NoisyObservation, sample_noise
 
 SMALL = ExperimentConfig(
     ProblemSpec("synthetic-poly", 48, q=2.0, truth_power=1.0),
@@ -91,6 +92,9 @@ def test_experiment_config_validation():
         ExperimentConfig(ProblemSpec("direct", 8), replicates=0)
     with pytest.raises(ValueError, match="distinct"):
         ExperimentConfig(ProblemSpec("direct", 8), deltas=(1e-2, 1e-1, 0.01))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ExperimentConfig(ProblemSpec("direct", 8), deltas=(1e-2, bad))
 
 
 def test_summarize_statistics(small_records):
@@ -213,6 +217,9 @@ def test_example1_counterexample_frequency():
         example1_frequency(1.2, 0.5, 100, seed=1)  # delta above e^-1
     with pytest.raises(ValueError):
         example1_frequency(1.0, 1e-2, 100, seed=1)
+    for kappa, delta in ((math.nan, 1e-2), (math.inf, 1e-2), (1.2, math.nan)):
+        with pytest.raises(ValueError):
+            example1_frequency(kappa, delta, 100, seed=1)
 
 
 def test_counterexample_tail_value():
@@ -235,3 +242,55 @@ def test_prop2_check_edge_cases():
         prop2_check(NoiseModel(), 100, 200, 0.1, 10, seed=5)
     with pytest.raises(ValueError):
         prop2_check(NoiseModel(), 100, 10, -0.1, 10, seed=5)
+    for epsilon in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            prop2_check(NoiseModel(), 100, 10, epsilon, 10, seed=5)
+
+
+# --------------------------------------------------------------------------
+# literal per-replicate loops: the row-block versions must count the same
+
+
+def example1_frequency_loop(kappa, delta, replicates, seed):
+    D = math.ceil(math.log(delta**-2)) + 10
+    p = build_synthetic(D, "exp")
+    z_all = np.random.default_rng(seed).standard_normal((replicates, D))
+    hits = 0
+    for z in z_all:
+        obs = NoisyObservation(delta * z, np.zeros(D), z, delta, seed)
+        k = balancing(p, obs, kappa, D)
+        hits += float(np.sum((obs.y_obs[:k] / p.sigma[:k]) ** 2)) >= 1.0
+    return hits / replicates
+
+
+def prop2_check_loop(model, D, kappa_idx, epsilon, replicates, seed):
+    seeds = np.random.SeedSequence(seed).generate_state(replicates, dtype=np.uint64)
+    exceed = 0
+    abs_dev = np.empty(replicates)
+    for i in range(replicates):
+        z = sample_noise(model, D, int(seeds[i]))
+        exceed += empirical_sup_deviation(z, kappa_idx) > epsilon
+        abs_dev[i] = abs(float(np.mean(z[:kappa_idx] ** 2 - 1.0)))
+    return exceed / replicates, float(np.mean(abs_dev)) / epsilon
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 7])  # None: the package's own block size
+def test_row_block_loops_equal_per_replicate_loops(monkeypatch, rows_per_block):
+    # 7-row blocks put block boundaries inside every run; 50 and 61 are not multiples of 7
+    for seed in (6174, 1, 404):
+        for kappa, delta, replicates in ((1.05, 1e-3, 61), (1.2, 1e-2, 50), (3.0, 0.3, 50)):
+            D = math.ceil(math.log(delta**-2)) + 10
+            if rows_per_block:
+                monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", rows_per_block * (D + 1))
+            assert example1_frequency(kappa, delta, replicates, seed) == (
+                example1_frequency_loop(kappa, delta, replicates, seed)
+            )
+        for model, D, kappa_idx, epsilon in (
+            (NoiseModel(), 200, 10, 0.3), (NoiseModel("rademacher"), 50, 50, 0.1),
+            (NoiseModel("student_t", df=5.0), 120, 1, 1.0),
+        ):
+            if rows_per_block:
+                monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", rows_per_block * D)
+            assert prop2_check(model, D, kappa_idx, epsilon, 61, seed) == (
+                prop2_check_loop(model, D, kappa_idx, epsilon, 61, seed)
+            )

@@ -5,6 +5,7 @@ import pytest
 
 from speccut.problems import ProblemSpec, SpectralProblem, build_synthetic, make_problem
 from speccut.rules import (
+    RULE_NAMES,
     RuleConfig,
     balancing,
     combined,
@@ -26,7 +27,9 @@ from speccut.sequence_model import (
     NoisyObservation,
     observe,
     strong_error,
+    strong_error_sq_profile,
     weak_error,
+    weak_error_sq_profile,
 )
 
 GAUSS = NoiseModel("gaussian")
@@ -274,6 +277,14 @@ def test_constants_arithmetic():
         constants(1.5, q=2.0, c_q=2.0, C_q=1.0)
     with pytest.raises(ValueError):
         constants(1.5, q=2.0)
+    for bad in (
+        dict(tau=math.nan), dict(tau=math.inf),
+        dict(tau=1.5, q=math.nan, c_q=1.0, C_q=1.0),
+        dict(tau=1.5, q=2.0, c_q=1.0, C_q=math.inf),
+        dict(tau=1.5, q=2.0, c_q=math.nan, C_q=1.0),
+    ):
+        with pytest.raises(ValueError):
+            constants(**bad)
 
 
 def test_empirical_sup_deviation_examples():
@@ -434,11 +445,32 @@ def test_single_search_equals_max_of_per_m_trace():
 def test_rule_config_validation():
     cfg = RuleConfig()
     assert cfg.tau == 1.5 and cfg.kappa == 4.0
-    for bad in (dict(tau=1.0), dict(kappa=0.9), dict(tau_min=0.5), dict(tau=1.2, tau_min=1.3)):
+    for bad in (
+        dict(tau=1.0), dict(kappa=0.9), dict(tau_min=0.5), dict(tau=1.2, tau_min=1.3),
+        dict(tau=math.nan), dict(tau=math.inf), dict(kappa=math.nan), dict(kappa=math.inf),
+        dict(tau_min=math.nan), dict(m_cap=0), dict(m_cap=math.nan),
+    ):
         with pytest.raises(ValueError):
             RuleConfig(**bad)
-    with pytest.raises(ValueError):
-        RuleConfig(m_cap=0)
+
+
+def test_rules_reject_non_finite_parameters():
+    p, obs = random_instance(np.random.default_rng(5), 16)
+    for call in (
+        lambda x: dp_at_m(obs, x, 4),
+        lambda x: dp_modified(obs, x),
+        lambda x: lepski_direct(obs, x),
+        lambda x: balancing(p, obs, x),
+        lambda x: combined(obs, x),
+        lambda x: combined(obs, 1.5, x),
+        lambda x: det_weak(p, x),
+        lambda x: det_strong(p, x),
+        lambda x: NoisyObservation(obs.y_obs, obs.y_clean, obs.z, x, 0),
+        lambda x: observe(p, x, GAUSS, 0),
+    ):
+        for x in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                call(x)
 
 
 def test_select_all_returns_every_rule():
@@ -453,3 +485,89 @@ def test_select_all_returns_every_rule():
         strong_error(p, obs, ks[r]) for r in ("dp", "bal", "es")
     )
     assert weak_error(p, obs, 0) == np.linalg.norm(obs.y_clean)
+
+
+def test_row_block_equals_scalar_rule_per_row():
+    # Every rule and both profiles on an (R, D) block must equal the one-row
+    # call on each row, bit for bit. Some blocks rescale single rows by 1e-8 or
+    # 1e8, so one block mixes rows that stop at 0 with rows saturated at m_cap.
+    rng = np.random.default_rng(4242)
+    phillips = make_problem(ProblemSpec("phillips", 40))
+    extremes = {"zero": 0, "saturated": 0}
+    for i in range(64):
+        kind = ("poly", "exp", "direct", "phillips")[i % 4]
+        R = (1, 2, 37, 64)[(i // 4) % 4]
+        if kind == "phillips":
+            base = phillips
+        elif kind == "direct":
+            base = make_problem(ProblemSpec("direct", int(rng.integers(2, 513))))
+        else:
+            D = int(rng.integers(2, 513))
+            base = build_synthetic(D, kind, q=float(rng.uniform(0.5, 3.0)), truth_power=1.0)
+        scale = float(10.0 ** rng.uniform(-3, 3))
+        p = SpectralProblem(base.name, base.sigma, scale * base.x_true)
+        D = p.size
+        delta = float(10.0 ** -rng.uniform(0, 12))
+        tau = float(rng.uniform(1.05, 3.0))
+        tau_min = 1.0 + (tau - 1.0) * float(rng.uniform(0.05, 0.95))
+        kappa = float(rng.uniform(1.05, 5.0))
+        m_cap = int(rng.integers(1, D)) if D > 1 else 1
+        m = int(rng.integers(1, D + 1))
+        seeds = [int(s) for s in rng.integers(0, 2**32, size=R)]
+        block = observe(p, delta, GAUSS, seeds)
+        singles = [observe(p, delta, GAUSS, s) for s in seeds]
+        assert block.seed == tuple(seeds)
+        if i % 2:
+            row_scale = rng.choice([1e-8, 1.0, 1e8], size=(R, 1))
+            block = NoisyObservation(row_scale * block.y_obs, block.y_clean, block.z, delta, seeds)
+            singles = [
+                NoisyObservation(block.y_obs[r], block.y_clean, block.z[r], delta, seeds[r])
+                for r in range(R)
+            ]
+        cfg = RuleConfig(tau=tau, kappa=kappa, tau_min=tau_min, m_cap=m_cap)
+        rules = {
+            "dp": lambda o: dp_modified(o, tau, m_cap).k,
+            "dp_at_m": lambda o: dp_at_m(o, tau, m),
+            "lepski": lambda o: lepski_direct(o, kappa),
+            "bal": lambda o: balancing(p, o, kappa, m_cap),
+            "es": lambda o: early_stop(o, m_cap),
+            "com": lambda o: combined(o, tau, tau_min, m_cap).k,
+            "m_max": lambda o: combined(o, tau, tau_min, m_cap).m_max,
+            "opt": lambda o: oracle_opt(p, o),
+            "pr": lambda o: oracle_weak(p, o),
+            "st": lambda o: oracle_strong(p, o),
+            "strong_sq": lambda o: strong_error_sq_profile(p, o),
+            "weak_sq": lambda o: weak_error_sq_profile(p, o),
+            "prefix_sq": lambda o: o.prefix_sq,
+            "sup_dev": lambda o: empirical_sup_deviation(o.z, m),
+            **{f"select_all.{r}": (lambda o, r=r: select_all(p, o, cfg)[r]) for r in RULE_NAMES},
+        }
+        for name, rule in rules.items():
+            got = rule(block)
+            assert got.shape[0] == R, (i, name)
+            want = [rule(o) for o in singles]
+            scalar = float if name == "sup_dev" else int
+            if name not in ("strong_sq", "weak_sq", "prefix_sq"):
+                assert all(type(w) is scalar for w in want), (i, name)
+            assert np.array_equal(got, np.array(want)), (i, name)
+        ks = rules["dp"](block)
+        extremes["zero"] += int(np.sum(ks == 0))
+        extremes["saturated"] += int(np.sum(ks == m_cap))
+    assert extremes["zero"] >= 50 and extremes["saturated"] >= 50, extremes
+
+
+def test_block_observation_shapes():
+    p = build_synthetic(8, "poly", q=2.0, truth_power=1.0)
+    block = observe(p, 0.1, GAUSS, range(3))
+    assert block.y_obs.shape == block.z.shape == (3, 8) and block.y_clean.shape == (8,)
+    assert block.size == 8 and block.prefix_sq.shape == (3, 9)
+    with pytest.raises(ValueError):
+        dp_modified(block, 1.5, keep_trace=True)
+    with pytest.raises(ValueError):  # y_clean must be one row
+        NoisyObservation(block.y_obs, block.z, block.z, 0.1, (0, 1, 2))
+    with pytest.raises(ValueError):
+        NoisyObservation(block.y_obs, block.y_clean, block.z[:2], 0.1, (0, 1, 2))
+    with pytest.raises(ValueError):
+        NoisyObservation(np.zeros((0, 8)), block.y_clean, np.zeros((0, 8)), 0.1, ())
+    with pytest.raises(ValueError):
+        NoisyObservation(np.zeros((2, 2, 8)), block.y_clean, np.zeros((2, 2, 8)), 0.1, 0)

@@ -48,6 +48,36 @@ def test_sample_noise_deterministic():
     assert not np.array_equal(a, sample_noise(GAUSS, 100, 12346))
 
 
+@pytest.mark.parametrize(
+    "model", [GAUSS, NoiseModel("rademacher"), NoiseModel("student_t", df=5.0)]
+)
+def test_block_rows_equal_single_draws(model):
+    seeds = [7, 0, 2**63 + 5, 7]
+    rows = sample_noise(model, 33, seeds)
+    assert rows.shape == (4, 33)
+    for row, seed in zip(rows, seeds):
+        assert np.array_equal(row, sample_noise(model, 33, seed))
+    p = build_synthetic(33, "poly", q=2.0, truth_power=1.0)
+    block = observe(p, 0.01, model, np.array(seeds, dtype=np.uint64))
+    assert block.seed == tuple(seeds) and block.size == 33
+    for r, seed in enumerate(seeds):
+        single = observe(p, 0.01, model, seed)
+        assert np.array_equal(block.y_obs[r], single.y_obs)
+        assert np.array_equal(block.z[r], single.z)
+        assert np.array_equal(block.prefix_sq[r], single.prefix_sq)
+    assert np.array_equal(block.y_clean, single.y_clean)
+
+
+def test_non_finite_noise_parameters_rejected():
+    for df in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            NoiseModel("student_t", df=df)
+    y = np.ones(3)
+    for delta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            NoisyObservation(y, y, y, delta, 0)
+
+
 def test_rademacher_support():
     z = sample_noise(NoiseModel("rademacher"), 1000, 7)
     assert set(np.unique(z)) == {-1.0, 1.0}
