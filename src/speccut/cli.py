@@ -538,15 +538,18 @@ def _apply_preset(args):
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.subcommand == "bench":
-        _apply_preset(args)
-        return run_bench(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.subcommand == "verify":
         return run_verify(args)
     _apply_preset(args)
-    args.replicates = 1
-    return run_single(args)
+    if args.subcommand == "single":
+        args.replicates = 1
+    try:  # numbers that parse but that the configuration rejects are usage errors
+        _experiment_config(args)
+    except ValueError as exc:
+        parser.error(f"{args.subcommand}: {exc}")
+    return run_bench(args) if args.subcommand == "bench" else run_single(args)
 
 
 if __name__ == "__main__":

@@ -141,6 +141,26 @@ class SpectralProblem:
         """
         return suffix_sum(self.x_true**2)
 
+    @cached_property
+    def y_clean(self) -> np.ndarray:
+        """The clean data sigma * x_true, read-only and memoised.
+
+        Every observation drawn with `observe` holds this same array, so the
+        product is formed once per problem, not once per replicate.
+        """
+        y = self.sigma * self.x_true
+        y.flags.writeable = False
+        return y
+
+    @cached_property
+    def clean_tail(self) -> np.ndarray:
+        """`suffix_sum(y_clean**2)`: the image-space bias of every level, read-only.
+
+        Handed to every observation drawn with `observe`. Built on first use and
+        memoised, which is valid because `y_clean` is read-only.
+        """
+        return suffix_sum(self.y_clean**2)
+
 
 _SEVERITY = {"phillips": "mild", "deriv2": "mild", "gravity": "severe", "heat": "severe"}
 
@@ -239,6 +259,17 @@ def build_heat(n: int, kappa_heat: float = 1.0) -> DenseProblem:
     return DenseProblem("heat", matrix, f_true, matrix @ f_true)
 
 
+# Largest D for which the exponential spectrum's sigma_D^(-2) = e^D is finite.
+EXP_MAX_SIZE = math.floor(math.log(np.finfo(float).max))
+
+
+def _check_exp_size(D: int):
+    if D > EXP_MAX_SIZE:
+        raise ValueError(
+            f"exp spectrum needs D <= {EXP_MAX_SIZE}, where sigma_D^-2 = e^D is finite; got {D}"
+        )
+
+
 def build_synthetic(
     D: int,
     spectrum: str = "poly",
@@ -248,7 +279,8 @@ def build_synthetic(
 ) -> SpectralProblem:
     """Synthetic problem given directly in singular coordinates.
 
-    spectrum "poly" sets sigma_j^2 = j^(-q); "exp" sets sigma_j^2 = e^(-j).
+    spectrum "poly" sets sigma_j^2 = j^(-q); "exp" sets sigma_j^2 = e^(-j),
+    which needs D <= EXP_MAX_SIZE so that every sigma_j^(-2) is finite.
     The truth is either an explicit coefficient vector, a power sequence
     j^(-truth_power) (requires truth_power > 1/2), or all zeros.
     """
@@ -260,6 +292,7 @@ def build_synthetic(
             raise ValueError(f"poly spectrum needs q > 0, got {q}")
         sigma = j ** (-q / 2.0)
     elif spectrum == "exp":
+        _check_exp_size(D)
         sigma = np.exp(-j / 2.0)
     else:
         raise ValueError(f"unknown spectrum {spectrum!r}")
@@ -326,6 +359,10 @@ class ProblemSpec:
     kappa_heat: float = 1.0
     q: float = 2.0
     truth_power: float = 1.0
+
+    def __post_init__(self):
+        if self.name == "synthetic-exp":  # rejected here, before any work is done
+            _check_exp_size(self.size)
 
 
 DENSE_BUILDERS = {

@@ -30,12 +30,18 @@ threshold and search once, O(D). Entry m of every row is read as `S.T[m]`:
 a float for one row (where `S[..., m]` would make a slower 0-d array), the
 (R,) column of a block. The full per-m trace (D searches, one row only) is
 built only on request. The comparison rules (`lepski_direct`,
-`balancing`) share one suffix-maximum comparison, O(D). Each observation
-memoises S (`NoisyObservation.prefix_sq`) and the tail sums of its clean data
-(`clean_tail`); each problem memoises the cumulative sum of sigma^(-2)
-(`SpectralProblem.inv_sigma_sq_cumsum`) and the tail sums of its squared truth
-(`truth_tail`). All rules of one observation share these, so the only other
-cumulative sum it builds is the prefix sum of (y_obs/sigma)^2 in `balancing`.
+`balancing`) share one suffix-maximum comparison, O(D). Each problem memoises
+the cumulative sum of sigma^(-2) (`SpectralProblem.inv_sigma_sq_cumsum`), the
+tail sums of its squared truth (`truth_tail`), its clean data and their tail
+sums (`y_clean`, `clean_tail`, which `observe` hands to every observation).
+Each observation memoises S (`NoisyObservation.prefix_sq`), the prefix sums of
+its squared noise (`noise_prefix_sq`, read by `oracle_weak` and the image-space
+profile), the strong error profile (read by `oracle_opt` and the error
+records) and, per tau, the threshold vector S_m - tau^2 m delta^2 for every m
+(`_dp_thresholds`; `dp_modified` and `combined` slice their own prefix). One
+replicate therefore builds five cumulative sums (S, the prefix sum of
+(y_obs/sigma)^2 in `balancing`, the noise sum, the strong profile, and the
+amplified-noise sum in `oracle_strong`) and one suffix maximum (`balancing`).
 Callers that evaluate many replicates pass blocks of at most 2^18 entries
 (2 MB of float64) per (R, D) array, so memory stays bounded for any replicate
 count (`montecarlo._row_blocks`). The O(D^2) literal scans survive as test
@@ -49,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import SpectralProblem, suffix_sum
+from .problems import SpectralProblem
 from .sequence_model import (
     NoisyObservation,
     _check_delta,
@@ -164,9 +170,20 @@ def _min_levels(S: np.ndarray, thresholds):
 
 
 def _dp_thresholds(obs: NoisyObservation, tau: float, m_cap: int) -> np.ndarray:
-    """T with T[..., m-1] = S_m - tau^2 m delta^2 for m in [1, m_cap]."""
-    S = obs.prefix_sq
-    return S[..., 1 : m_cap + 1] - (tau * obs.delta) ** 2 * np.arange(1, m_cap + 1)
+    """T with T[..., m-1] = S_m - tau^2 m delta^2 for m in [1, m_cap], read-only.
+
+    A prefix of the vector for every m in [1, D], built once per observation
+    and tau and memoised on the observation; each entry is computed on its
+    own, so a prefix equals the vector built for m_cap alone.
+    """
+    key = ("dp_thresholds", tau)
+    T = obs._memo.get(key)
+    if T is None:
+        m = np.arange(1.0, obs.size + 1)  # float counts: no int-to-float cast in the product
+        T = obs.prefix_sq[..., 1:] - (tau * obs.delta) ** 2 * m
+        T.flags.writeable = False
+        obs._memo[key] = T
+    return T[..., :m_cap]
 
 
 def _max_level(S: np.ndarray, thresholds: np.ndarray):
@@ -312,34 +329,34 @@ def oracle_opt(p: SpectralProblem, obs: NoisyObservation) -> int:
 
 
 def _balanced_level(acc: np.ndarray, rest: np.ndarray) -> int:
-    """Smallest k with the sum of acc[..., :k] >= rest[k], the remaining term (`suffix_sum`)."""
-    return _level((_cumsum0(acc) >= rest).argmax(axis=-1))
+    """Smallest k with acc[..., k] >= rest[k], per row.
+
+    `acc` is the accumulated term (a `_cumsum0`), `rest` the remaining one (a `suffix_sum`).
+    """
+    return _level((acc >= rest).argmax(axis=-1))
 
 
 def oracle_weak(p: SpectralProblem, obs: NoisyObservation) -> int:
     """Level where accumulated squared noise overtakes the remaining squared clean data."""
-    noise = (obs.y_obs - obs.y_clean) ** 2
-    return _balanced_level(noise, obs.clean_tail)
+    return _balanced_level(obs.noise_prefix_sq, obs.clean_tail)
 
 
 def oracle_strong(p: SpectralProblem, obs: NoisyObservation) -> int:
     """Level where accumulated amplified noise overtakes the remaining squared truth."""
     noise = ((obs.y_obs - obs.y_clean) / p.sigma) ** 2
-    return _balanced_level(noise, p.truth_tail)
+    return _balanced_level(_cumsum0(noise), p.truth_tail)
 
 
 def det_weak(p: SpectralProblem, delta: float) -> int:
     """Deterministic counterpart of the weak oracle: expected variance delta^2 k."""
     _check_delta(delta)
-    var = np.full(p.size, delta**2)
-    return _balanced_level(var, suffix_sum((p.sigma * p.x_true) ** 2))
+    return _balanced_level(_cumsum0(np.full(p.size, delta**2)), p.clean_tail)
 
 
 def det_strong(p: SpectralProblem, delta: float) -> int:
     """Deterministic counterpart of the strong oracle: expected variance delta^2 sum sigma^(-2)."""
     _check_delta(delta)
-    var = delta**2 * p.sigma ** (-2.0)
-    return _balanced_level(var, p.truth_tail)
+    return _balanced_level(_cumsum0(delta**2 * p.sigma ** (-2.0)), p.truth_tail)
 
 
 def empirical_sup_deviation(z: np.ndarray, kappa_idx: int) -> float:

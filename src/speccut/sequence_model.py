@@ -8,11 +8,17 @@ grows with k and a bias part that shrinks with k. Sums beyond the problem
 resolution D are identically zero: the truth is represented exactly at
 resolution D.
 
-An observation stores its vectors read-only and memoises the cumulative sums
-that several rules and error profiles read, so each is built once per
-observation. It may hold one row (D,) or a block of R rows (R, D) that share
-the noise level and the clean data; every sum and profile works along the last
-axis, row by row, with the same floating-point operations as for one row.
+An observation stores its vectors read-only and memoises the sums that several
+rules and error profiles read, so each is built once per observation: the
+prefix sums of y_obs^2 and of the squared noise (y_obs - y_clean)^2, and the
+strong error profile of the problem it was last evaluated against. The clean
+data and its tail sums depend only on the problem: `observe` hands every
+observation the problem's own memoised arrays (`SpectralProblem.y_clean`,
+`clean_tail`), and an observation built directly computes the tail of its own
+`y_clean`. An observation may hold one row (D,) or a block of R rows (R, D)
+that share the noise level and the clean data; every sum and profile works
+along the last axis, row by row, with the same floating-point operations as
+for one row.
 """
 
 from __future__ import annotations
@@ -91,9 +97,9 @@ class NoisyObservation:
 
     `y_obs` and `z` are one row (D,) or a block of R rows (R, D); a block's
     rows share `delta` and the clean data `y_clean` (D,), and `seed` is then
-    the tuple of row seeds. The three vectors are stored read-only; a caller's
-    array that is still writeable is copied, so writing to it later cannot
-    change the observation or the sums memoised on it.
+    the tuple of row seeds. The three vectors must be finite and are stored
+    read-only; a caller's array that is still writeable is copied, so writing
+    to it later cannot change the observation or the sums memoised on it.
     """
 
     y_obs: np.ndarray
@@ -105,7 +111,10 @@ class NoisyObservation:
     def __post_init__(self):
         _check_delta(self.delta)
         for name in ("y_obs", "y_clean", "z"):
-            object.__setattr__(self, name, readonly(getattr(self, name)))
+            a = readonly(getattr(self, name))
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} has non-finite entries")
+            object.__setattr__(self, name, a)
         shape = self.y_obs.shape
         if len(shape) not in (1, 2) or 0 in shape:
             raise ValueError(f"y_obs must be one row (D,) or a block (R, D), got shape {shape}")
@@ -140,6 +149,25 @@ class NoisyObservation:
         first use and memoised, which is valid because `y_clean` is read-only.
         """
         return suffix_sum(self.y_clean**2)
+
+    @cached_property
+    def noise_prefix_sq(self) -> np.ndarray:
+        """N with N[..., k] = sum of (y_obs_j - y_clean_j)^2 over j <= k; read-only.
+
+        The accumulated image-space variance, shared by the weak oracle and the
+        image-space error profile. Memoised like `prefix_sq`.
+        """
+        N = _cumsum0((self.y_obs - self.y_clean) ** 2)
+        N.flags.writeable = False
+        return N
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Sums that also depend on the problem or a rule parameter, by key.
+
+        Held on the observation so that they live exactly as long as it does.
+        """
+        return {}
 
 
 def sample_noise(model: NoiseModel, D: int, seed: int | Sequence[int]) -> np.ndarray:
@@ -179,11 +207,13 @@ def observe(
     _check_delta(delta)
     z = sample_noise(model, p.size, seed)
     seed = int(seed) if z.ndim == 1 else tuple(int(s) for s in seed)
-    y_clean = p.sigma * p.x_true
-    y_obs = y_clean + delta * z
-    for fresh in (y_obs, y_clean, z):  # nobody else holds them: freeze, do not copy
+    y_obs = p.y_clean + delta * z
+    for fresh in (y_obs, z):  # nobody else holds them: freeze, do not copy
         fresh.flags.writeable = False
-    return NoisyObservation(y_obs, y_clean, z, float(delta), seed)
+    obs = NoisyObservation(y_obs, p.y_clean, z, float(delta), seed)
+    # obs.y_clean is p.y_clean itself (read-only, so not copied): share its tail too
+    obs.__dict__["clean_tail"] = p.clean_tail
+    return obs
 
 
 def _check_level(k: int, D: int):
@@ -200,22 +230,25 @@ def cutoff_coeffs(p: SpectralProblem, obs: NoisyObservation, k: int) -> np.ndarr
 
 
 def strong_error_sq_profile(p: SpectralProblem, obs: NoisyObservation) -> np.ndarray:
-    """Squared solution-space error for every level: entry k is ||x_k - x_true||^2, per row."""
-    var = (obs.y_obs / p.sigma - p.x_true) ** 2
-    return _profile(var, p.truth_tail)
+    """Squared solution-space error for every level: entry k is ||x_k - x_true||^2, per row.
+
+    Read-only, and memoised on the observation for the last problem it was
+    asked for (compared by identity), so the oracle and the error records of
+    one replicate share one profile.
+    """
+    memo = obs._memo.get("strong")
+    if memo is not None and memo[0] is p:
+        return memo[1]
+    out = _cumsum0((obs.y_obs / p.sigma - p.x_true) ** 2)
+    out += p.truth_tail
+    out.flags.writeable = False
+    obs._memo["strong"] = (p, out)
+    return out
 
 
 def weak_error_sq_profile(p: SpectralProblem, obs: NoisyObservation) -> np.ndarray:
     """Squared image-space error for every level: entry k is ||K(x_k - x_true)||^2, per row."""
-    var = (obs.y_obs - obs.y_clean) ** 2
-    return _profile(var, obs.clean_tail)
-
-
-def _profile(var: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """Accumulated variance plus the remaining bias `tail` at every level, per row."""
-    out = _cumsum0(var)
-    out += tail
-    return out
+    return obs.noise_prefix_sq + obs.clean_tail
 
 
 def strong_error(p: SpectralProblem, obs: NoisyObservation, k: int) -> float:

@@ -78,7 +78,7 @@ def test_bench_rejects_unknown_problem(capsys):
     assert exc.value.code == 2
 
 
-def test_bench_rejects_bad_deltas():
+def test_bench_rejects_bad_deltas(tmp_path, capsys):
     with pytest.raises(SystemExit):
         cli.main(["bench", "--deltas", "0.1,-1"])
     with pytest.raises(SystemExit):
@@ -92,6 +92,21 @@ def test_bench_rejects_bad_deltas():
     ):
         with pytest.raises(SystemExit):
             cli.main(small + ["--deltas", "1e-2"] + bad)
+    # numbers that parse but that the rule configuration or problem rejects
+    out = tmp_path / "never"
+    for command in ("bench", "single"):
+        for bad, message in (
+            (["--tau", "0.5"], "tau"), (["--kappa", "1"], "kappa"),
+            (["--tau-min", "2", "--tau", "1.5"], "tau_min"),
+            (["--problem", "synthetic-exp", "--size", "800"], "D <= 709"),
+        ):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main([command] + small[1:] + ["--deltas", "1e-2", "--out", str(out)] + bad)
+            assert exit_info.value.code == 2
+            captured = capsys.readouterr()
+            assert message in captured.err and "Traceback" not in captured.err
+            assert captured.out == "" and not out.exists()
 
 
 # SHA-256 of the tables of the run below; a faster rule or harness must keep them.

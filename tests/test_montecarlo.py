@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from speccut import montecarlo
+from speccut import montecarlo, problems, rules, sequence_model
 from speccut.montecarlo import (
     BoxplotStats,
     ExperimentConfig,
@@ -18,9 +18,26 @@ from speccut.montecarlo import (
     summarize,
     theorem_frequency,
 )
-from speccut.problems import ProblemSpec, build_synthetic
-from speccut.rules import RuleConfig, balancing, constants, empirical_sup_deviation
-from speccut.sequence_model import NoiseModel, NoisyObservation, sample_noise
+from speccut.problems import ProblemSpec, SpectralProblem, build_synthetic, make_problem, suffix_sum
+from speccut.rules import (
+    RuleConfig,
+    _dp_thresholds,
+    balancing,
+    combined,
+    constants,
+    dp_modified,
+    early_stop,
+    empirical_sup_deviation,
+    select_all,
+)
+from speccut.sequence_model import (
+    NoiseModel,
+    NoisyObservation,
+    observe,
+    sample_noise,
+    strong_error_sq_profile,
+    weak_error_sq_profile,
+)
 
 SMALL = ExperimentConfig(
     ProblemSpec("synthetic-poly", 48, q=2.0, truth_power=1.0),
@@ -294,3 +311,143 @@ def test_row_block_loops_equal_per_replicate_loops(monkeypatch, rows_per_block):
             assert prop2_check(model, D, kappa_idx, epsilon, 61, seed) == (
                 prop2_check_loop(model, D, kappa_idx, epsilon, 61, seed)
             )
+
+
+# --------------------------------------------------------------------------
+# sums shared within a replicate: each built once, and equal to a fresh recomputation
+
+
+def fresh(obs):
+    """The same data in a new observation that shares no memoised sum with `obs`."""
+    return NoisyObservation(obs.y_obs.copy(), obs.y_clean.copy(), obs.z.copy(), obs.delta, obs.seed)
+
+
+def accumulate(terms):
+    """Literal prefix sums along the last axis, with a leading zero."""
+    return np.concatenate([np.zeros(terms.shape[:-1] + (1,)), np.cumsum(terms, axis=-1)], axis=-1)
+
+
+def literal_levels_and_profiles(p, obs, cfg):
+    """Every rule's level and both error profiles, recomputed for one observation row.
+
+    The data-driven rules each run on their own fresh observation; the oracles
+    and profiles are written out from their definitions.
+    """
+    m_cap = p.size if cfg.m_cap is None else min(cfg.m_cap, p.size)
+    strong = accumulate((obs.y_obs / p.sigma - p.x_true) ** 2) + suffix_sum(p.x_true**2)
+    noise = accumulate((obs.y_obs - obs.y_clean) ** 2)
+    weak = noise + suffix_sum(obs.y_clean**2)
+    amplified = accumulate(((obs.y_obs - obs.y_clean) / p.sigma) ** 2)
+    ks = {
+        "dp": dp_modified(fresh(obs), cfg.tau, m_cap).k,
+        "bal": balancing(p, fresh(obs), cfg.kappa, m_cap),
+        "es": early_stop(fresh(obs), m_cap),
+        "com": combined(fresh(obs), cfg.tau, cfg.tau_min, m_cap).k,
+        "opt": int(np.argmin(strong)),
+        "pr": int(np.argmax(noise >= suffix_sum(obs.y_clean**2))),
+        "st": int(np.argmax(amplified >= suffix_sum(p.x_true**2))),
+    }
+    return ks, strong, weak
+
+
+SHARED_SUM_CASES = [
+    (make_problem(ProblemSpec("synthetic-poly", 200, q=2.0, truth_power=1.0)), RuleConfig()),
+    (make_problem(ProblemSpec("phillips", 64)), RuleConfig()),
+    (
+        make_problem(ProblemSpec("phillips", 64)),
+        RuleConfig(tau=2.5, kappa=1.5, tau_min=1.3, m_cap=40),
+    ),
+]
+
+
+@pytest.mark.parametrize("p, cfg", SHARED_SUM_CASES)
+def test_shared_sums_equal_a_literal_recomputation(p, cfg):
+    for delta in (1e-1, 1e-4, 1e-8):
+        rows = observe(p, delta, NoiseModel(), [7, 8, 9])
+        # clean data that is not the problem's own: the observation sums its own tail
+        y_clean = 0.5 * p.y_clean + 1e-3
+        direct = NoisyObservation(y_clean + delta * rows.z[0], y_clean, rows.z[0], delta, 0)
+        singles = [observe(p, delta, NoiseModel(), seed) for seed in (7, 8, 9)] + [direct]
+        for obs in singles:
+            ks, strong, weak = literal_levels_and_profiles(p, obs, cfg)
+            record = evaluate_replicate(p, obs, cfg)
+            assert record.k_by_rule == ks
+            assert record.e_strong_by_rule == {r: math.sqrt(strong[k]) for r, k in ks.items()}
+            assert record.e_weak_by_rule == {r: math.sqrt(weak[k]) for r, k in ks.items()}
+            assert record.min_e_strong == math.sqrt(strong.min())
+            assert record.min_e_weak == math.sqrt(weak.min())
+            lo = max(ks["pr"], 1) - 1
+            assert record.sat_term == math.sqrt(float(np.sum(p.x_true[lo : ks["st"]] ** 2)))
+        block_ks = select_all(p, rows, cfg)
+        strong_block = strong_error_sq_profile(p, rows)
+        weak_block = weak_error_sq_profile(p, rows)
+        for r, obs in enumerate(singles[:3]):
+            ks, strong, weak = literal_levels_and_profiles(p, obs, cfg)
+            assert {rule: int(k[r]) for rule, k in block_ks.items()} == ks
+            assert np.array_equal(strong_block[r], strong)
+            assert np.array_equal(weak_block[r], weak)
+
+
+class CountingNumpy:
+    """numpy, except that calls of `maximum.accumulate` are counted."""
+
+    def __init__(self, counts):
+        def accumulate(*args, **kwargs):
+            counts["maximum.accumulate"] += 1
+            return np.maximum.accumulate(*args, **kwargs)
+
+        self.maximum = type("CountingMaximum", (), {"accumulate": staticmethod(accumulate)})
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_one_replicate_builds_each_shared_sum_once(monkeypatch):
+    p = build_synthetic(300, "poly", q=2.0, truth_power=1.0)
+    evaluate_replicate(p, observe(p, 1e-2, NoiseModel(), 4), RuleConfig())  # the problem's sums
+    obs = observe(p, 1e-2, NoiseModel(), 5)
+    counts = {"cumsum": 0, "suffix_sum": 0, "maximum.accumulate": 0}
+
+    def counted(tag, fn):
+        def wrapper(*args, **kwargs):
+            counts[tag] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    cumsum0 = counted("cumsum", sequence_model._cumsum0)
+    suffix = counted("suffix_sum", problems.suffix_sum)
+    for module in (sequence_model, rules):
+        monkeypatch.setattr(module, "_cumsum0", cumsum0)
+    for module in (problems, sequence_model):
+        monkeypatch.setattr(module, "suffix_sum", suffix)
+    monkeypatch.setattr(rules, "np", CountingNumpy(counts))
+    evaluate_replicate(p, obs, RuleConfig())
+    # S, balancing's (y/sigma)^2 sum, the noise sum, the strong profile, oracle_strong's sum
+    assert counts == {"cumsum": 5, "suffix_sum": 0, "maximum.accumulate": 1}
+    # dp_modified and combined share one threshold vector
+    assert [key for key in obs._memo if key != "strong"] == [("dp_thresholds", 1.5)]
+
+
+def test_memoised_sums_are_keyed_and_read_only():
+    p = build_synthetic(120, "poly", q=2.0, truth_power=1.0)
+    for seed in (3, [3, 4, 5]):
+        obs = observe(p, 1e-2, NoiseModel(), seed)
+        dp_modified(obs, 1.5)
+        got, want = combined(obs, 2.0, 1.2, 90), combined(fresh(obs), 2.0, 1.2, 90)
+        assert np.array_equal(got.k, want.k) and np.array_equal(got.m_max, want.m_max)
+        assert np.array_equal(dp_modified(obs, 2.0, 60).k, dp_modified(fresh(obs), 2.0, 60).k)
+        strong = strong_error_sq_profile(p, obs)
+        assert strong_error_sq_profile(p, obs) is strong
+        # keyed by the problem's identity: an equal-shaped problem gets its own profile
+        scaled = SpectralProblem(p.name, p.sigma, 2.0 * p.x_true)
+        assert np.array_equal(
+            strong_error_sq_profile(scaled, obs), strong_error_sq_profile(scaled, fresh(obs))
+        )
+        memoised = (
+            obs.prefix_sq, obs.noise_prefix_sq, obs.clean_tail, strong,
+            _dp_thresholds(obs, 1.5, p.size), _dp_thresholds(obs, 2.0, 60), p.y_clean,
+        )
+        for arr in memoised:
+            with pytest.raises(ValueError):
+                arr[..., 0] = 1.0

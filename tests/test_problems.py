@@ -17,6 +17,7 @@ from speccut.problems import (
     deriv2_exact_data,
     make_problem,
     spectralize,
+    suffix_sum,
 )
 
 ALL_BUILDERS = [build_phillips, build_deriv2, build_gravity, build_heat]
@@ -157,6 +158,27 @@ def test_problem_is_immune_to_later_writes():
     assert np.array_equal(q.sigma, [2.0, 1.0])
     assert np.array_equal(q.inv_sigma_sq_cumsum, [0.25, 1.25])
     for arr in (p.sigma, p.x_true, p.truth_tail, q.inv_sigma_sq_cumsum):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_exp_spectrum_stops_where_sigma_inverse_square_overflows():
+    p = build_synthetic(709, "exp")
+    assert np.all(np.isfinite(p.sigma ** -2.0)) and np.isfinite(p.inv_sigma_sq_cumsum[-1])
+    for D in (710, 800):
+        with pytest.raises(ValueError, match="D <= 709"):
+            build_synthetic(D, "exp")
+        with pytest.raises(ValueError, match="D <= 709"):
+            ProblemSpec("synthetic-exp", D)
+    assert build_synthetic(800, "poly", q=1.0).size == 800
+
+
+def test_problem_memoises_its_clean_data():
+    p = build_synthetic(24, "poly", q=2.0, truth_power=1.0)
+    assert p.y_clean is p.y_clean and p.clean_tail is p.clean_tail
+    assert np.array_equal(p.y_clean, p.sigma * p.x_true)
+    assert np.array_equal(p.clean_tail, suffix_sum((p.sigma * p.x_true) ** 2))
+    for arr in (p.y_clean, p.clean_tail):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 

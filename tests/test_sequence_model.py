@@ -132,8 +132,28 @@ def test_observation_is_immune_to_later_writes():
 def test_observe_stores_its_own_arrays_uncopied():
     p = build_synthetic(16, "poly", q=2.0, truth_power=1.0)
     obs = observe(p, 0.1, GAUSS, 3)
+    # every observation of a problem shares its clean data and their tail sums
+    assert obs.y_clean is p.y_clean and obs.clean_tail is p.clean_tail
+    block = observe(p, 0.1, GAUSS, [3, 4])
+    assert block.y_clean is p.y_clean and block.clean_tail is p.clean_tail
     again = NoisyObservation(obs.y_obs, obs.y_clean, obs.z, obs.delta, obs.seed)
     assert again.y_obs is obs.y_obs and again.y_clean is obs.y_clean and again.z is obs.z
+
+
+def test_observation_rejects_non_finite_data():
+    # a NaN used to give level 2 as a row but 0 in each row of a block
+    y = np.array([1.0, np.nan, 0.5, 0.2])
+    for y_obs in (y, np.stack([y, y])):
+        with pytest.raises(ValueError, match="y_obs"):
+            NoisyObservation(y_obs, np.zeros(4), y_obs / 0.1, 0.1, 0)
+    finite = np.array([1.0, 0.3, 0.5, 0.2])
+    for bad in (np.inf, -np.inf, np.nan):
+        broken = finite.copy()
+        broken[2] = bad
+        with pytest.raises(ValueError, match="y_clean"):
+            NoisyObservation(finite, broken, finite, 0.1, 0)
+        with pytest.raises(ValueError, match="z"):
+            NoisyObservation(np.stack([finite, finite]), finite, np.stack([finite, broken]), 0.1, 0)
 
 
 def test_observe_noise_scales_linearly():
