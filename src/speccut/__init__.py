@@ -61,7 +61,6 @@ from .rules import (
 from .sequence_model import (
     NoiseModel,
     NoisyObservation,
-    cutoff_coeffs,
     observe,
     sample_noise,
     strong_error,

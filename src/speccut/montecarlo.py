@@ -98,9 +98,7 @@ class ReplicateRecord:
 class BoxplotStats:
     """Quartile summary with 1.5 IQR whiskers (linear-interpolation quantiles).
 
-    `outliers` are the points beyond the whiskers; `n_outside_box` counts
-    points outside the quartile box itself, which is the looser reading some
-    plots use.
+    `outliers` are the points beyond the whiskers.
     """
 
     median: float
@@ -109,7 +107,6 @@ class BoxplotStats:
     whisker_lo: float
     whisker_hi: float
     outliers: tuple[float, ...]
-    n_outside_box: int
 
 
 @dataclass(frozen=True)
@@ -121,7 +118,6 @@ class ExperimentSummary:
     mean_k: dict[tuple[float, str], float]
     std_k: dict[tuple[float, str], float]
     boxplot_k_es: dict[float, BoxplotStats]
-    frequencies: dict[str, float] | None = None
 
 
 def replicate_seed(base_seed: int, delta_index: int, replicate: int) -> int:
@@ -188,13 +184,10 @@ def boxplot_stats(samples: np.ndarray) -> BoxplotStats:
         whisker_lo=float(inside.min()),
         whisker_hi=float(inside.max()),
         outliers=tuple(float(v) for v in outliers),
-        n_outside_box=int(np.sum((x < q25) | (x > q75))),
     )
 
 
-def summarize(
-    records: list[ReplicateRecord], constants: TheoremConstants | None = None
-) -> ExperimentSummary:
+def summarize(records: list[ReplicateRecord]) -> ExperimentSummary:
     """Per-rule, per-noise-level statistics of solution-space errors and levels."""
     if not records:
         raise ValueError("no records to summarize")
@@ -209,12 +202,7 @@ def summarize(
             mean_error[(delta, rule)], std_error[(delta, rule)] = _mean_std(errs)
             mean_k[(delta, rule)], std_k[(delta, rule)] = _mean_std(ks)
         boxes[delta] = boxplot_stats(np.array([r.k_by_rule["es"] for r in group], dtype=float))
-    freqs = None
-    if constants is not None:
-        freqs = {which: theorem_frequency(records, which, constants) for which in ("thm1", "thm2")}
-        if constants.c_tau_cor is not None:
-            freqs["cor1"] = theorem_frequency(records, "cor1", constants)
-    return ExperimentSummary(deltas, RULE_NAMES, mean_error, std_error, mean_k, std_k, boxes, freqs)
+    return ExperimentSummary(deltas, RULE_NAMES, mean_error, std_error, mean_k, std_k, boxes)
 
 
 def theorem_frequency(

@@ -102,7 +102,6 @@ class SpectralProblem:
     name: str
     sigma: np.ndarray
     x_true: np.ndarray
-    ill_posedness: str = "synthetic"
 
     def __post_init__(self):
         sigma = readonly(self.sigma)
@@ -160,9 +159,6 @@ class SpectralProblem:
         memoised, which is valid because `y_clean` is read-only.
         """
         return suffix_sum(self.y_clean**2)
-
-
-_SEVERITY = {"phillips": "mild", "deriv2": "mild", "gravity": "severe", "heat": "severe"}
 
 
 def _midpoints(a: float, b: float, n: int) -> tuple[np.ndarray, float]:
@@ -308,7 +304,7 @@ def build_synthetic(
         x_true = j ** (-truth_power)
     else:
         x_true = np.zeros(D)
-    return SpectralProblem(f"synthetic-{spectrum}", sigma, x_true, "synthetic")
+    return SpectralProblem(f"synthetic-{spectrum}", sigma, x_true)
 
 
 def decompose(p: DenseProblem) -> SVDFactors:
@@ -330,10 +326,13 @@ def decompose(p: DenseProblem) -> SVDFactors:
     return SVDFactors(u * signs, s, v * signs)
 
 
-def spectralize(p: DenseProblem, rank_tol: float = 1e-14) -> SpectralProblem:
+RANK_TOL = 1e-14
+
+
+def spectralize(p: DenseProblem) -> SpectralProblem:
     """Convert a dense problem to singular coordinates.
 
-    Trailing singular values below rank_tol * s_max are dropped (they are
+    Trailing singular values below RANK_TOL * s_max are dropped (they are
     numerically zero and would poison the estimators), and the truth vector is
     truncated to the retained components.
     """
@@ -341,12 +340,12 @@ def spectralize(p: DenseProblem, rank_tol: float = 1e-14) -> SpectralProblem:
     s = factors.s
     if s.size == 0 or s[0] <= 0.0:
         raise DecompositionError(f"{p.name!r} is numerically a zero operator")
-    keep = s > rank_tol * s[0]
+    keep = s > RANK_TOL * s[0]
     if not np.any(keep):
         raise DecompositionError(f"{p.name!r} has no singular values above threshold")
     r = int(np.max(np.nonzero(keep)[0])) + 1
     x_true = factors.v[:, :r].T @ p.f_true
-    return SpectralProblem(p.name, s[:r].copy(), x_true, _SEVERITY.get(p.name, "synthetic"))
+    return SpectralProblem(p.name, s[:r].copy(), x_true)
 
 
 @dataclass(frozen=True)
@@ -385,5 +384,5 @@ def make_problem(spec: ProblemSpec) -> SpectralProblem:
         return build_synthetic(spec.size, "exp", truth_power=spec.truth_power)
     if spec.name == "direct":
         j = np.arange(1, spec.size + 1, dtype=float)
-        return SpectralProblem("direct", np.ones(spec.size), j ** (-spec.truth_power), "synthetic")
+        return SpectralProblem("direct", np.ones(spec.size), j ** (-spec.truth_power))
     raise ValueError(f"unknown problem {spec.name!r}; known: {', '.join(PROBLEM_NAMES)}")

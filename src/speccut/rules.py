@@ -77,25 +77,21 @@ class RuleConfig:
     tau: float = 1.5
     kappa: float = 4.0
     tau_min: float = 1.0
-    m_cap: int | None = None  # None: use the full resolution D
 
     def __post_init__(self):
         _check_fudge("tau", self.tau)
         _check_fudge("kappa", self.kappa)
         if not 1 <= self.tau_min < self.tau:
             raise ValueError(f"need 1 <= tau_min < tau, got tau_min={self.tau_min}")
-        if self.m_cap is not None and not self.m_cap >= 1:
-            raise ValueError(f"m_cap must be positive, got {self.m_cap}")
 
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Chosen level for a named rule plus optional per-m diagnostics.
+    """Chosen level plus optional per-m diagnostics.
 
     For a block of observation rows, `k` and `m_max` are (R,) arrays.
     """
 
-    rule: str
     k: int | np.ndarray
     trace: np.ndarray | None = None  # trace[m-1] = per-m choice, when recorded
     m_max: int | np.ndarray | None = None
@@ -186,6 +182,17 @@ def _dp_thresholds(obs: NoisyObservation, tau: float, m_cap: int) -> np.ndarray:
     return T[..., :m_cap]
 
 
+def _residual_level(obs: NoisyObservation, c: float, m: int, name: str):
+    """Per row, the smallest k with sqrt(sum_{j=k+1..m} y_obs_j^2) <= c sqrt(m) delta.
+
+    That is the smallest k with S_k >= S_m - (c delta)^2 m; `name` labels m in errors.
+    """
+    if not 1 <= m <= obs.size:
+        raise ValueError(f"{name}={m} outside [1, {obs.size}]")
+    S = obs.prefix_sq
+    return _min_levels(S, S.T[m] - (c * obs.delta) ** 2 * m)
+
+
 def _max_level(S: np.ndarray, thresholds: np.ndarray):
     """Largest per-threshold level, max over T of the smallest k with S[k] >= T, per row.
 
@@ -216,10 +223,7 @@ def dp_at_m(obs: NoisyObservation, tau: float, m: int) -> int:
     sqrt(sum_{j=k+1..m} y_obs_j^2), is at most tau sqrt(m) delta.
     """
     _check_fudge("tau", tau)
-    if not 1 <= m <= obs.size:
-        raise ValueError(f"m={m} outside [1, {obs.size}]")
-    S = obs.prefix_sq
-    return _level(_min_levels(S, S.T[m] - (tau * obs.delta) ** 2 * m))
+    return _level(_residual_level(obs, tau, m, "m"))
 
 
 def dp_modified(
@@ -240,8 +244,8 @@ def dp_modified(
         if thresholds.ndim != 1:
             raise ValueError("keep_trace needs a single observation row")
         trace = _min_levels(obs.prefix_sq, thresholds)
-        return SelectionResult("dp", int(trace.max()), trace)
-    return SelectionResult("dp", _level(_max_level(obs.prefix_sq, thresholds)))
+        return SelectionResult(int(trace.max()), trace)
+    return SelectionResult(_level(_max_level(obs.prefix_sq, thresholds)))
 
 
 def lepski_direct(obs: NoisyObservation, kappa: float, sigma: np.ndarray | None = None) -> int:
@@ -260,18 +264,14 @@ def lepski_direct(obs: NoisyObservation, kappa: float, sigma: np.ndarray | None 
 
 
 def balancing(
-    p: SpectralProblem,
-    obs: NoisyObservation,
-    kappa: float,
-    m_cap: int | None = None,
-    printed_rhs: bool = False,
+    p: SpectralProblem, obs: NoisyObservation, kappa: float, m_cap: int | None = None
 ) -> int:
     """Comparison rule in solution space with the root-mean variance threshold.
 
     Smallest k in [0, m_cap] with ||x_m - x_k|| <= kappa delta
-    sqrt(sum_{j<=m} sigma_j^(-2)) for every m in (k, m_cap]. `printed_rhs`
-    switches to the dimensionally odd threshold kappa delta^2 sum sigma_j^(-2)
-    for comparison runs.
+    sqrt(sum_{j<=m} sigma_j^(-2)) for every m in (k, m_cap]. Raises ValueError
+    when the sums of (y_obs_j / sigma_j)^2 or the squared thresholds overflow,
+    since no level can then be told apart.
     """
     _check_fudge("kappa", kappa)
     D = obs.size
@@ -279,21 +279,17 @@ def balancing(
     if not 1 <= m_cap <= D:
         raise ValueError(f"m_cap={m_cap} outside [1, {D}]")
     P = _prefix_sq(obs.y_obs / p.sigma)
-    w = p.inv_sigma_sq_cumsum[:m_cap]
-    if printed_rhs:
-        thresh = (kappa * obs.delta**2 * w) ** 2
-    else:
-        thresh = (kappa * obs.delta) ** 2 * w
+    thresh = (kappa * obs.delta) ** 2 * p.inv_sigma_sq_cumsum[:m_cap]
+    # both are nondecreasing, so their last entries bound every compared sum
+    if not (np.isfinite(P[..., m_cap]).all() and math.isfinite(thresh[-1])):
+        raise ValueError(f"balancing sums overflow (D={D}, delta={obs.delta})")
     return _level(_first_admissible(P[..., 1 : m_cap + 1] - thresh, P))
 
 
 def early_stop(obs: NoisyObservation, D_used: int | None = None) -> int:
     """Sequential residual rule at fixed resolution with the threshold factor at one."""
     D_used = obs.size if D_used is None else D_used
-    if not 1 <= D_used <= obs.size:
-        raise ValueError(f"D_used={D_used} outside [1, {obs.size}]")
-    S = obs.prefix_sq
-    return _level(_min_levels(S, S.T[D_used] - obs.delta**2 * D_used))
+    return _level(_residual_level(obs, 1.0, D_used, "D_used"))
 
 
 def combined(
@@ -310,17 +306,15 @@ def combined(
     if not tau_min >= 1:
         raise ValueError(f"tau_min must be at least 1, got {tau_min}")
     D_used = obs.size if D_used is None else D_used
-    if not 1 <= D_used <= obs.size:
-        raise ValueError(f"D_used={D_used} outside [1, {obs.size}]")
+    m_max = _residual_level(obs, tau_min, D_used, "D_used")
     S = obs.prefix_sq
-    m_max = _min_levels(S, S.T[D_used] - (tau_min * obs.delta) ** 2 * D_used)
     if S.ndim == 1:
         thresholds = _dp_thresholds(obs, tau, int(m_max))
     else:  # rows stop at different levels: drop the thresholds past each row's m_max
         thresholds = _dp_thresholds(obs, tau, int(m_max.max()))
         m = np.arange(1, thresholds.shape[-1] + 1)
         thresholds = np.where(m <= m_max[:, None], thresholds, -np.inf)
-    return SelectionResult("com", _level(_max_level(S, thresholds)), None, _level(m_max))
+    return SelectionResult(_level(_max_level(S, thresholds)), m_max=_level(m_max))
 
 
 def oracle_opt(p: SpectralProblem, obs: NoisyObservation) -> int:
@@ -384,12 +378,11 @@ def select_all(
 
     For a block of rows each value is the (R,) array of per-row levels.
     """
-    m_cap = p.size if cfg.m_cap is None else min(cfg.m_cap, p.size)
     return {
-        "dp": dp_modified(obs, cfg.tau, m_cap).k,
-        "bal": balancing(p, obs, cfg.kappa, m_cap),
-        "es": early_stop(obs, m_cap),
-        "com": combined(obs, cfg.tau, cfg.tau_min, m_cap).k,
+        "dp": dp_modified(obs, cfg.tau).k,
+        "bal": balancing(p, obs, cfg.kappa),
+        "es": early_stop(obs),
+        "com": combined(obs, cfg.tau, cfg.tau_min).k,
         "opt": oracle_opt(p, obs),
         "pr": oracle_weak(p, obs),
         "st": oracle_strong(p, obs),

@@ -35,34 +35,13 @@ from .problems import SpectralProblem, readonly, suffix_sum
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Distribution of the noise coordinates, normalized to unit variance.
-
-    gamma(p) returns the absolute moment constant E[z^p] for p in {2, 4};
-    the fourth moment of student_t requires df > 4.
-    """
+    """Distribution of the noise coordinates, normalized to unit variance."""
 
     kind: str = "gaussian"
-    df: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "rademacher", "student_t"):
+        if self.kind not in ("gaussian", "rademacher"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "student_t":
-            if self.df is None or not (math.isfinite(self.df) and self.df > 2):
-                raise ValueError("student_t needs df > 2 for a finite variance")
-
-    def gamma(self, p: int) -> float:
-        if p == 2:
-            return 1.0
-        if p != 4:
-            raise ValueError(f"moment order must be 2 or 4, got {p}")
-        if self.kind == "gaussian":
-            return 3.0
-        if self.kind == "rademacher":
-            return 1.0
-        if self.df <= 4:
-            raise ValueError("student_t fourth moment needs df > 4")
-        return 3.0 * (self.df - 2.0) / (self.df - 4.0)
 
 
 def _check_delta(delta: float):
@@ -190,10 +169,7 @@ def _draw(model: NoiseModel, D: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if model.kind == "gaussian":
         return rng.standard_normal(D)
-    if model.kind == "rademacher":
-        return 2.0 * rng.integers(0, 2, size=D).astype(float) - 1.0
-    # student_t, variance df/(df-2) before normalization
-    return rng.standard_t(model.df, size=D) / math.sqrt(model.df / (model.df - 2.0))
+    return 2.0 * rng.integers(0, 2, size=D).astype(float) - 1.0
 
 
 def observe(
@@ -219,14 +195,6 @@ def observe(
 def _check_level(k: int, D: int):
     if not 0 <= k <= D:
         raise ValueError(f"truncation level {k} outside [0, {D}]")
-
-
-def cutoff_coeffs(p: SpectralProblem, obs: NoisyObservation, k: int) -> np.ndarray:
-    """Coefficients of the level-k cut-off estimate: y_obs_j / sigma_j up to k, then 0."""
-    _check_level(k, p.size)
-    out = np.zeros(p.size)
-    out[:k] = obs.y_obs[:k] / p.sigma[:k]
-    return out
 
 
 def strong_error_sq_profile(p: SpectralProblem, obs: NoisyObservation) -> np.ndarray:

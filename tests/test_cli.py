@@ -128,6 +128,21 @@ def test_bench_tables_are_byte_identical_to_reference(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_balancing_sums_fail_without_tables(tmp_path, capsys):
+    out = tmp_path / "never"
+    for command in ("bench", "single"):
+        for size, delta in (("709", "1"), ("300", "1e100")):
+            capsys.readouterr()
+            assert cli.main([
+                command, "--problem", "synthetic-exp", "--size", size, "--replicates", "2",
+                "--deltas", delta, "--out", str(out),
+            ]) == 1
+            captured = capsys.readouterr()
+            assert "overflow" in captured.err and "Traceback" not in captured.err
+            assert captured.out == "" and not out.exists()
+
+
 def test_single_trace(tmp_path, capsys):
     out = tmp_path / "s"
     args = [

@@ -157,14 +157,13 @@ def test_boxplot_convention():
     assert b.q25 == 2.0 and b.median == 3.0 and b.q75 == 4.0
     assert b.whisker_lo == 1.0 and b.whisker_hi == 4.0
     assert b.outliers == (100.0,)
-    assert b.n_outside_box == 2  # 1 and 100 fall outside the quartile box
     with pytest.raises(ValueError):
         boxplot_stats(np.array([]))
 
 
 def test_boxplot_degenerate_constant():
     b = boxplot_stats(np.full(9, 3.0))
-    assert b == BoxplotStats(3.0, 3.0, 3.0, 3.0, 3.0, (), 0)
+    assert b == BoxplotStats(3.0, 3.0, 3.0, 3.0, 3.0, ())
 
 
 def zero_noise_records(D=30, delta=1e-6, scale=10.0):
@@ -217,12 +216,6 @@ def test_theorem_frequency_moderate_run():
     records = run_experiment(cfg)
     freq = theorem_frequency(records, "thm1", constants(1.5))
     assert freq >= 0.95
-
-
-def test_summary_carries_frequencies(small_records):
-    s = summarize(small_records, constants(1.5, q=2.0, c_q=1.0, C_q=1.0))
-    assert set(s.frequencies) == {"thm1", "thm2", "cor1"}
-    assert all(0.0 <= v <= 1.0 for v in s.frequencies.values())
 
 
 def test_example1_counterexample_frequency():
@@ -304,7 +297,7 @@ def test_row_block_loops_equal_per_replicate_loops(monkeypatch, rows_per_block):
             )
         for model, D, kappa_idx, epsilon in (
             (NoiseModel(), 200, 10, 0.3), (NoiseModel("rademacher"), 50, 50, 0.1),
-            (NoiseModel("student_t", df=5.0), 120, 1, 1.0),
+            (NoiseModel(), 120, 1, 1.0),
         ):
             if rows_per_block:
                 monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", rows_per_block * D)
@@ -333,16 +326,15 @@ def literal_levels_and_profiles(p, obs, cfg):
     The data-driven rules each run on their own fresh observation; the oracles
     and profiles are written out from their definitions.
     """
-    m_cap = p.size if cfg.m_cap is None else min(cfg.m_cap, p.size)
     strong = accumulate((obs.y_obs / p.sigma - p.x_true) ** 2) + suffix_sum(p.x_true**2)
     noise = accumulate((obs.y_obs - obs.y_clean) ** 2)
     weak = noise + suffix_sum(obs.y_clean**2)
     amplified = accumulate(((obs.y_obs - obs.y_clean) / p.sigma) ** 2)
     ks = {
-        "dp": dp_modified(fresh(obs), cfg.tau, m_cap).k,
-        "bal": balancing(p, fresh(obs), cfg.kappa, m_cap),
-        "es": early_stop(fresh(obs), m_cap),
-        "com": combined(fresh(obs), cfg.tau, cfg.tau_min, m_cap).k,
+        "dp": dp_modified(fresh(obs), cfg.tau).k,
+        "bal": balancing(p, fresh(obs), cfg.kappa),
+        "es": early_stop(fresh(obs)),
+        "com": combined(fresh(obs), cfg.tau, cfg.tau_min).k,
         "opt": int(np.argmin(strong)),
         "pr": int(np.argmax(noise >= suffix_sum(obs.y_clean**2))),
         "st": int(np.argmax(amplified >= suffix_sum(p.x_true**2))),
@@ -353,10 +345,7 @@ def literal_levels_and_profiles(p, obs, cfg):
 SHARED_SUM_CASES = [
     (make_problem(ProblemSpec("synthetic-poly", 200, q=2.0, truth_power=1.0)), RuleConfig()),
     (make_problem(ProblemSpec("phillips", 64)), RuleConfig()),
-    (
-        make_problem(ProblemSpec("phillips", 64)),
-        RuleConfig(tau=2.5, kappa=1.5, tau_min=1.3, m_cap=40),
-    ),
+    (make_problem(ProblemSpec("phillips", 64)), RuleConfig(tau=2.5, kappa=1.5, tau_min=1.3)),
 ]
 
 

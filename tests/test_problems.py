@@ -274,8 +274,8 @@ def test_spectralize_rejects_zero_operator():
 
 
 def test_make_problem_dispatch():
-    assert make_problem(ProblemSpec("phillips", 32)).ill_posedness == "mild"
-    assert make_problem(ProblemSpec("heat", 32)).ill_posedness == "severe"
+    assert make_problem(ProblemSpec("phillips", 32)).name == "phillips"
+    assert make_problem(ProblemSpec("heat", 32)).name == "heat"
     direct = make_problem(ProblemSpec("direct", 16))
     assert np.all(direct.sigma == 1.0)
     poly = make_problem(ProblemSpec("synthetic-poly", 16, q=2.0, truth_power=1.0))

@@ -75,15 +75,14 @@ def scan_lepski(y, delta, kappa):
     raise AssertionError("unreachable")
 
 
-def scan_balancing(sigma, y, delta, kappa, m_cap, printed_rhs=False):
+def scan_balancing(sigma, y, delta, kappa, m_cap):
     coeff = [float(v) / float(s) for v, s in zip(y, sigma)]
     for k in range(0, m_cap + 1):
         ok = True
         for m in range(k + 1, m_cap + 1):
             diff = math.sqrt(sum(c**2 for c in coeff[k:m]))
             w = sum(float(s) ** -2 for s in sigma[:m])
-            thr = kappa * delta**2 * w if printed_rhs else kappa * delta * math.sqrt(w)
-            if diff > thr:
+            if diff > kappa * delta * math.sqrt(w):
                 ok = False
                 break
         if ok:
@@ -150,6 +149,20 @@ def test_balancing_exponential_spectrum_late_stop():
     z[m_crit - 1] = 10.0
     obs = NoisyObservation(delta * z, np.zeros(D), z, delta, 0)
     assert balancing(p, obs, 4.0, D) >= m_crit
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_balancing_rejects_overflowing_sums():
+    # exponential spectra where the sum of (y_obs/sigma)^2 to D, or the threshold
+    # (kappa delta)^2 sum sigma^-2, is not a finite double
+    for D, delta in ((709, 1.0), (300, 1e100)):
+        p = build_synthetic(D, "exp", truth_power=1.0)
+        for seed in (1, [1, 2]):  # one row, then a 2-row block
+            obs = observe(p, delta, GAUSS, seed)
+            with pytest.raises(ValueError, match="overflow"):
+                balancing(p, obs, 4.0)
+            with pytest.raises(ValueError, match="overflow"):
+                select_all(p, obs, RuleConfig())
 
 
 def test_early_stop_examples():
@@ -341,14 +354,11 @@ def test_lepski_coincides_with_dp_in_direct_case():
 
 def test_balancing_equals_scan():
     rng = np.random.default_rng(53)
-    for printed in (False, True):
-        for _ in range(25):
-            D = int(rng.integers(2, 20))
-            p = build_synthetic(D, "poly", q=float(rng.uniform(0.5, 2.5)), truth_power=1.0)
-            obs = observe(p, float(10.0 ** rng.uniform(-2, 0)), GAUSS, int(rng.integers(1e6)))
-            got = balancing(p, obs, 2.0, D, printed_rhs=printed)
-            want = scan_balancing(p.sigma, obs.y_obs, obs.delta, 2.0, D, printed_rhs=printed)
-            assert got == want
+    for _ in range(50):
+        D = int(rng.integers(2, 20))
+        p = build_synthetic(D, "poly", q=float(rng.uniform(0.5, 2.5)), truth_power=1.0)
+        obs = observe(p, float(10.0 ** rng.uniform(-2, 0)), GAUSS, int(rng.integers(1e6)))
+        assert balancing(p, obs, 2.0, D) == scan_balancing(p.sigma, obs.y_obs, obs.delta, 2.0, D)
 
 
 def test_early_stop_equals_scan():
@@ -385,7 +395,7 @@ def test_selectors_scale_invariant():
             oracle_strong(p, obs),
         )
         for c in (1e-3, 1e3):
-            p2 = SpectralProblem(p.name, p.sigma, c * p.x_true, p.ill_posedness)
+            p2 = SpectralProblem(p.name, p.sigma, c * p.x_true)
             y_clean = c * obs.y_clean
             obs2 = NoisyObservation(
                 y_clean + (c * obs.delta) * obs.z, y_clean, obs.z, c * obs.delta, obs.seed
@@ -448,7 +458,7 @@ def test_rule_config_validation():
     for bad in (
         dict(tau=1.0), dict(kappa=0.9), dict(tau_min=0.5), dict(tau=1.2, tau_min=1.3),
         dict(tau=math.nan), dict(tau=math.inf), dict(kappa=math.nan), dict(kappa=math.inf),
-        dict(tau_min=math.nan), dict(m_cap=0), dict(m_cap=math.nan),
+        dict(tau_min=math.nan),
     ):
         with pytest.raises(ValueError):
             RuleConfig(**bad)
@@ -524,7 +534,7 @@ def test_row_block_equals_scalar_rule_per_row():
                 NoisyObservation(block.y_obs[r], block.y_clean, block.z[r], delta, seeds[r])
                 for r in range(R)
             ]
-        cfg = RuleConfig(tau=tau, kappa=kappa, tau_min=tau_min, m_cap=m_cap)
+        cfg = RuleConfig(tau=tau, kappa=kappa, tau_min=tau_min)
         rules = {
             "dp": lambda o: dp_modified(o, tau, m_cap).k,
             "dp_at_m": lambda o: dp_at_m(o, tau, m),
