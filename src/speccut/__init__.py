@@ -41,7 +41,6 @@ from .problems import (
 from .rules import (
     RULE_NAMES,
     RuleConfig,
-    SelectionResult,
     TheoremConstants,
     balancing,
     combined,
@@ -52,7 +51,6 @@ from .rules import (
     dp_modified,
     early_stop,
     empirical_sup_deviation,
-    lepski_direct,
     oracle_opt,
     oracle_strong,
     oracle_weak,

@@ -39,13 +39,13 @@ from .problems import PROBLEM_NAMES, ProblemSpec, build_synthetic, make_problem
 from .rules import (
     RULE_NAMES,
     RuleConfig,
-    combined,
+    balancing,
     constants,
     det_strong,
     det_weak,
     dp_at_m,
     dp_modified,
-    lepski_direct,
+    early_stop,
     select_all,
 )
 from .sequence_model import (
@@ -92,7 +92,7 @@ def check_lepski_dp_identity(
     agree = 0
     for lo, hi in _row_blocks(instances, D + 1):
         obs = observe(p, delta, model, range(seed + lo, seed + hi))
-        same = lepski_direct(obs, fudge, p.sigma) == dp_modified(obs, fudge, D).k
+        same = balancing(p, obs, fudge) == dp_modified(obs, fudge)
         agree += int(np.count_nonzero(same))
     return CheckResult(
         "lepski_dp_identity",
@@ -101,7 +101,7 @@ def check_lepski_dp_identity(
     )
 
 
-def dp_modified_bruteforce(y_obs: np.ndarray, delta: float, tau: float, m_cap: int) -> int:
+def dp_modified_bruteforce(y_obs: np.ndarray, delta: float, tau: float) -> int:
     """Literal per-m evaluation of the maximized residual rule.
 
     For every m the suffix sums of the first m squared coefficients are built
@@ -110,7 +110,7 @@ def dp_modified_bruteforce(y_obs: np.ndarray, delta: float, tau: float, m_cap: i
     """
     sq = y_obs * y_obs
     best = 0
-    for m in range(1, m_cap + 1):
+    for m in range(1, len(y_obs) + 1):
         tails = np.concatenate([np.cumsum(sq[m - 1 :: -1])[::-1], [0.0]])
         k = int(np.argmax(np.sqrt(tails) <= tau * math.sqrt(m) * delta))
         best = max(best, k)
@@ -128,7 +128,7 @@ def check_dp_bruteforce(instances: int = 500, max_D: int = 128, seed: int = 9021
         scale = float(10.0 ** rng.uniform(-1, 1))
         y = scale * rng.standard_normal(D)
         obs = NoisyObservation(y, np.zeros(D), y / delta, delta, 0)
-        agree += dp_modified(obs, tau, D).k == dp_modified_bruteforce(y, delta, tau, D)
+        agree += dp_modified(obs, tau) == dp_modified_bruteforce(y, delta, tau)
     return CheckResult(
         "dp_bruteforce_equivalence", agree == instances, f"{agree}/{instances} exact agreements"
     )
@@ -164,10 +164,9 @@ def check_scaling_invariance(instances: int = 200, D: int = 64, seed: int = 5150
 
 
 def _all_levels(p, obs) -> tuple:
-    """Every rule's level, plus the fixed-m and direct-regime residual rules."""
+    """Every rule's level, plus the fixed-m residual rule."""
     return (
         dp_at_m(obs, 1.5, max(1, p.size // 2)),
-        lepski_direct(obs, 1.5),
         select_all(p, obs, RuleConfig(tau=1.5, kappa=4.0)),
     )
 
@@ -413,25 +412,24 @@ def run_single(args) -> int:
     delta = args.deltas[0]
     obs = observe(p, delta, NoiseModel(args.noise), args.seed)
     D = p.size
-    result = dp_modified(obs, args.tau, D, keep_trace=True)
-    cfg = RuleConfig(tau=args.tau, kappa=args.kappa, tau_min=args.tau_min)
-    ks = select_all(p, obs, cfg)
+    ks = select_all(p, obs, RuleConfig(tau=args.tau, kappa=args.kappa, tau_min=args.tau_min))
+    trace = [dp_at_m(obs, args.tau, m) for m in range(1, D + 1)]
+    m_max = early_stop(obs, tau=args.tau_min)
+    e_strong = {r: strong_error(p, obs, k) for r, k in ks.items()}
+    e_weak = {r: weak_error(p, obs, k) for r, k in ks.items()}
+    det_w, det_s = det_weak(p, delta), det_strong(p, delta)
     print(f"problem={p.name} D={D} delta={_fmt(delta)} seed={args.seed}")
     print("per-m trace of the residual rule (m: k):")
-    trace = result.trace
     for start in range(0, D, 16):
-        chunk = trace[start : start + 16]
-        print("  m=%-5d %s" % (start + 1, " ".join(f"{int(k):d}" for k in chunk)))
-    com = combined(obs, args.tau, args.tau_min, D)
-    print(f"m_max (inner threshold {args.tau_min}): {com.m_max}")
+        print("  m=%-5d %s" % (start + 1, " ".join(map(str, trace[start : start + 16]))))
+    print(f"m_max (inner threshold {args.tau_min}): {m_max}")
     print("selected levels and errors:")
     for rule in RULE_NAMES:
-        k = ks[rule]
         print(
-            f"  {rule:4s} k={k:<6d} strong={_fmt(strong_error(p, obs, k))} "
-            f"weak={_fmt(weak_error(p, obs, k))}"
+            f"  {rule:4s} k={ks[rule]:<6d} strong={_fmt(e_strong[rule])} "
+            f"weak={_fmt(e_weak[rule])}"
         )
-    print(f"deterministic oracle levels: weak={det_weak(p, delta)} strong={det_strong(p, delta)}")
+    print(f"deterministic oracle levels: weak={det_w} strong={det_s}")
     if args.out is not None:
         out = Path(args.out)
         try:
@@ -440,13 +438,13 @@ def run_single(args) -> int:
                 "problem": p.name,
                 "delta": delta,
                 "seed": args.seed,
-                "trace": [int(k) for k in trace],
-                "m_max": com.m_max,
+                "trace": trace,
+                "m_max": m_max,
                 "k_by_rule": ks,
-                "e_strong_by_rule": {r: strong_error(p, obs, k) for r, k in ks.items()},
-                "e_weak_by_rule": {r: weak_error(p, obs, k) for r, k in ks.items()},
-                "det_weak": det_weak(p, delta),
-                "det_strong": det_strong(p, delta),
+                "e_strong_by_rule": e_strong,
+                "e_weak_by_rule": e_weak,
+                "det_weak": det_w,
+                "det_strong": det_s,
             }
             (out / "single.json").write_text(json.dumps(payload, indent=2) + "\n")
         except OSError as exc:
@@ -460,15 +458,11 @@ def run_single(args) -> int:
 
 
 def _parse_deltas(text: str) -> list[float]:
+    """A comma-separated list of numbers; `ExperimentConfig` validates the values."""
     try:
-        deltas = [float(part) for part in text.split(",") if part]
+        return [float(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad delta list {text!r}") from exc
-    if not deltas or not all(math.isfinite(d) and d > 0 for d in deltas):
-        raise argparse.ArgumentTypeError("deltas must be positive and finite")
-    if len(set(deltas)) != len(deltas):
-        raise argparse.ArgumentTypeError(f"deltas must be distinct, got {text!r}")
-    return deltas
 
 
 def _finite(text: str) -> float:

@@ -271,7 +271,7 @@ def example1_frequency(kappa: float, delta: float, replicates: int, seed: int) -
         y = delta * z_all[lo:hi]
         y.flags.writeable = False
         obs = NoisyObservation(y, zero, z_all[lo:hi], delta, (seed,) * (hi - lo))
-        k = balancing(p, obs, kappa, D)
+        k = balancing(p, obs, kappa)
         coeff_sq = (y / p.sigma) ** 2
         # rows that stop at one level sum the same prefix length, as each row alone would
         for level in np.unique(k):

@@ -125,7 +125,8 @@ class SpectralProblem:
 
         Built on first use and memoised, which is valid because `sigma` is
         read-only. A sequential cumulative sum of a prefix equals the prefix
-        of this one, so callers slice `[:m]` instead of summing again.
+        of this one, so a problem cut to its first m coefficients gets the
+        same bits.
         """
         w = np.cumsum(self.sigma ** (-2.0))
         w.flags.writeable = False

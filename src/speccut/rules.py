@@ -1,17 +1,21 @@
 """Truncation-level selection rules, oracle levels, and guarantee constants.
 
-All rules pick an integer level k in [0, D] from one noisy observation. The
-residual-threshold (discrepancy) family compares tail sums of squared data
-coefficients against tau^2 * m * delta^2; treating the discretization level m
-as a second free parameter and maximizing the per-m choice gives the modified
-rule `dp_modified`. The comparison-based family (`lepski_direct`, `balancing`)
+Every rule is a function from one noisy observation to its level: an integer k
+in [0, D]. The residual-threshold (discrepancy) family compares tail sums of
+squared data coefficients against tau^2 * m * delta^2; treating the
+discretization level m as a second free parameter and maximizing the per-m
+choice gives the modified rule `dp_modified`. The comparison rule `balancing`
 accepts the smallest k whose estimate stays within a noise-sized band of every
-later estimate. Oracle levels balance realized variance against remaining bias
-and serve as benchmarks; they need the unknown truth.
+later estimate; with unit singular values it is Lepski's rule. Oracle levels
+balance realized variance against remaining bias and serve as benchmarks;
+they need the unknown truth.
 
 Every defining inequality is inclusive, minimal elements are taken from the
 defining sets, and k = 0 is always admitted. All selectors are invariant under
-rescaling (y_obs, y_clean, delta) by a common positive factor.
+rescaling (y_obs, y_clean, delta) by a common positive factor. A threshold
+factor whose square overflows a double gives an infinite threshold, which
+admits every level, so the level is the exact 0; data whose sums overflow
+raise ValueError (`NoisyObservation.prefix_sq`, `balancing`).
 
 Implementation note: every rule and error profile is one kernel that works
 along the last axis. It takes one observation row (D,) and returns an int, or
@@ -28,17 +32,16 @@ nondecreasing in the threshold, so the largest per-m choice over m equals the
 choice for max_m T_m exactly: `dp_modified` and `combined` take the maximum
 threshold and search once, O(D). Entry m of every row is read as `S.T[m]`:
 a float for one row (where `S[..., m]` would make a slower 0-d array), the
-(R,) column of a block. The full per-m trace (D searches, one row only) is
-built only on request. The comparison rules (`lepski_direct`,
-`balancing`) share one suffix-maximum comparison, O(D). Each problem memoises
-the cumulative sum of sigma^(-2) (`SpectralProblem.inv_sigma_sq_cumsum`), the
-tail sums of its squared truth (`truth_tail`), its clean data and their tail
-sums (`y_clean`, `clean_tail`, which `observe` hands to every observation).
-Each observation memoises S (`NoisyObservation.prefix_sq`), the prefix sums of
-its squared noise (`noise_prefix_sq`, read by `oracle_weak` and the image-space
-profile), the strong error profile (read by `oracle_opt` and the error
-records) and, per tau, the threshold vector S_m - tau^2 m delta^2 for every m
-(`_dp_thresholds`; `dp_modified` and `combined` slice their own prefix). One
+(R,) column of a block. `balancing` compares with a suffix maximum, O(D).
+Each problem memoises the cumulative sum of sigma^(-2)
+(`SpectralProblem.inv_sigma_sq_cumsum`), the tail sums of its squared truth
+(`truth_tail`), its clean data and their tail sums (`y_clean`, `clean_tail`,
+which `observe` hands to every observation). Each observation memoises S
+(`NoisyObservation.prefix_sq`), the prefix sums of its squared noise
+(`noise_prefix_sq`, read by `oracle_weak` and the image-space profile), the
+strong error profile (read by `oracle_opt` and the error records) and, per
+tau, the threshold vector S_m - tau^2 m delta^2 for every m
+(`_dp_thresholds`; `combined` reads the prefix up to its stopping level). One
 replicate therefore builds five cumulative sums (S, the prefix sum of
 (y_obs/sigma)^2 in `balancing`, the noise sum, the strong profile, and the
 amplified-noise sum in `oracle_strong`) and one suffix maximum (`balancing`).
@@ -83,18 +86,6 @@ class RuleConfig:
         _check_fudge("kappa", self.kappa)
         if not 1 <= self.tau_min < self.tau:
             raise ValueError(f"need 1 <= tau_min < tau, got tau_min={self.tau_min}")
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    """Chosen level plus optional per-m diagnostics.
-
-    For a block of observation rows, `k` and `m_max` are (R,) arrays.
-    """
-
-    k: int | np.ndarray
-    trace: np.ndarray | None = None  # trace[m-1] = per-m choice, when recorded
-    m_max: int | np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -148,6 +139,19 @@ def constants(
     return TheoremConstants(tau, a_tau, b_tau, c_weak, c_strong, c_cor)
 
 
+def _square(x: float) -> float:
+    """x ** 2, or inf where the square of the float overflows a double.
+
+    Python's float power raises OverflowError there. As a threshold factor, inf
+    admits every level, which is the exact answer. The power is kept because
+    `x * x` rounds differently from `x ** 2` for some doubles.
+    """
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def _level(k):
     """A per-row result as an int for one row, as the (R,) array for a block."""
     return k if isinstance(k, np.ndarray) and k.ndim else int(k)
@@ -165,32 +169,30 @@ def _min_levels(S: np.ndarray, thresholds):
     return (S < thresholds[..., None]).sum(axis=-1)
 
 
-def _dp_thresholds(obs: NoisyObservation, tau: float, m_cap: int) -> np.ndarray:
-    """T with T[..., m-1] = S_m - tau^2 m delta^2 for m in [1, m_cap], read-only.
+def _dp_thresholds(obs: NoisyObservation, tau: float) -> np.ndarray:
+    """T with T[..., m-1] = S_m - tau^2 m delta^2 for every m in [1, D], read-only.
 
-    A prefix of the vector for every m in [1, D], built once per observation
-    and tau and memoised on the observation; each entry is computed on its
-    own, so a prefix equals the vector built for m_cap alone.
+    Built once per observation and tau and memoised on the observation; each
+    entry is computed on its own, so a prefix equals the vector of a shorter
+    resolution.
     """
     key = ("dp_thresholds", tau)
     T = obs._memo.get(key)
     if T is None:
         m = np.arange(1.0, obs.size + 1)  # float counts: no int-to-float cast in the product
-        T = obs.prefix_sq[..., 1:] - (tau * obs.delta) ** 2 * m
+        T = obs.prefix_sq[..., 1:] - _square(tau * obs.delta) * m
         T.flags.writeable = False
         obs._memo[key] = T
-    return T[..., :m_cap]
+    return T
 
 
-def _residual_level(obs: NoisyObservation, c: float, m: int, name: str):
+def _residual_level(obs: NoisyObservation, c: float, m: int):
     """Per row, the smallest k with sqrt(sum_{j=k+1..m} y_obs_j^2) <= c sqrt(m) delta.
 
-    That is the smallest k with S_k >= S_m - (c delta)^2 m; `name` labels m in errors.
+    That is the smallest k with S_k >= S_m - (c delta)^2 m, for m in [1, D].
     """
-    if not 1 <= m <= obs.size:
-        raise ValueError(f"{name}={m} outside [1, {obs.size}]")
     S = obs.prefix_sq
-    return _min_levels(S, S.T[m] - (c * obs.delta) ** 2 * m)
+    return _min_levels(S, S.T[m] - _square(c * obs.delta) * m)
 
 
 def _max_level(S: np.ndarray, thresholds: np.ndarray):
@@ -203,19 +205,6 @@ def _max_level(S: np.ndarray, thresholds: np.ndarray):
     return _min_levels(S, thresholds.max(axis=-1, initial=-np.inf))
 
 
-def _first_admissible(gaps: np.ndarray, S: np.ndarray):
-    """Smallest k with gaps[..., m-1] <= S[..., k] for every m in (k, n], per row.
-
-    n is the length of the gaps; k = n is always admitted. Compares S with
-    the suffix maxima of the gaps.
-    """
-    n = gaps.shape[-1]
-    suffix = np.empty(gaps.shape[:-1] + (n + 1,))
-    suffix[..., n] = -np.inf
-    np.maximum.accumulate(gaps[..., ::-1], axis=-1, out=suffix[..., :n][..., ::-1])
-    return (suffix <= S[..., : n + 1]).argmax(axis=-1)
-
-
 def dp_at_m(obs: NoisyObservation, tau: float, m: int) -> int:
     """Discrepancy choice at discretization level m.
 
@@ -223,98 +212,72 @@ def dp_at_m(obs: NoisyObservation, tau: float, m: int) -> int:
     sqrt(sum_{j=k+1..m} y_obs_j^2), is at most tau sqrt(m) delta.
     """
     _check_fudge("tau", tau)
-    return _level(_residual_level(obs, tau, m, "m"))
+    if not 1 <= m <= obs.size:
+        raise ValueError(f"m={m} outside [1, {obs.size}]")
+    return _level(_residual_level(obs, tau, m))
 
 
-def dp_modified(
-    obs: NoisyObservation, tau: float, m_cap: int | None = None, keep_trace: bool = False
-) -> SelectionResult:
+def dp_modified(obs: NoisyObservation, tau: float) -> int:
     """Residual rule with the discretization level as a second free parameter.
 
-    Returns the largest per-m discrepancy choice over m in [1, m_cap], found
-    with one search; the per-m trace is built and attached only when
-    keep_trace is set, which needs a single observation row.
+    Returns the largest per-m discrepancy choice over m in [1, D], found with
+    one search.
     """
     _check_fudge("tau", tau)
-    m_cap = obs.size if m_cap is None else m_cap
-    if not 1 <= m_cap <= obs.size:
-        raise ValueError(f"m_cap={m_cap} outside [1, {obs.size}]")
-    thresholds = _dp_thresholds(obs, tau, m_cap)
-    if keep_trace:
-        if thresholds.ndim != 1:
-            raise ValueError("keep_trace needs a single observation row")
-        trace = _min_levels(obs.prefix_sq, thresholds)
-        return SelectionResult(int(trace.max()), trace)
-    return SelectionResult(_level(_max_level(obs.prefix_sq, thresholds)))
+    return _level(_max_level(obs.prefix_sq, _dp_thresholds(obs, tau)))
 
 
-def lepski_direct(obs: NoisyObservation, kappa: float, sigma: np.ndarray | None = None) -> int:
-    """Comparison rule for the direct (unit singular value) regime.
-
-    Smallest k such that every later partial-sum estimate stays within
-    kappa sqrt(m) delta of the level-k one. Pass the problem's singular values
-    to assert the regime; non-unit values are rejected.
-    """
-    _check_fudge("kappa", kappa)
-    if sigma is not None and not np.all(sigma == 1.0):
-        raise ValueError("direct-regime rule called with non-unit singular values")
-    S = obs.prefix_sq
-    gaps = S[..., 1:] - (kappa * obs.delta) ** 2 * np.arange(1, obs.size + 1)
-    return _level(_first_admissible(gaps, S))
-
-
-def balancing(
-    p: SpectralProblem, obs: NoisyObservation, kappa: float, m_cap: int | None = None
-) -> int:
+def balancing(p: SpectralProblem, obs: NoisyObservation, kappa: float) -> int:
     """Comparison rule in solution space with the root-mean variance threshold.
 
-    Smallest k in [0, m_cap] with ||x_m - x_k|| <= kappa delta
-    sqrt(sum_{j<=m} sigma_j^(-2)) for every m in (k, m_cap]. Raises ValueError
-    when the sums of (y_obs_j / sigma_j)^2 or the squared thresholds overflow,
-    since no level can then be told apart.
+    Smallest k in [0, D] with ||x_m - x_k|| <= kappa delta
+    sqrt(sum_{j<=m} sigma_j^(-2)) for every m in (k, D]; with unit singular
+    values this is Lepski's rule. Raises ValueError when the sums of
+    (y_obs_j / sigma_j)^2 overflow, since no level can then be told apart. An
+    overflowing threshold is infinite and admits every level, which is exact.
     """
     _check_fudge("kappa", kappa)
+    with np.errstate(over="ignore"):
+        P = _prefix_sq(obs.y_obs / p.sigma)
+        thresh = _square(kappa * obs.delta) * p.inv_sigma_sq_cumsum
+    # P is nondecreasing, so its last entry bounds every compared sum
     D = obs.size
-    m_cap = D if m_cap is None else m_cap
-    if not 1 <= m_cap <= D:
-        raise ValueError(f"m_cap={m_cap} outside [1, {D}]")
-    P = _prefix_sq(obs.y_obs / p.sigma)
-    thresh = (kappa * obs.delta) ** 2 * p.inv_sigma_sq_cumsum[:m_cap]
-    # both are nondecreasing, so their last entries bound every compared sum
-    if not (np.isfinite(P[..., m_cap]).all() and math.isfinite(thresh[-1])):
+    if not np.isfinite(P[..., D]).all():
         raise ValueError(f"balancing sums overflow (D={D}, delta={obs.delta})")
-    return _level(_first_admissible(P[..., 1 : m_cap + 1] - thresh, P))
+    # smallest k with gaps[..., m-1] <= P[..., k] for every m in (k, D]: compare P
+    # with the suffix maxima of the gaps; k = D is always admitted
+    gaps = P[..., 1:] - thresh
+    suffix = np.empty(P.shape)
+    suffix[..., D] = -np.inf
+    np.maximum.accumulate(gaps[..., ::-1], axis=-1, out=suffix[..., :D][..., ::-1])
+    return _level((suffix <= P).argmax(axis=-1))
 
 
-def early_stop(obs: NoisyObservation, D_used: int | None = None) -> int:
-    """Sequential residual rule at fixed resolution with the threshold factor at one."""
-    D_used = obs.size if D_used is None else D_used
-    return _level(_residual_level(obs, 1.0, D_used, "D_used"))
+def early_stop(obs: NoisyObservation, *, tau: float = 1.0) -> int:
+    """Sequential residual rule at full resolution with threshold factor tau >= 1."""
+    if not (math.isfinite(tau) and tau >= 1):
+        raise ValueError(f"early-stop factor must be finite and at least 1, got {tau}")
+    return _level(_residual_level(obs, tau, obs.size))
 
 
-def combined(
-    obs: NoisyObservation, tau: float, tau_min: float = 1.0, D_used: int | None = None
-) -> SelectionResult:
+def combined(obs: NoisyObservation, tau: float, tau_min: float = 1.0) -> int:
     """Maximize the per-m discrepancy choice only up to a sequential stopping level.
 
-    m_max is the early-stop level with threshold factor tau_min >= 1; the
-    returned k is the largest per-m choice over m in [1, m_max], or 0 when
+    The stopping level m_max is `early_stop` with threshold factor tau_min;
+    the level is the largest per-m choice over m in [1, m_max], or 0 when
     m_max = 0.
     """
     if not (math.isfinite(tau) and tau > tau_min):
         raise ValueError(f"need finite tau > tau_min, got tau={tau}, tau_min={tau_min}")
-    if not tau_min >= 1:
-        raise ValueError(f"tau_min must be at least 1, got {tau_min}")
-    D_used = obs.size if D_used is None else D_used
-    m_max = _residual_level(obs, tau_min, D_used, "D_used")
+    m_max = early_stop(obs, tau=tau_min)
     S = obs.prefix_sq
     if S.ndim == 1:
-        thresholds = _dp_thresholds(obs, tau, int(m_max))
+        thresholds = _dp_thresholds(obs, tau)[:m_max]
     else:  # rows stop at different levels: drop the thresholds past each row's m_max
-        thresholds = _dp_thresholds(obs, tau, int(m_max.max()))
+        thresholds = _dp_thresholds(obs, tau)[:, : m_max.max()]
         m = np.arange(1, thresholds.shape[-1] + 1)
         thresholds = np.where(m <= m_max[:, None], thresholds, -np.inf)
-    return SelectionResult(_level(_max_level(S, thresholds)), m_max=_level(m_max))
+    return _level(_max_level(S, thresholds))
 
 
 def oracle_opt(p: SpectralProblem, obs: NoisyObservation) -> int:
@@ -344,13 +307,13 @@ def oracle_strong(p: SpectralProblem, obs: NoisyObservation) -> int:
 def det_weak(p: SpectralProblem, delta: float) -> int:
     """Deterministic counterpart of the weak oracle: expected variance delta^2 k."""
     _check_delta(delta)
-    return _balanced_level(_cumsum0(np.full(p.size, delta**2)), p.clean_tail)
+    return _balanced_level(_cumsum0(np.full(p.size, _square(delta))), p.clean_tail)
 
 
 def det_strong(p: SpectralProblem, delta: float) -> int:
     """Deterministic counterpart of the strong oracle: expected variance delta^2 sum sigma^(-2)."""
     _check_delta(delta)
-    return _balanced_level(_cumsum0(delta**2 * p.sigma ** (-2.0)), p.truth_tail)
+    return _balanced_level(_cumsum0(_square(delta) * p.sigma ** (-2.0)), p.truth_tail)
 
 
 def empirical_sup_deviation(z: np.ndarray, kappa_idx: int) -> float:
@@ -379,10 +342,10 @@ def select_all(
     For a block of rows each value is the (R,) array of per-row levels.
     """
     return {
-        "dp": dp_modified(obs, cfg.tau).k,
+        "dp": dp_modified(obs, cfg.tau),
         "bal": balancing(p, obs, cfg.kappa),
         "es": early_stop(obs),
-        "com": combined(obs, cfg.tau, cfg.tau_min).k,
+        "com": combined(obs, cfg.tau, cfg.tau_min),
         "opt": oracle_opt(p, obs),
         "pr": oracle_weak(p, obs),
         "st": oracle_strong(p, obs),

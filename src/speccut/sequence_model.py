@@ -18,7 +18,8 @@ observation the problem's own memoised arrays (`SpectralProblem.y_clean`,
 `y_clean`. An observation may hold one row (D,) or a block of R rows (R, D)
 that share the noise level and the clean data; every sum and profile works
 along the last axis, row by row, with the same floating-point operations as
-for one row.
+for one row. The prefix sums of y_obs^2 raise ValueError when they overflow a
+double, so no residual rule returns a level past D.
 """
 
 from __future__ import annotations
@@ -112,11 +113,15 @@ class NoisyObservation:
     def prefix_sq(self) -> np.ndarray:
         """S with S[..., k] = sum of y_obs_j^2 over j <= k, S[..., 0] = 0; read-only.
 
-        Each row is nondecreasing. Shared by every residual and comparison
-        rule. Built on first use and memoised, which is valid because `y_obs`
-        is read-only.
+        Each row is nondecreasing, so its last entry bounds all others: the
+        sums raise ValueError when that entry overflows, instead of giving
+        levels past D. Shared by every residual rule. Built on first use and
+        memoised, which is valid because `y_obs` is read-only.
         """
-        S = _prefix_sq(self.y_obs)
+        with np.errstate(over="ignore"):
+            S = _prefix_sq(self.y_obs)
+        if not (S.T[-1] < math.inf).all():  # a sum of squares is finite when below inf
+            raise ValueError(f"sums of y_obs^2 overflow (D={self.size}, delta={self.delta})")
         S.flags.writeable = False
         return S
 

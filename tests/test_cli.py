@@ -128,19 +128,44 @@ def test_bench_tables_are_byte_identical_to_reference(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_balancing_sums_fail_without_tables(tmp_path, capsys):
     out = tmp_path / "never"
-    for command in ("bench", "single"):
-        for size, delta in (("709", "1"), ("300", "1e100")):
-            capsys.readouterr()
-            assert cli.main([
-                command, "--problem", "synthetic-exp", "--size", size, "--replicates", "2",
-                "--deltas", delta, "--out", str(out),
-            ]) == 1
-            captured = capsys.readouterr()
-            assert "overflow" in captured.err and "Traceback" not in captured.err
-            assert captured.out == "" and not out.exists()
+    exp = ["--problem", "synthetic-exp", "--replicates", "2", "--out", str(out)]
+    for command, size, delta in (
+        ("bench", "709", "1"), ("bench", "300", "1e100"), ("single", "300", "1e100"),
+    ):
+        capsys.readouterr()
+        assert cli.main([command, "--size", size, "--deltas", delta] + exp) == 1
+        captured = capsys.readouterr()
+        # one error line: no traceback, and no numpy overflow warning before it
+        assert captured.err.startswith(f"error: {command}: balancing sums overflow")
+        assert captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+    # single's one replicate (the default seed) has finite sums of (y_obs/sigma)^2;
+    # only the threshold overflows, which admits every level
+    assert cli.main(["single", "--size", "709", "--deltas", "1"] + exp) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "  bal  k=0 " in captured.out
+    assert json.loads((out / "single.json").read_text())["k_by_rule"]["bal"] == 0
+
+
+def test_overflowing_factors_and_data(tmp_path, capsys):
+    small = ["bench", "--problem", "synthetic-poly", "--size", "16", "--replicates", "2"]
+    # a threshold factor whose square overflows gives the exact level 0
+    for factor, zero_rules in ((["--kappa", "1e200"], {"bal"}), (["--tau", "1e200"], {"dp", "com"})):
+        out = tmp_path / factor[0].strip("-")
+        assert cli.main(small + ["--deltas", "1e-2", "--out", str(out)] + factor) == 0
+        assert capsys.readouterr().err == ""
+        lines = [ln for ln in (out / "ks.csv").read_text().splitlines() if ln[0] != "#"]
+        assert lines[0] == cli.KS_HEADER
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert {rule for _, rule, mean_k, std_k in rows if mean_k == std_k == "0.0"} == zero_rules
+    # data whose squared sums overflow are rejected, not given levels past D
+    out = tmp_path / "never"
+    assert cli.main(small + ["--deltas", "1e160", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: bench: sums of y_obs^2 overflow (D=16, delta=1e+160)\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_single_trace(tmp_path, capsys):
@@ -157,9 +182,31 @@ def test_single_trace(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "dp" in printed and "m_max" in printed
     payload = json.loads((out / "single.json").read_text())
-    assert len(payload["trace"]) == 32  # per-m trace spans the full cap
+    assert len(payload["trace"]) == 32  # per-m trace spans the full resolution
     assert set(payload["k_by_rule"]) == {"dp", "bal", "es", "com", "opt", "pr", "st"}
     assert payload["det_weak"] <= payload["det_strong"]
+
+
+# SHA-256 of the stdout and single.json of the run below; tau_min > 1 puts the
+# stopping level (m_max = 4) below the sequential rule's level (es = 5).
+SINGLE_ARGS = [
+    "single", "--problem", "synthetic-poly", "--size", "64", "--deltas", "1e-2",
+    "--seed", "7", "--tau-min", "1.2",
+]
+SINGLE_DIGESTS = {
+    "stdout": "93ee8011b33c29faad0f3434dbe0959d376c672e53960cf040e2623cb937edb3",
+    "single.json": "afcadd9d014e9b0605fdefe7d816e60937dfc57a348661238a12b7fb15d26a5b",
+}
+
+
+def test_single_output_is_byte_identical_to_reference(tmp_path, capsys):
+    out = tmp_path / "pin"
+    assert cli.main(SINGLE_ARGS + ["--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "m_max (inner threshold 1.2): 4\n" in printed and "  es   k=5 " in printed
+    assert hashlib.sha256(printed.encode()).hexdigest() == SINGLE_DIGESTS["stdout"]
+    digest = hashlib.sha256((out / "single.json").read_bytes()).hexdigest()
+    assert digest == SINGLE_DIGESTS["single.json"]
 
 
 def test_single_is_stable(tmp_path):

@@ -268,7 +268,7 @@ def example1_frequency_loop(kappa, delta, replicates, seed):
     hits = 0
     for z in z_all:
         obs = NoisyObservation(delta * z, np.zeros(D), z, delta, seed)
-        k = balancing(p, obs, kappa, D)
+        k = balancing(p, obs, kappa)
         hits += float(np.sum((obs.y_obs[:k] / p.sigma[:k]) ** 2)) >= 1.0
     return hits / replicates
 
@@ -331,10 +331,10 @@ def literal_levels_and_profiles(p, obs, cfg):
     weak = noise + suffix_sum(obs.y_clean**2)
     amplified = accumulate(((obs.y_obs - obs.y_clean) / p.sigma) ** 2)
     ks = {
-        "dp": dp_modified(fresh(obs), cfg.tau).k,
+        "dp": dp_modified(fresh(obs), cfg.tau),
         "bal": balancing(p, fresh(obs), cfg.kappa),
         "es": early_stop(fresh(obs)),
-        "com": combined(fresh(obs), cfg.tau, cfg.tau_min).k,
+        "com": combined(fresh(obs), cfg.tau, cfg.tau_min),
         "opt": int(np.argmin(strong)),
         "pr": int(np.argmax(noise >= suffix_sum(obs.y_clean**2))),
         "st": int(np.argmax(amplified >= suffix_sum(p.x_true**2))),
@@ -423,9 +423,10 @@ def test_memoised_sums_are_keyed_and_read_only():
     for seed in (3, [3, 4, 5]):
         obs = observe(p, 1e-2, NoiseModel(), seed)
         dp_modified(obs, 1.5)
-        got, want = combined(obs, 2.0, 1.2, 90), combined(fresh(obs), 2.0, 1.2, 90)
-        assert np.array_equal(got.k, want.k) and np.array_equal(got.m_max, want.m_max)
-        assert np.array_equal(dp_modified(obs, 2.0, 60).k, dp_modified(fresh(obs), 2.0, 60).k)
+        # the thresholds memoised for tau = 1.5 are not read for tau = 2.0
+        assert np.array_equal(combined(obs, 2.0, 1.2), combined(fresh(obs), 2.0, 1.2))
+        assert np.array_equal(early_stop(obs, tau=1.2), early_stop(fresh(obs), tau=1.2))
+        assert np.array_equal(dp_modified(obs, 2.0), dp_modified(fresh(obs), 2.0))
         strong = strong_error_sq_profile(p, obs)
         assert strong_error_sq_profile(p, obs) is strong
         # keyed by the problem's identity: an equal-shaped problem gets its own profile
@@ -435,7 +436,7 @@ def test_memoised_sums_are_keyed_and_read_only():
         )
         memoised = (
             obs.prefix_sq, obs.noise_prefix_sq, obs.clean_tail, strong,
-            _dp_thresholds(obs, 1.5, p.size), _dp_thresholds(obs, 2.0, 60), p.y_clean,
+            _dp_thresholds(obs, 1.5), _dp_thresholds(obs, 2.0), p.y_clean,
         )
         for arr in memoised:
             with pytest.raises(ValueError):

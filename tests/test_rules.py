@@ -16,7 +16,6 @@ from speccut.rules import (
     dp_modified,
     early_stop,
     empirical_sup_deviation,
-    lepski_direct,
     oracle_opt,
     oracle_strong,
     oracle_weak,
@@ -47,6 +46,12 @@ def unit_problem(D):
 def random_instance(rng, D, delta=0.1, s=1.0, q=2.0):
     p = build_synthetic(D, "poly", q=q, truth_power=s)
     return p, observe(p, delta, GAUSS, int(rng.integers(0, 2**32)))
+
+
+def first_coefficients(p, obs, m):
+    """The problem and observation cut to their first m coefficients (a resolution m <= D)."""
+    cut = NoisyObservation(obs.y_obs[..., :m], obs.y_clean[:m], obs.z[..., :m], obs.delta, obs.seed)
+    return SpectralProblem(p.name, p.sigma[:m], p.x_true[:m]), cut
 
 
 # --------------------------------------------------------------------------
@@ -90,9 +95,10 @@ def scan_balancing(sigma, y, delta, kappa, m_cap):
     raise AssertionError("unreachable")
 
 
-def scan_early_stop(y, delta, D_used):
-    for k in range(0, D_used + 1):
-        if math.sqrt(sum(float(v) ** 2 for v in y[k:D_used])) <= math.sqrt(D_used) * delta:
+def scan_early_stop(y, delta, tau=1.0):
+    D = len(y)
+    for k in range(0, D + 1):
+        if math.sqrt(sum(float(v) ** 2 for v in y[k:])) <= tau * math.sqrt(D) * delta:
             return k
     raise AssertionError("unreachable")
 
@@ -112,23 +118,23 @@ def test_dp_at_m_examples():
 
 
 def test_dp_modified_examples():
-    assert dp_modified(direct_obs(np.zeros(4)), 1.5).k == 0
-    res = dp_modified(direct_obs([2.0, 2.0, 2.0, 2.0]), 1.5, keep_trace=True)
-    assert list(res.trace) == [1, 1, 2, 2] and res.k == 2
-    res = dp_modified(direct_obs([4.0, 0.0, 0.0, 0.0]), 1.5, keep_trace=True)
-    assert list(res.trace) == [1, 1, 1, 1] and res.k == 1
-    assert dp_modified(direct_obs([1.0, 1.0]), 1.5, m_cap=1).k == dp_at_m(
-        direct_obs([1.0, 1.0]), 1.5, 1
-    )
+    assert dp_modified(direct_obs(np.zeros(4)), 1.5) == 0
+    obs = direct_obs([2.0, 2.0, 2.0, 2.0])
+    assert [dp_at_m(obs, 1.5, m) for m in range(1, 5)] == [1, 1, 2, 2]
+    assert dp_modified(obs, 1.5) == 2
+    obs = direct_obs([4.0, 0.0, 0.0, 0.0])
+    assert [dp_at_m(obs, 1.5, m) for m in range(1, 5)] == [1, 1, 1, 1]
+    assert dp_modified(obs, 1.5) == 1
+    # a resolution of one coefficient is the observation's first coefficient
+    assert dp_modified(direct_obs([1.0]), 1.5) == dp_at_m(direct_obs([1.0, 1.0]), 1.5, 1)
 
 
 def test_lepski_examples():
-    assert lepski_direct(direct_obs(np.zeros(5)), 1.5) == 0
-    assert lepski_direct(direct_obs([4.0, 0.0, 0.0, 0.0]), 1.5) == 1
+    # Lepski's rule is the balancing rule with unit singular values
+    assert balancing(unit_problem(5), direct_obs(np.zeros(5)), 1.5) == 0
+    assert balancing(unit_problem(4), direct_obs([4.0, 0.0, 0.0, 0.0]), 1.5) == 1
     with pytest.raises(ValueError):
-        lepski_direct(direct_obs([1.0]), 1.5, sigma=np.array([2.0]))
-    with pytest.raises(ValueError):
-        lepski_direct(direct_obs([1.0]), 1.0)
+        balancing(unit_problem(1), direct_obs([1.0]), 1.0)
 
 
 def test_balancing_examples():
@@ -148,10 +154,9 @@ def test_balancing_exponential_spectrum_late_stop():
     z = np.zeros(D)
     z[m_crit - 1] = 10.0
     obs = NoisyObservation(delta * z, np.zeros(D), z, delta, 0)
-    assert balancing(p, obs, 4.0, D) >= m_crit
+    assert balancing(p, obs, 4.0) >= m_crit
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_balancing_rejects_overflowing_sums():
     # exponential spectra where the sum of (y_obs/sigma)^2 to D, or the threshold
     # (kappa delta)^2 sum sigma^-2, is not a finite double
@@ -165,24 +170,69 @@ def test_balancing_rejects_overflowing_sums():
                 select_all(p, obs, RuleConfig())
 
 
+def test_balancing_threshold_overflow_admits_every_level():
+    # the sum of (y_obs/sigma)^2 is finite (about 2.6e290), only the threshold
+    # (kappa delta)^2 sum sigma^-2 overflows: it admits every level, so k = 0
+    p = build_synthetic(300, "exp", truth_power=1.0)
+    obs = observe(p, 1e80, GAUSS, 1)
+    assert math.isfinite(float(np.sum((obs.y_obs / p.sigma) ** 2)))
+    assert balancing(p, obs, 1e10) == 0
+    assert np.array_equal(balancing(p, observe(p, 1e80, GAUSS, [1, 2]), 1e10), [0, 0])
+    # the same data scaled by an exact power of two, where nothing overflows
+    c = 2.0**-500
+    small = SpectralProblem(p.name, p.sigma, c * p.x_true)
+    scaled = NoisyObservation(c * obs.y_obs, c * obs.y_clean, obs.z, c * obs.delta, 1)
+    assert balancing(small, scaled, 1e10) == 0
+
+
+def test_overflowing_threshold_factors_give_level_zero():
+    # (factor * delta)^2 overflows a Python float: the threshold is infinite
+    p, obs = random_instance(np.random.default_rng(8), 16, delta=1e-2)
+    for o in (obs, observe(p, 1e-2, GAUSS, [1, 2, 3])):
+        for level in (
+            dp_modified(o, 1e200), dp_at_m(o, 1e200, 16), combined(o, 1e200),
+            early_stop(o, tau=1e200), balancing(p, o, 1e200),
+        ):
+            assert np.all(level == 0)
+    # delta^2 = 1e320 overflows too: one level of variance outweighs any bias
+    assert det_weak(p, 1e160) == det_strong(p, 1e160) == 1
+
+
+def test_residual_rules_reject_overflowing_data():
+    # the prefix sums of y_obs^2 overflow: no level past D is returned
+    p = make_problem(ProblemSpec("direct", 5000))
+    for seed in (3, [3, 4]):
+        obs = observe(p, 1e153, GAUSS, seed)
+        for call in (
+            lambda: dp_modified(obs, 1.5), lambda: early_stop(obs), lambda: combined(obs, 1.5),
+            lambda: dp_at_m(obs, 1.5, 5000), lambda: select_all(p, obs, RuleConfig()),
+        ):
+            with pytest.raises(ValueError, match="overflow"):
+                call()
+
+
 def test_early_stop_examples():
     assert early_stop(direct_obs(np.zeros(6))) == 0
     assert early_stop(direct_obs([4.0, 0.0, 0.0, 0.0])) == 1
-    with pytest.raises(ValueError):
+    assert early_stop(direct_obs([4.0, 0.0, 0.0, 0.0]), tau=2.0) == 0  # boundary inclusive
+    with pytest.raises(TypeError):  # the threshold factor is keyword-only
         early_stop(direct_obs([1.0, 1.0]), 3)
+    for bad in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            early_stop(direct_obs([1.0, 1.0]), tau=bad)
 
 
 def test_combined_examples():
     zeros = direct_obs(np.zeros(5))
-    res = combined(zeros, 1.5)
-    assert res.k == 0 and res.m_max == 0
+    assert combined(zeros, 1.5) == 0 and early_stop(zeros) == 0
     rng = np.random.default_rng(4)
     for _ in range(20):
         y = rng.standard_normal(30)
         obs = direct_obs(y, 0.5)
-        res = combined(obs, 1.5, 1.0)
-        assert res.m_max == early_stop(obs)
-        assert res.k <= dp_modified(obs, 1.5).k
+        m_max = early_stop(obs, tau=1.0)
+        trace = [dp_at_m(obs, 1.5, m) for m in range(1, m_max + 1)]
+        assert combined(obs, 1.5, 1.0) == max(trace, default=0)
+        assert combined(obs, 1.5, 1.0) <= dp_modified(obs, 1.5)
     with pytest.raises(ValueError):
         combined(zeros, 1.5, 1.5)
     with pytest.raises(ValueError):
@@ -319,7 +369,7 @@ def test_dp_modified_equals_scan():
         delta = float(10.0 ** rng.uniform(-2, 0))
         tau = float(rng.uniform(1.05, 3.0))
         y = rng.standard_normal(D) * float(10.0 ** rng.uniform(-1, 1))
-        assert dp_modified(direct_obs(y, delta), tau).k == scan_dp_modified(y, delta, tau, D)
+        assert dp_modified(direct_obs(y, delta), tau) == scan_dp_modified(y, delta, tau, D)
 
 
 def test_dp_at_m_equals_scan():
@@ -338,7 +388,7 @@ def test_lepski_equals_scan():
         D = int(rng.integers(2, 25))
         delta = float(10.0 ** rng.uniform(-2, 0))
         y = rng.standard_normal(D)
-        assert lepski_direct(direct_obs(y, delta), 1.5) == scan_lepski(y, delta, 1.5)
+        assert balancing(unit_problem(D), direct_obs(y, delta), 1.5) == scan_lepski(y, delta, 1.5)
 
 
 def test_lepski_coincides_with_dp_in_direct_case():
@@ -349,7 +399,7 @@ def test_lepski_coincides_with_dp_in_direct_case():
         fudge = float(rng.uniform(1.05, 3.0))
         y = rng.standard_normal(D)
         obs = direct_obs(y, delta)
-        assert lepski_direct(obs, fudge) == dp_modified(obs, fudge, D).k
+        assert balancing(make_problem(ProblemSpec("direct", D)), obs, fudge) == dp_modified(obs, fudge)
 
 
 def test_balancing_equals_scan():
@@ -358,7 +408,7 @@ def test_balancing_equals_scan():
         D = int(rng.integers(2, 20))
         p = build_synthetic(D, "poly", q=float(rng.uniform(0.5, 2.5)), truth_power=1.0)
         obs = observe(p, float(10.0 ** rng.uniform(-2, 0)), GAUSS, int(rng.integers(1e6)))
-        assert balancing(p, obs, 2.0, D) == scan_balancing(p.sigma, obs.y_obs, obs.delta, 2.0, D)
+        assert balancing(p, obs, 2.0) == scan_balancing(p.sigma, obs.y_obs, obs.delta, 2.0, D)
 
 
 def test_early_stop_equals_scan():
@@ -367,30 +417,35 @@ def test_early_stop_equals_scan():
         D = int(rng.integers(2, 33))
         D_used = int(rng.integers(1, D + 1))
         delta = float(10.0 ** rng.uniform(-1.5, 0))
-        y = rng.standard_normal(D)
-        assert early_stop(direct_obs(y, delta), D_used) == scan_early_stop(y, delta, D_used)
+        y = rng.standard_normal(D)[:D_used]  # a resolution D_used <= D
+        assert early_stop(direct_obs(y, delta)) == scan_early_stop(y, delta)
+        tau = float(rng.uniform(1.0, 3.0))
+        assert early_stop(direct_obs(y, delta), tau=tau) == scan_early_stop(y, delta, tau)
 
 
 def test_dp_at_m_never_exceeds_m_and_modified_dominates():
     rng = np.random.default_rng(61)
     y = rng.standard_normal(64)
     obs = direct_obs(y, 0.3)
-    res = dp_modified(obs, 1.5, keep_trace=True)
+    trace = [dp_at_m(obs, 1.5, m) for m in range(1, 65)]
+    k = dp_modified(obs, 1.5)
     for m in range(1, 65):
-        assert res.trace[m - 1] <= m
-        assert res.k >= res.trace[m - 1]
+        assert trace[m - 1] <= m
+        assert k >= trace[m - 1]
+    assert k == max(trace)
 
 
 def test_selectors_scale_invariant():
     rng = np.random.default_rng(67)
     for _ in range(20):
         p, obs = random_instance(rng, 48, delta=float(10.0 ** rng.uniform(-3, -1)))
+        unit = unit_problem(48)
         base = (
-            dp_modified(obs, 1.5).k,
-            lepski_direct(obs, 1.5),
+            dp_modified(obs, 1.5),
+            balancing(unit, obs, 1.5),
             balancing(p, obs, 4.0),
             early_stop(obs),
-            combined(obs, 1.5).k,
+            combined(obs, 1.5),
             oracle_weak(p, obs),
             oracle_strong(p, obs),
         )
@@ -401,11 +456,11 @@ def test_selectors_scale_invariant():
                 y_clean + (c * obs.delta) * obs.z, y_clean, obs.z, c * obs.delta, obs.seed
             )
             scaled = (
-                dp_modified(obs2, 1.5).k,
-                lepski_direct(obs2, 1.5),
+                dp_modified(obs2, 1.5),
+                balancing(unit, obs2, 1.5),
                 balancing(p2, obs2, 4.0),
                 early_stop(obs2),
-                combined(obs2, 1.5).k,
+                combined(obs2, 1.5),
                 oracle_weak(p2, obs2),
                 oracle_strong(p2, obs2),
             )
@@ -413,10 +468,12 @@ def test_selectors_scale_invariant():
 
 
 def test_single_search_equals_max_of_per_m_trace():
-    # dp and com search once, at the largest threshold; the per-m trace searches
-    # every m. Levels must agree exactly, also where the thresholds underflow
-    # the rounding of the prefix sums (tiny delta), and whether or not the
-    # observation's memoised sums were built by another rule first.
+    # dp and com search once, at the largest threshold; the per-m trace calls
+    # dp_at_m for every m. Levels must agree exactly, also where the thresholds
+    # underflow the rounding of the prefix sums (tiny delta), and whether or not
+    # the observation's memoised sums were built by another rule first. Each
+    # rule runs at the full resolution D and at a resolution m_cap < D (the
+    # first m_cap coefficients).
     rng = np.random.default_rng(73)
     for i in range(240):
         D = int(rng.integers(2, 513))
@@ -432,24 +489,30 @@ def test_single_search_equals_max_of_per_m_trace():
         m_cap = int(rng.integers(1, D))
         seed = int(rng.integers(0, 2**32))
         rules = {
-            "dp": lambda o: dp_modified(o, tau, m_cap).k,
-            "dp_at_m": lambda o: dp_at_m(o, tau, m_cap),
-            "lepski": lambda o: lepski_direct(o, kappa),
-            "bal": lambda o: balancing(p, o, kappa, m_cap),
-            "es": lambda o: early_stop(o, m_cap),
-            "com": lambda o: combined(o, tau, tau_min, m_cap).k,
-            "opt": lambda o: oracle_opt(p, o),
-            "pr": lambda o: oracle_weak(p, o),
-            "st": lambda o: oracle_strong(p, o),
+            "dp": lambda q, o: dp_modified(o, tau),
+            "dp_at_m": lambda q, o: dp_at_m(o, tau, o.size),
+            "lepski": lambda q, o: balancing(unit_problem(o.size), o, kappa),
+            "bal": lambda q, o: balancing(q, o, kappa),
+            "es": lambda q, o: early_stop(o),
+            "m_max": lambda q, o: early_stop(o, tau=tau_min),
+            "com": lambda q, o: combined(o, tau, tau_min),
+            "opt": lambda q, o: oracle_opt(q, o),
+            "pr": lambda q, o: oracle_weak(q, o),
+            "st": lambda q, o: oracle_strong(q, o),
         }
         obs = observe(p, delta, GAUSS, seed)
-        trace = dp_modified(obs, tau, m_cap, keep_trace=True).trace
-        assert dp_modified(obs, tau, m_cap).k == trace.max()
-        com = combined(obs, tau, tau_min, m_cap)
-        assert com.k == (trace[: com.m_max].max() if com.m_max else 0)
-        for name, rule in rules.items():
-            fresh = observe(p, delta, GAUSS, seed)  # this rule builds the sums it reads
-            assert rule(fresh) == rule(obs), (i, name)
+        trace = [dp_at_m(obs, tau, m) for m in range(1, D + 1)]
+        for n in (D, m_cap):
+            q, cut = first_coefficients(p, obs, n)
+            # a shorter resolution's trace is the prefix of the full one
+            assert [dp_at_m(cut, tau, m) for m in range(1, n + 1)] == trace[:n]
+            assert dp_modified(cut, tau) == max(trace[:n])
+            m_max = early_stop(cut, tau=tau_min)
+            assert combined(cut, tau, tau_min) == max(trace[:m_max], default=0)
+            for name, rule in rules.items():
+                # this rule builds the sums it reads
+                fresh = first_coefficients(p, observe(p, delta, GAUSS, seed), n)
+                assert rule(*fresh) == rule(q, cut), (i, n, name)
 
 
 def test_rule_config_validation():
@@ -469,7 +532,7 @@ def test_rules_reject_non_finite_parameters():
     for call in (
         lambda x: dp_at_m(obs, x, 4),
         lambda x: dp_modified(obs, x),
-        lambda x: lepski_direct(obs, x),
+        lambda x: early_stop(obs, tau=x),
         lambda x: balancing(p, obs, x),
         lambda x: combined(obs, x),
         lambda x: combined(obs, 1.5, x),
@@ -499,7 +562,8 @@ def test_select_all_returns_every_rule():
 
 def test_row_block_equals_scalar_rule_per_row():
     # Every rule and both profiles on an (R, D) block must equal the one-row
-    # call on each row, bit for bit. Some blocks rescale single rows by 1e-8 or
+    # call on each row, bit for bit. The residual and comparison rules run on
+    # the first m_cap coefficients. Some blocks rescale single rows by 1e-8 or
     # 1e8, so one block mixes rows that stop at 0 with rows saturated at m_cap.
     rng = np.random.default_rng(4242)
     phillips = make_problem(ProblemSpec("phillips", 40))
@@ -535,14 +599,15 @@ def test_row_block_equals_scalar_rule_per_row():
                 for r in range(R)
             ]
         cfg = RuleConfig(tau=tau, kappa=kappa, tau_min=tau_min)
+        unit = unit_problem(D)
         rules = {
-            "dp": lambda o: dp_modified(o, tau, m_cap).k,
+            "dp": lambda o: dp_modified(first_coefficients(p, o, m_cap)[1], tau),
             "dp_at_m": lambda o: dp_at_m(o, tau, m),
-            "lepski": lambda o: lepski_direct(o, kappa),
-            "bal": lambda o: balancing(p, o, kappa, m_cap),
-            "es": lambda o: early_stop(o, m_cap),
-            "com": lambda o: combined(o, tau, tau_min, m_cap).k,
-            "m_max": lambda o: combined(o, tau, tau_min, m_cap).m_max,
+            "lepski": lambda o: balancing(unit, o, kappa),
+            "bal": lambda o: balancing(*first_coefficients(p, o, m_cap), kappa),
+            "es": lambda o: early_stop(first_coefficients(p, o, m_cap)[1]),
+            "com": lambda o: combined(first_coefficients(p, o, m_cap)[1], tau, tau_min),
+            "m_max": lambda o: early_stop(first_coefficients(p, o, m_cap)[1], tau=tau_min),
             "opt": lambda o: oracle_opt(p, o),
             "pr": lambda o: oracle_weak(p, o),
             "st": lambda o: oracle_strong(p, o),
@@ -571,8 +636,6 @@ def test_block_observation_shapes():
     block = observe(p, 0.1, GAUSS, range(3))
     assert block.y_obs.shape == block.z.shape == (3, 8) and block.y_clean.shape == (8,)
     assert block.size == 8 and block.prefix_sq.shape == (3, 9)
-    with pytest.raises(ValueError):
-        dp_modified(block, 1.5, keep_trace=True)
     with pytest.raises(ValueError):  # y_clean must be one row
         NoisyObservation(block.y_obs, block.z, block.z, 0.1, (0, 1, 2))
     with pytest.raises(ValueError):
