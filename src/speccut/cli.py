@@ -94,6 +94,7 @@ def check_lepski_dp_identity(
         obs = observe(p, delta, model, range(seed + lo, seed + hi))
         same = balancing(p, obs, fudge) == dp_modified(obs, fudge)
         agree += int(np.count_nonzero(same))
+        del obs  # release this block's memoised sums before drawing the next
     return CheckResult(
         "lepski_dp_identity",
         agree == instances,
@@ -184,6 +185,7 @@ def check_oracle_inequalities(
     for lo, hi in _row_blocks(replicates, D + 1):
         obs = observe(p, delta, model, range(seed + lo, seed + hi))
         bad += int(np.count_nonzero(~_oracle_orderings_hold(p, obs, cfg)))
+        del obs  # release this block's memoised sums before drawing the next
     return CheckResult(
         "oracle_orderings", bad == 0, f"{bad}/{replicates} replicates violated an exact inequality"
     )
@@ -266,9 +268,13 @@ def check_moment_bounds(replicates: int = 10000, seed: int = 8128) -> CheckResul
     rng = np.random.default_rng(seed)
     details = []
     ok = True
+    dev = np.empty(replicates)
     for kappa in (10, 100, 1000):
-        z = rng.standard_normal((replicates, kappa))
-        est = float(np.mean(np.abs(np.mean(z * z - 1.0, axis=1))))
+        # consecutive draws continue one stream: the blocks tile one (replicates, kappa) sample
+        for lo, hi in _row_blocks(replicates, kappa):
+            z = rng.standard_normal((hi - lo, kappa))
+            dev[lo:hi] = np.mean(z * z - 1.0, axis=1)
+        est = float(np.mean(np.abs(dev)))
         bound = math.sqrt(8.0 / kappa)
         ok = ok and est <= 1.05 * bound
         details.append(f"kappa={kappa}: {est:.4f} <= {bound:.4f}")

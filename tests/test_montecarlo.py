@@ -1,9 +1,12 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from speccut import montecarlo, problems, rules, sequence_model
+from speccut.cli import check_moment_bounds
 from speccut.montecarlo import (
     BoxplotStats,
     ExperimentConfig,
@@ -273,6 +276,25 @@ def example1_frequency_loop(kappa, delta, replicates, seed):
     return hits / replicates
 
 
+def moment_bounds_literal(replicates, seed):
+    """The moment check's detail line, from whole (replicates, kappa) samples."""
+    rng = np.random.default_rng(seed)
+    details = []
+    for kappa in (10, 100, 1000):
+        z = rng.standard_normal((replicates, kappa))
+        est = float(np.mean(np.abs(np.mean(z * z - 1.0, axis=1))))
+        details.append(f"kappa={kappa}: {est:.4f} <= {math.sqrt(8.0 / kappa):.4f}")
+    emp, bound = sup_deviation_literal(seed)
+    details.append(f"sup-deviation: P={emp:.3f} <= bound {bound:.3f}")
+    return "; ".join(details)
+
+
+@functools.cache
+def sup_deviation_literal(seed):
+    """The moment check's maximal-inequality part; it does not depend on the replicate count."""
+    return prop2_check_loop(NoiseModel(), 10000, 100, 1.0 / 3.0, 1000, seed)
+
+
 def prop2_check_loop(model, D, kappa_idx, epsilon, replicates, seed):
     seeds = np.random.SeedSequence(seed).generate_state(replicates, dtype=np.uint64)
     exceed = 0
@@ -304,6 +326,29 @@ def test_row_block_loops_equal_per_replicate_loops(monkeypatch, rows_per_block):
             assert prop2_check(model, D, kappa_idx, epsilon, 61, seed) == (
                 prop2_check_loop(model, D, kappa_idx, epsilon, 61, seed)
             )
+    # 7-row blocks at kappa = 10; one-row blocks at kappa = 100, 1000 and in the sup-deviation part
+    if rows_per_block:
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", rows_per_block * 10)
+    for replicates in (1, 50, 61):
+        assert check_moment_bounds(replicates, seed=8128).detail == (
+            moment_bounds_literal(replicates, seed=8128)
+        )
+
+
+def test_verify_loops_hold_a_few_blocks_at_a_time():
+    # numpy reports its array allocations to tracemalloc; 8 float64 blocks are 16 MiB
+    bound = 8 * 8 * montecarlo._BLOCK_ELEMENTS
+    for run in (
+        lambda: check_moment_bounds(replicates=10000),  # 76 MiB per sample at kappa = 1000
+        lambda: example1_frequency(1.05, 1e-3, 100000, 6174),  # 18 MiB of rows
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 # --------------------------------------------------------------------------
