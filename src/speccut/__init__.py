@@ -11,6 +11,7 @@ from .montecarlo import (
     BoxplotStats,
     ExperimentConfig,
     ExperimentSummary,
+    ReplicateColumns,
     ReplicateRecord,
     boxplot_stats,
     counterexample_tail_prob,

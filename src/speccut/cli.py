@@ -94,7 +94,6 @@ def check_lepski_dp_identity(
         obs = observe(p, delta, model, range(seed + lo, seed + hi))
         same = balancing(p, obs, fudge) == dp_modified(obs, fudge)
         agree += int(np.count_nonzero(same))
-        del obs  # release this block's memoised sums before drawing the next
     return CheckResult(
         "lepski_dp_identity",
         agree == instances,
@@ -185,7 +184,6 @@ def check_oracle_inequalities(
     for lo, hi in _row_blocks(replicates, D + 1):
         obs = observe(p, delta, model, range(seed + lo, seed + hi))
         bad += int(np.count_nonzero(~_oracle_orderings_hold(p, obs, cfg)))
-        del obs  # release this block's memoised sums before drawing the next
     return CheckResult(
         "oracle_orderings", bad == 0, f"{bad}/{replicates} replicates violated an exact inequality"
     )
@@ -233,10 +231,8 @@ def check_cor1_efficiency(
         ProblemSpec("synthetic-poly", D, q=2.0, truth_power=1.0), deltas=(delta,),
         rules=RuleConfig(tau=tau), replicates=replicates, base_seed=seed,
     )
-    records = run_experiment(cfg)
-    ratios = np.array(
-        [r.e_strong_by_rule["dp"] / r.e_strong_by_rule["opt"] for r in records]
-    )
+    e_strong = run_experiment(cfg).e_strong_by_rule
+    ratios = e_strong[RULE_NAMES.index("dp")] / e_strong[RULE_NAMES.index("opt")]
     c_cor = constants(tau, q=2.0, c_q=1.0, C_q=1.0).c_tau_cor
     med = float(np.median(ratios))
     p95 = float(np.percentile(ratios, 95.0))

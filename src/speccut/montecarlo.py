@@ -1,27 +1,28 @@
 """Seeded replication harness: benchmark statistics and empirical guarantee checks.
 
 `run_experiment` draws independent noise realizations for every (noise level,
-replicate) pair, runs all selection rules on each, and records levels and
-errors. Replicate seeds are derived from the base seed with a splittable seed
-sequence keyed by (noise-level index, replicate index), so any subset of the
-grid can be reproduced independently and reruns are bit-identical.
-
-`summarize` reduces the records to the tabular statistics (sample mean, sample
-standard deviation with the n-1 denominator, reported as 0 for a single
-sample) plus boxplot statistics of the sequential rule's level per noise
-level. `theorem_frequency`, `example1_frequency` and `prop2_check` measure how
-often the probabilistic guarantees and the exponential-spectrum failure mode
+replicate) pair, runs all selection rules on each, and copies each
+replicate's record into preallocated columns (`ReplicateColumns`). Replicate
+seeds are derived from the base seed with a splittable seed sequence keyed by
+(noise-level index, replicate index), so any subset of the grid can be
+reproduced independently and reruns are bit-identical. `summarize` reduces
+the columns to the tabular statistics (sample mean, sample standard deviation
+with the n-1 denominator, reported as 0 for a single sample) plus boxplot
+statistics of the sequential rule's level per noise level.
+`theorem_frequency`, `example1_frequency` and `prop2_check` measure how often
+the probabilistic guarantees and the exponential-spectrum failure mode
 actually occur. The last two draw, evaluate and reduce their replicates one
-row block at a time (see `_row_blocks`), as does every other replicate loop of
-`speccut verify`, so their memory stays bounded for any replicate count and
-the battery's peak resident set (about 110 MB) is the dense factorization of
-phillips at D = 1024. `run_experiment` evaluates one replicate at a time.
+row block at a time (see `_row_blocks`), as does every other replicate loop
+of `speccut verify`, so their memory stays bounded for any replicate count
+and the battery's peak resident set (about 110 MB) is the dense
+factorization of phillips at D = 1024.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import islice
 
 import numpy as np
 
@@ -97,6 +98,60 @@ class ReplicateRecord:
     sat_term: float
 
 
+@dataclass(frozen=True, eq=False)
+class ReplicateColumns:
+    """`ReplicateRecord`s stored column by column, under the records' field names.
+
+    Per-rule fields are (rule, replicate) arrays in `RULE_NAMES` order, the
+    others (replicate,) arrays. An int index, or iteration, gives the records
+    back; a slice, mask or index array gives the columns of those replicates.
+    `stack` passes columns through and copies anything else, so every
+    reduction reads columns.
+    """
+
+    delta: np.ndarray
+    seed: np.ndarray  # uint64
+    k_by_rule: np.ndarray  # int64
+    e_strong_by_rule: np.ndarray
+    e_weak_by_rule: np.ndarray
+    min_e_strong: np.ndarray
+    min_e_weak: np.ndarray
+    sat_term: np.ndarray
+
+    @classmethod
+    def stack(cls, records, n: int | None = None) -> ReplicateColumns:
+        """Copy n records of an iterable (default: all of a sequence) into new columns."""
+        if isinstance(records, cls):
+            return records
+        n, rules = len(records) if n is None else n, len(RULE_NAMES)
+        cols = cls(
+            np.empty(n), np.empty(n, np.uint64), np.empty((rules, n), np.int64),
+            np.empty((rules, n)), np.empty((rules, n)), np.empty(n), np.empty(n), np.empty(n),
+        )
+        filled = 0
+        for record in islice(records, n):
+            for name, value in vars(record).items():
+                if isinstance(value, dict):
+                    value = [value[rule] for rule in RULE_NAMES]
+                getattr(cols, name)[..., filled] = value
+            filled += 1
+        if filled < n:
+            raise ValueError(f"expected {n} records, got {filled}")
+        return cols
+
+    def __len__(self) -> int:
+        return self.delta.size
+
+    def __getitem__(self, i):
+        columns = [getattr(self, f.name)[..., i] for f in fields(self)]
+        if columns[0].ndim:  # a slice, mask or index array: several replicates
+            return ReplicateColumns(*columns)
+        values = (c.tolist() for c in columns)  # a per-rule column gives a list
+        return ReplicateRecord(
+            *(dict(zip(RULE_NAMES, v)) if isinstance(v, list) else v for v in values)
+        )
+
+
 @dataclass(frozen=True)
 class BoxplotStats:
     """Quartile summary with 1.5 IQR whiskers (linear-interpolation quantiles).
@@ -140,28 +195,22 @@ def evaluate_replicate(
     e_weak = {r: math.sqrt(weak_sq[k]) for r, k in ks.items()}
     lo = max(ks["pr"], 1) - 1  # truth mass over levels pr..st, one-based
     sat = math.sqrt(float(np.sum(p.x_true[lo : ks["st"]] ** 2)))
+    min_e_weak = math.sqrt(float(weak_sq.min()))
+    # min_e_strong is the opt level's error, since strong_sq[argmin] is strong_sq.min()
     return ReplicateRecord(
-        delta=obs.delta,
-        seed=obs.seed,
-        k_by_rule=ks,
-        e_strong_by_rule=e_strong,
-        e_weak_by_rule=e_weak,
-        min_e_strong=math.sqrt(float(strong_sq.min())),
-        min_e_weak=math.sqrt(float(weak_sq.min())),
-        sat_term=sat,
+        obs.delta, obs.seed, ks, e_strong, e_weak, e_strong["opt"], min_e_weak, sat
     )
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[ReplicateRecord]:
+def run_experiment(cfg: ExperimentConfig) -> ReplicateColumns:
     """All replicates of the full noise-level grid, in (delta, replicate) order."""
     p = make_problem(cfg.problem)
-    records = []
-    for di, delta in enumerate(cfg.deltas):
-        for i in range(cfg.replicates):
-            seed = replicate_seed(cfg.base_seed, di, i)
-            obs = observe(p, delta, cfg.noise, seed)
-            records.append(evaluate_replicate(p, obs, cfg.rules))
-    return records
+    seeds = (
+        (delta, replicate_seed(cfg.base_seed, di, i))
+        for di, delta in enumerate(cfg.deltas) for i in range(cfg.replicates)
+    )
+    records = (evaluate_replicate(p, observe(p, d, cfg.noise, s), cfg.rules) for d, s in seeds)
+    return ReplicateColumns.stack(records, len(cfg.deltas) * cfg.replicates)
 
 
 def _mean_std(values: np.ndarray) -> tuple[float, float]:
@@ -190,26 +239,26 @@ def boxplot_stats(samples: np.ndarray) -> BoxplotStats:
     )
 
 
-def summarize(records: list[ReplicateRecord]) -> ExperimentSummary:
+def summarize(records: ReplicateColumns | list[ReplicateRecord]) -> ExperimentSummary:
     """Per-rule, per-noise-level statistics of solution-space errors and levels."""
-    if not records:
+    cols = ReplicateColumns.stack(records)
+    if not len(cols):
         raise ValueError("no records to summarize")
-    deltas = tuple(dict.fromkeys(r.delta for r in records))
-    mean_error, std_error, mean_k, std_k = {}, {}, {}, {}
-    boxes = {}
+    deltas = tuple(dict.fromkeys(cols.delta.tolist()))
+    mean_error, std_error, mean_k, std_k, boxes = {}, {}, {}, {}, {}
     for delta in deltas:
-        group = [r for r in records if r.delta == delta]
-        for rule in RULE_NAMES:
-            errs = np.array([r.e_strong_by_rule[rule] for r in group])
-            ks = np.array([r.k_by_rule[rule] for r in group], dtype=float)
-            mean_error[(delta, rule)], std_error[(delta, rule)] = _mean_std(errs)
-            mean_k[(delta, rule)], std_k[(delta, rule)] = _mean_std(ks)
-        boxes[delta] = boxplot_stats(np.array([r.k_by_rule["es"] for r in group], dtype=float))
+        group = cols.delta == delta
+        errs = cols.e_strong_by_rule[:, group]
+        ks = cols.k_by_rule[:, group].astype(float)
+        for rule, err_row, k_row in zip(RULE_NAMES, errs, ks):
+            mean_error[(delta, rule)], std_error[(delta, rule)] = _mean_std(err_row)
+            mean_k[(delta, rule)], std_k[(delta, rule)] = _mean_std(k_row)
+        boxes[delta] = boxplot_stats(ks[RULE_NAMES.index("es")])
     return ExperimentSummary(deltas, RULE_NAMES, mean_error, std_error, mean_k, std_k, boxes)
 
 
 def theorem_frequency(
-    records: list[ReplicateRecord], which: str, consts: TheoremConstants
+    records: ReplicateColumns | list[ReplicateRecord], which: str, consts: TheoremConstants
 ) -> float:
     """Fraction of records satisfying the requested oracle-inequality event.
 
@@ -218,23 +267,19 @@ def theorem_frequency(
     the saturation term; cor1: strong error within c_tau_cor of best strong
     error.
     """
-    if not records:
+    cols = ReplicateColumns.stack(records)
+    if not len(cols):
         raise ValueError("no records")
+    dp = RULE_NAMES.index("dp")
+    strong, weak = cols.e_strong_by_rule[dp], cols.e_weak_by_rule[dp]
     if which == "thm1":
-        hits = [
-            r.e_weak_by_rule["dp"] <= consts.c_tau_weak * r.min_e_weak for r in records
-        ]
+        hits = weak <= consts.c_tau_weak * cols.min_e_weak
     elif which == "thm2":
-        hits = [
-            r.e_strong_by_rule["dp"] <= consts.c_tau_strong * (r.min_e_strong + r.sat_term)
-            for r in records
-        ]
+        hits = strong <= consts.c_tau_strong * (cols.min_e_strong + cols.sat_term)
     elif which == "cor1":
         if consts.c_tau_cor is None:
             raise ValueError("cor1 frequency needs the polynomial-spectrum constant")
-        hits = [
-            r.e_strong_by_rule["dp"] <= consts.c_tau_cor * r.min_e_strong for r in records
-        ]
+        hits = strong <= consts.c_tau_cor * cols.min_e_strong
     else:
         raise ValueError(f"unknown inequality tag {which!r}")
     return float(np.mean(hits))

@@ -126,9 +126,10 @@ class SpectralProblem:
         Built on first use and memoised, which is valid because `sigma` is
         read-only. A sequential cumulative sum of a prefix equals the prefix
         of this one, so a problem cut to its first m coefficients gets the
-        same bits.
+        same bits. Entries past the largest double are inf.
         """
-        w = np.cumsum(self.sigma ** (-2.0))
+        with np.errstate(over="ignore"):
+            w = np.cumsum(self.sigma ** (-2.0))
         w.flags.writeable = False
         return w
 

@@ -30,26 +30,18 @@ below the row's threshold; since S is nondecreasing those are exactly the
 entries before the first S_k >= T, so the count is the same k. The search is
 nondecreasing in the threshold, so the largest per-m choice over m equals the
 choice for max_m T_m exactly: `dp_modified` and `combined` take the maximum
-threshold and search once, O(D). Entry m of every row is read as `S.T[m]`:
-a float for one row (where `S[..., m]` would make a slower 0-d array), the
-(R,) column of a block. `balancing` compares with a suffix maximum, O(D).
-Each problem memoises the cumulative sum of sigma^(-2)
-(`SpectralProblem.inv_sigma_sq_cumsum`), the tail sums of its squared truth
-(`truth_tail`), its clean data and their tail sums (`y_clean`, `clean_tail`,
-which `observe` hands to every observation). Each observation memoises S
-(`NoisyObservation.prefix_sq`), the prefix sums of its squared noise
-(`noise_prefix_sq`, read by `oracle_weak` and the image-space profile), the
-strong error profile (read by `oracle_opt` and the error records) and, per
-tau, the threshold vector S_m - tau^2 m delta^2 for every m
-(`_dp_thresholds`; `combined` reads the prefix up to its stopping level). One
-replicate therefore builds five cumulative sums (S, the prefix sum of
-(y_obs/sigma)^2 in `balancing`, the noise sum, the strong profile, and the
-amplified-noise sum in `oracle_strong`) and one suffix maximum (`balancing`).
-Callers that evaluate many replicates pass blocks of at most 2^18 entries
-(2 MB of float64) per (R, D) array (`montecarlo._row_blocks`). Every replicate
-loop of `speccut verify` draws, evaluates and reduces one such block at a
-time, so memory stays bounded for any replicate count and the battery's peak
-resident set (about 110 MB) is the dense factorization of phillips at D = 1024.
+threshold and search once, O(D). So does `balancing`, on the prefix sums P
+of (y_obs/sigma)^2: the last m whose threshold g_m is the largest has
+P_m >= g_m, so every level below the search fails at that m. Entry m of
+every row is read as `S.T[m]`: a float for one row (where `S[..., m]` would
+make a slower 0-d array), the (R,) column of a block. Problems and
+observations memoise the sums the rules share (`SpectralProblem`,
+`NoisyObservation`, and per tau the thresholds S_m - tau^2 m delta^2 in
+`_dp_thresholds`), so one replicate builds five cumulative sums (S, the
+prefix sum of (y_obs/sigma)^2 in `balancing`, the noise sum, the strong
+profile, and the amplified-noise sum in `oracle_strong`) and no suffix
+maximum. Callers that evaluate many replicates pass row blocks of at most
+2^18 entries per (R, D) array (`montecarlo._row_blocks`).
 The O(D^2) literal scans survive as test oracles.
 """
 
@@ -232,27 +224,29 @@ def dp_modified(obs: NoisyObservation, tau: float) -> int:
 def balancing(p: SpectralProblem, obs: NoisyObservation, kappa: float) -> int:
     """Comparison rule in solution space with the root-mean variance threshold.
 
-    Smallest k in [0, D] with ||x_m - x_k|| <= kappa delta
-    sqrt(sum_{j<=m} sigma_j^(-2)) for every m in (k, D]; with unit singular
-    values this is Lepski's rule. Raises ValueError when the sums of
-    (y_obs_j / sigma_j)^2 overflow, since no level can then be told apart. An
-    overflowing threshold is infinite and admits every level, which is exact.
+    Smallest k in [0, D] with ||x_m - x_k|| <= kappa delta sqrt(w_m),
+    w_m = sum_{j<=m} sigma_j^(-2), for every m in (k, D]; with unit singular
+    values this is Lepski's rule. With P the prefix sums of (y_obs/sigma)^2
+    that is the smallest k with P_k >= g_m = P_m - (kappa delta)^2 w_m for all
+    m > k: one search at M = max_m g_m, since the last m with g_m = M has
+    P_m >= M, so every k below the search fails at that m. Raises ValueError
+    when P overflows, or when w overflows while (kappa delta)^2 is finite or
+    underflows while it overflows: no level can then be told apart. An
+    overflowing (kappa delta)^2 with nonzero weights gives infinite
+    thresholds, which is exact.
     """
     _check_fudge("kappa", kappa)
+    factor = _square(kappa * obs.delta)
+    w = p.inv_sigma_sq_cumsum  # nondecreasing: its ends bound every weight
+    if (factor < math.inf and w[-1] == math.inf) or (factor == math.inf and w[0] == 0.0):
+        raise ValueError(f"balancing weights overflow or underflow (delta={obs.delta})")
     with np.errstate(over="ignore"):
         P = _prefix_sq(obs.y_obs / p.sigma)
-        thresh = _square(kappa * obs.delta) * p.inv_sigma_sq_cumsum
+        thresh = factor * w
     # P is nondecreasing, so its last entry bounds every compared sum
-    D = obs.size
-    if not np.isfinite(P[..., D]).all():
-        raise ValueError(f"balancing sums overflow (D={D}, delta={obs.delta})")
-    # smallest k with gaps[..., m-1] <= P[..., k] for every m in (k, D]: compare P
-    # with the suffix maxima of the gaps; k = D is always admitted
-    gaps = P[..., 1:] - thresh
-    suffix = np.empty(P.shape)
-    suffix[..., D] = -np.inf
-    np.maximum.accumulate(gaps[..., ::-1], axis=-1, out=suffix[..., :D][..., ::-1])
-    return _level((suffix <= P).argmax(axis=-1))
+    if not np.isfinite(P[..., -1]).all():
+        raise ValueError(f"balancing sums overflow (D={obs.size}, delta={obs.delta})")
+    return _level(_max_level(P, P[..., 1:] - thresh))
 
 
 def early_stop(obs: NoisyObservation, *, tau: float = 1.0) -> int:

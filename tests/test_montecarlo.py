@@ -10,6 +10,7 @@ from speccut.cli import check_moment_bounds
 from speccut.montecarlo import (
     BoxplotStats,
     ExperimentConfig,
+    ReplicateColumns,
     ReplicateRecord,
     boxplot_stats,
     counterexample_tail_prob,
@@ -23,6 +24,7 @@ from speccut.montecarlo import (
 )
 from speccut.problems import ProblemSpec, SpectralProblem, build_synthetic, make_problem, suffix_sum
 from speccut.rules import (
+    RULE_NAMES,
     RuleConfig,
     _dp_thresholds,
     balancing,
@@ -71,6 +73,81 @@ def test_run_experiment_deterministic(small_records):
     assert len(again) == len(small_records)
     for a, b in zip(small_records, again):
         assert a == b
+
+
+def test_columns_equal_a_per_replicate_loop(small_records):
+    p = make_problem(SMALL.problem)
+    seeds = [(d, replicate_seed(99, di, i)) for di, d in enumerate(SMALL.deltas) for i in range(25)]
+    loop = [evaluate_replicate(p, observe(p, d, SMALL.noise, s), SMALL.rules) for d, s in seeds]
+    assert isinstance(small_records, ReplicateColumns)
+    assert len(small_records) == len(loop) and list(small_records) == loop
+    assert [small_records[i] for i in (0, 7, -1)] == [loop[i] for i in (0, 7, -1)]
+    with pytest.raises(IndexError):
+        small_records[len(loop)]
+    # each column holds the records' field, rules in RULE_NAMES order
+    for name in ("delta", "seed", "min_e_strong", "min_e_weak", "sat_term"):
+        assert getattr(small_records, name).tolist() == [getattr(r, name) for r in loop]
+    for name in ("k_by_rule", "e_strong_by_rule", "e_weak_by_rule"):
+        want = [[getattr(r, name)[rule] for r in loop] for rule in RULE_NAMES]
+        assert getattr(small_records, name).tolist() == want
+    assert small_records.seed.dtype == np.uint64 and small_records.k_by_rule.dtype == np.int64
+    # a slice is the columns of those replicates; a list is stacked into the same columns
+    assert list(small_records[20:30]) == loop[20:30]
+    assert list(small_records[[3, 0]]) == [loop[3], loop[0]]
+    stacked = ReplicateColumns.stack(loop)
+    assert all(
+        np.array_equal(getattr(stacked, name), getattr(small_records, name))
+        for name in vars(stacked)
+    )
+    assert ReplicateColumns.stack(small_records) is small_records
+    with pytest.raises(ValueError, match="expected 3 records, got 2"):
+        ReplicateColumns.stack(iter(loop[:2]), 3)
+
+
+def test_reductions_agree_on_columns_and_lists(small_records):
+    records = list(small_records)
+    consts = constants(1.5, q=2.0, c_q=1.0, C_q=1.0)
+    # groups of unequal size (25 and 5 replicates), and interleaved noise levels
+    for cols, rows in (
+        (small_records, records),
+        (small_records[:30], records[:30]),
+        (ReplicateColumns.stack(records[::-3]), records[::-3]),
+    ):
+        assert summarize(cols) == summarize(rows) == summarize_literal(rows)
+        for which in ("thm1", "thm2", "cor1"):
+            assert theorem_frequency(cols, which, consts) == theorem_frequency(rows, which, consts)
+            assert theorem_frequency(rows, which, consts) == frequency_literal(rows, which, consts)
+
+
+def summarize_literal(records):
+    """`summarize` written over the records, one list of values per group and rule."""
+    deltas = tuple(dict.fromkeys(r.delta for r in records))
+    stats = ({}, {}, {}, {})
+    boxes = {}
+    for delta in deltas:
+        group = [r for r in records if r.delta == delta]
+        for rule in RULE_NAMES:
+            errs = np.array([r.e_strong_by_rule[rule] for r in group])
+            ks = np.array([r.k_by_rule[rule] for r in group], dtype=float)
+            for stat, value in zip(stats, (*mean_std(errs), *mean_std(ks))):
+                stat[(delta, rule)] = value
+        boxes[delta] = boxplot_stats(np.array([r.k_by_rule["es"] for r in group], dtype=float))
+    return montecarlo.ExperimentSummary(deltas, RULE_NAMES, *stats, boxes)
+
+
+def mean_std(values):
+    return float(np.mean(values)), float(np.std(values, ddof=1)) if values.size > 1 else 0.0
+
+
+def frequency_literal(records, which, consts):
+    """The guarantee events of `theorem_frequency`, one record at a time."""
+    bound = {
+        "thm1": lambda r: consts.c_tau_weak * r.min_e_weak,
+        "thm2": lambda r: consts.c_tau_strong * (r.min_e_strong + r.sat_term),
+        "cor1": lambda r: consts.c_tau_cor * r.min_e_strong,
+    }[which]
+    error = "e_weak_by_rule" if which == "thm1" else "e_strong_by_rule"
+    return float(np.mean([getattr(r, error)["dp"] <= bound(r) for r in records]))
 
 
 def test_records_respect_exact_inequalities(small_records):
@@ -458,7 +535,7 @@ def test_one_replicate_builds_each_shared_sum_once(monkeypatch):
     monkeypatch.setattr(rules, "np", CountingNumpy(counts))
     evaluate_replicate(p, obs, RuleConfig())
     # S, balancing's (y/sigma)^2 sum, the noise sum, the strong profile, oracle_strong's sum
-    assert counts == {"cumsum": 5, "suffix_sum": 0, "maximum.accumulate": 1}
+    assert counts == {"cumsum": 5, "suffix_sum": 0, "maximum.accumulate": 0}
     # dp_modified and combined share one threshold vector
     assert [key for key in obs._memo if key != "strong"] == [("dp_thresholds", 1.5)]
 

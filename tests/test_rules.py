@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speccut.problems import ProblemSpec, SpectralProblem, build_synthetic, make_problem
 from speccut.rules import (
@@ -95,6 +97,28 @@ def scan_balancing(sigma, y, delta, kappa, m_cap):
     raise AssertionError("unreachable")
 
 
+def suffix_max_balancing(sigma, y, delta, kappa):
+    """`balancing` as the smallest k whose P_k reaches the suffix maximum of the gaps.
+
+    With P the prefix sums of (y/sigma)^2 and gap_m = P_m - (kappa delta)^2
+    sum_{j<=m} sigma_j^-2, level k is admitted when P_k >= gap_m for every
+    m > k. The same floating-point sums as the rule, compared per level
+    instead of once at the largest gap. Works on one row or a block.
+    """
+    with np.errstate(over="ignore"):
+        sq = np.cumsum((y / sigma) ** 2, axis=-1)
+        P = np.concatenate([np.zeros(y.shape[:-1] + (1,)), sq], axis=-1)
+        try:
+            factor = (kappa * delta) ** 2
+        except OverflowError:
+            factor = math.inf
+        gaps = P[..., 1:] - factor * np.cumsum(sigma**-2.0)
+    suffix = np.full(P.shape, -np.inf)
+    suffix[..., :-1] = np.maximum.accumulate(gaps[..., ::-1], axis=-1)[..., ::-1]
+    k = (suffix <= P).argmax(axis=-1)
+    return k if k.ndim else int(k)
+
+
 def scan_early_stop(y, delta, tau=1.0):
     D = len(y)
     for k in range(0, D + 1):
@@ -183,6 +207,21 @@ def test_balancing_threshold_overflow_admits_every_level():
     small = SpectralProblem(p.name, p.sigma, c * p.x_true)
     scaled = NoisyObservation(c * obs.y_obs, c * obs.y_clean, obs.z, c * obs.delta, 1)
     assert balancing(small, scaled, 1e10) == 0
+
+
+def test_balancing_rejects_undetermined_thresholds():
+    # sum sigma^-2 overflows while (kappa delta)^2 = 2.25e-340 underflows to 0: the
+    # product 0 * inf is undetermined; in exact arithmetic the level is 0
+    sigma = np.array([1.0, 1e-3, 1e-100, 1e-150, 1e-160, 1e-170])
+    p = SpectralProblem("steep", sigma, np.zeros(6))
+    y = np.full(6, 1e-170)
+    # 1e160 * 4 squared overflows while sigma^-2 = 1e-400 underflows to 0
+    huge = SpectralProblem("flat", np.full(2, 1e200), np.zeros(2))
+    for problem, rows, delta in ((p, y, 1e-170), (huge, np.ones(2), 1e160)):
+        for block in (rows, np.stack([rows, 0.5 * rows])):  # one row, then a 2-row block
+            obs = NoisyObservation(block, np.zeros(block.shape[-1]), block / delta, delta, 0)
+            with pytest.raises(ValueError, match="overflow"):
+                balancing(problem, obs, 1.5 if problem is p else 4.0)
 
 
 def test_overflowing_threshold_factors_give_level_zero():
@@ -409,6 +448,41 @@ def test_balancing_equals_scan():
         p = build_synthetic(D, "poly", q=float(rng.uniform(0.5, 2.5)), truth_power=1.0)
         obs = observe(p, float(10.0 ** rng.uniform(-2, 0)), GAUSS, int(rng.integers(1e6)))
         assert balancing(p, obs, 2.0) == scan_balancing(p.sigma, obs.y_obs, obs.delta, 2.0, D)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    D=st.integers(1, 300),
+    rows=st.sampled_from([None, 1, 3]),  # None: one row
+    # sigma falls from 1 to 10^-decades: past ~151.5 decades the thresholds can
+    # overflow, past ~154.1 their weights and often the data sums do
+    decades=st.floats(0.0, 151.5) | st.floats(151.5, 154.1) | st.floats(154.1, 170.0),
+    scale=st.floats(-3.0, 3.0),
+    log_delta=st.floats(-12.0, 0.0),
+    log_kappa=st.floats(math.log10(1.01), 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_balancing_equals_suffix_max_formulation(
+    D, rows, decades, scale, log_delta, log_kappa, seed
+):
+    # steep spectra make the thresholds, their weights or the data sums overflow
+    sigma = 10.0 ** (-decades * np.arange(D) / max(D - 1, 1))
+    delta, kappa = 10.0**log_delta, 10.0**log_kappa
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(D if rows is None else (rows, D))
+    y_clean = 10.0**scale * sigma * rng.uniform(-1.0, 1.0, D)
+    obs = NoisyObservation(y_clean + delta * z, y_clean, z, delta, 0)
+    p = SpectralProblem("steep", sigma, np.zeros(D))
+    with np.errstate(over="ignore"):  # the rule's sequential sums, last entries
+        weights = np.cumsum(sigma**-2.0)[-1]
+        sums = np.cumsum((obs.y_obs / sigma) ** 2, axis=-1)[..., -1]
+    # (kappa delta)^2 <= 1e6 is finite, so overflowing weights leave the thresholds undetermined
+    if not (np.isfinite(sums).all() and math.isfinite(weights)):
+        with pytest.raises(ValueError, match="overflow"):
+            balancing(p, obs, kappa)
+    else:
+        want = suffix_max_balancing(sigma, obs.y_obs, delta, kappa)
+        assert np.array_equal(balancing(p, obs, kappa), want)
 
 
 def test_early_stop_equals_scan():
