@@ -12,7 +12,6 @@ from .montecarlo import (
     ExperimentConfig,
     ExperimentSummary,
     ReplicateColumns,
-    ReplicateRecord,
     boxplot_stats,
     counterexample_tail_prob,
     evaluate_replicate,

@@ -1,8 +1,9 @@
 """Seeded replication harness: benchmark statistics and empirical guarantee checks.
 
 `run_experiment` draws independent noise realizations for every (noise level,
-replicate) pair, runs all selection rules on each, and copies each
-replicate's record into preallocated columns (`ReplicateColumns`). Replicate
+replicate) pair, runs all selection rules on each, and writes each
+replicate's outcomes into its own slot of columns allocated once
+(`ReplicateColumns`, the only form a replicate takes). Replicate
 seeds are derived from the base seed with a splittable seed sequence keyed by
 (noise-level index, replicate index), so any subset of the grid can be
 reproduced independently and reruns are bit-identical. `summarize` reduces
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from itertools import islice
 
 import numpy as np
 
@@ -73,40 +73,25 @@ class ExperimentConfig:
         if not deltas or not all(math.isfinite(d) and d > 0 for d in deltas):
             raise ValueError("deltas must be nonempty, positive and finite")
         if len(set(deltas)) != len(deltas):
-            # summarize groups records by delta, so a repeat would merge two rows
+            # summarize groups replicates by delta, so a repeat would merge two rows
             raise ValueError(f"deltas must be distinct, got {deltas}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-
-
-@dataclass(frozen=True)
-class ReplicateRecord:
-    """All rule outcomes and error norms for one noise realization.
-
-    Also carries the quantities the guarantee checks need: the best achievable
-    errors over all levels and the truth mass between the weak and strong
-    oracle levels (the saturation term).
-    """
-
-    delta: float
-    seed: int
-    k_by_rule: dict[str, int]
-    e_strong_by_rule: dict[str, float]
-    e_weak_by_rule: dict[str, float]
-    min_e_strong: float
-    min_e_weak: float
-    sat_term: float
+        if self.base_seed < 0:  # SeedSequence would reject it only after the problem is built
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
 
 
 @dataclass(frozen=True, eq=False)
 class ReplicateColumns:
-    """`ReplicateRecord`s stored column by column, under the records' field names.
+    """Rule outcomes and error norms of replicates, one column slot per replicate.
 
-    Per-rule fields are (rule, replicate) arrays in `RULE_NAMES` order, the
-    others (replicate,) arrays. An int index, or iteration, gives the records
-    back; a slice, mask or index array gives the columns of those replicates.
-    `stack` passes columns through and copies anything else, so every
-    reduction reads columns.
+    Each slot holds one noise realization's level and seed, every rule's level
+    and its strong and weak errors, and what the guarantee checks need: the
+    best achievable errors over all levels and the truth mass between the
+    weak and strong oracle levels (the saturation term). Per-rule fields are
+    (rule, replicate) arrays in `RULE_NAMES` order, the others (replicate,)
+    arrays. An int, slice, mask or index array gives the columns of the
+    replicates it selects.
     """
 
     delta: np.ndarray
@@ -119,37 +104,20 @@ class ReplicateColumns:
     sat_term: np.ndarray
 
     @classmethod
-    def stack(cls, records, n: int | None = None) -> ReplicateColumns:
-        """Copy n records of an iterable (default: all of a sequence) into new columns."""
-        if isinstance(records, cls):
-            return records
-        n, rules = len(records) if n is None else n, len(RULE_NAMES)
-        cols = cls(
+    def empty(cls, n: int) -> ReplicateColumns:
+        """Unfilled columns for n replicates; `evaluate_replicate` fills one slot."""
+        rules = len(RULE_NAMES)
+        return cls(
             np.empty(n), np.empty(n, np.uint64), np.empty((rules, n), np.int64),
             np.empty((rules, n)), np.empty((rules, n)), np.empty(n), np.empty(n), np.empty(n),
         )
-        filled = 0
-        for record in islice(records, n):
-            for name, value in vars(record).items():
-                if isinstance(value, dict):
-                    value = [value[rule] for rule in RULE_NAMES]
-                getattr(cols, name)[..., filled] = value
-            filled += 1
-        if filled < n:
-            raise ValueError(f"expected {n} records, got {filled}")
-        return cols
 
     def __len__(self) -> int:
         return self.delta.size
 
-    def __getitem__(self, i):
-        columns = [getattr(self, f.name)[..., i] for f in fields(self)]
-        if columns[0].ndim:  # a slice, mask or index array: several replicates
-            return ReplicateColumns(*columns)
-        values = (c.tolist() for c in columns)  # a per-rule column gives a list
-        return ReplicateRecord(
-            *(dict(zip(RULE_NAMES, v)) if isinstance(v, list) else v for v in values)
-        )
+    def __getitem__(self, i) -> ReplicateColumns:
+        i = [i] if isinstance(i, (int, np.integer)) else i  # one replicate keeps its axis
+        return ReplicateColumns(*(getattr(self, f.name)[..., i] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -185,32 +153,33 @@ def replicate_seed(base_seed: int, delta_index: int, replicate: int) -> int:
 
 
 def evaluate_replicate(
-    p: SpectralProblem, obs: NoisyObservation, cfg: RuleConfig
-) -> ReplicateRecord:
-    """Run every rule on one observation and collect levels, errors, and oracles."""
+    p: SpectralProblem, obs: NoisyObservation, cfg: RuleConfig, out: ReplicateColumns, i: int
+) -> None:
+    """Run every rule on one observation and write levels, errors and oracles to slot i."""
     ks = select_all(p, obs, cfg)
+    levels = [ks[r] for r in RULE_NAMES]
     strong_sq = strong_error_sq_profile(p, obs)
     weak_sq = weak_error_sq_profile(p, obs)
-    e_strong = {r: math.sqrt(strong_sq[k]) for r, k in ks.items()}
-    e_weak = {r: math.sqrt(weak_sq[k]) for r, k in ks.items()}
-    lo = max(ks["pr"], 1) - 1  # truth mass over levels pr..st, one-based
-    sat = math.sqrt(float(np.sum(p.x_true[lo : ks["st"]] ** 2)))
-    min_e_weak = math.sqrt(float(weak_sq.min()))
+    out.delta[i], out.seed[i] = obs.delta, obs.seed
+    out.k_by_rule[:, i] = levels
+    out.e_strong_by_rule[:, i] = np.sqrt(strong_sq[levels])
+    out.e_weak_by_rule[:, i] = np.sqrt(weak_sq[levels])
     # min_e_strong is the opt level's error, since strong_sq[argmin] is strong_sq.min()
-    return ReplicateRecord(
-        obs.delta, obs.seed, ks, e_strong, e_weak, e_strong["opt"], min_e_weak, sat
-    )
+    out.min_e_strong[i] = out.e_strong_by_rule[RULE_NAMES.index("opt"), i]
+    out.min_e_weak[i] = math.sqrt(float(weak_sq.min()))
+    lo = max(ks["pr"], 1) - 1  # truth mass over levels pr..st, one-based
+    out.sat_term[i] = math.sqrt(float(np.sum(p.x_true[lo : ks["st"]] ** 2)))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ReplicateColumns:
     """All replicates of the full noise-level grid, in (delta, replicate) order."""
     p = make_problem(cfg.problem)
-    seeds = (
-        (delta, replicate_seed(cfg.base_seed, di, i))
-        for di, delta in enumerate(cfg.deltas) for i in range(cfg.replicates)
-    )
-    records = (evaluate_replicate(p, observe(p, d, cfg.noise, s), cfg.rules) for d, s in seeds)
-    return ReplicateColumns.stack(records, len(cfg.deltas) * cfg.replicates)
+    out = ReplicateColumns.empty(len(cfg.deltas) * cfg.replicates)
+    for di, delta in enumerate(cfg.deltas):
+        for r in range(cfg.replicates):
+            obs = observe(p, delta, cfg.noise, replicate_seed(cfg.base_seed, di, r))
+            evaluate_replicate(p, obs, cfg.rules, out, di * cfg.replicates + r)
+    return out
 
 
 def _mean_std(values: np.ndarray) -> tuple[float, float]:
@@ -239,11 +208,10 @@ def boxplot_stats(samples: np.ndarray) -> BoxplotStats:
     )
 
 
-def summarize(records: ReplicateColumns | list[ReplicateRecord]) -> ExperimentSummary:
+def summarize(cols: ReplicateColumns) -> ExperimentSummary:
     """Per-rule, per-noise-level statistics of solution-space errors and levels."""
-    cols = ReplicateColumns.stack(records)
     if not len(cols):
-        raise ValueError("no records to summarize")
+        raise ValueError("no replicates to summarize")
     deltas = tuple(dict.fromkeys(cols.delta.tolist()))
     mean_error, std_error, mean_k, std_k, boxes = {}, {}, {}, {}, {}
     for delta in deltas:
@@ -257,19 +225,16 @@ def summarize(records: ReplicateColumns | list[ReplicateRecord]) -> ExperimentSu
     return ExperimentSummary(deltas, RULE_NAMES, mean_error, std_error, mean_k, std_k, boxes)
 
 
-def theorem_frequency(
-    records: ReplicateColumns | list[ReplicateRecord], which: str, consts: TheoremConstants
-) -> float:
-    """Fraction of records satisfying the requested oracle-inequality event.
+def theorem_frequency(cols: ReplicateColumns, which: str, consts: TheoremConstants) -> float:
+    """Fraction of replicates satisfying the requested oracle-inequality event.
 
     thm1: weak error of the selected level within c_tau_weak of the best weak
     error; thm2: strong error within c_tau_strong of best strong error plus
     the saturation term; cor1: strong error within c_tau_cor of best strong
     error.
     """
-    cols = ReplicateColumns.stack(records)
     if not len(cols):
-        raise ValueError("no records")
+        raise ValueError("no replicates")
     dp = RULE_NAMES.index("dp")
     strong, weak = cols.e_strong_by_rule[dp], cols.e_weak_by_rule[dp]
     if which == "thm1":

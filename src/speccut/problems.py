@@ -361,8 +361,11 @@ class ProblemSpec:
     q: float = 2.0
     truth_power: float = 1.0
 
-    def __post_init__(self):
-        if self.name == "synthetic-exp":  # rejected here, before any work is done
+    def __post_init__(self):  # sizes the builders reject are rejected here, before any work
+        least = 2 if self.name in DENSE_BUILDERS else 1
+        if self.size < least:
+            raise ValueError(f"{self.name} needs size >= {least}, got {self.size}")
+        if self.name == "synthetic-exp":
             _check_exp_size(self.size)
 
 

@@ -22,6 +22,7 @@ from speccut.cli import (
 )
 from speccut.montecarlo import ExperimentConfig, run_experiment, summarize
 from speccut.problems import ProblemSpec, build_deriv2, decompose, deriv2_exact_data
+from speccut.rules import RULE_NAMES
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -56,7 +57,8 @@ def test_c02_dp_modified_matches_bruteforce():
 
 
 def test_c03_weak_oracle_never_exceeds_strong(desk_records):
-    violations = sum(r.k_by_rule["pr"] > r.k_by_rule["st"] for r in desk_records)
+    k = desk_records.k_by_rule
+    violations = int(np.count_nonzero(k[RULE_NAMES.index("pr")] > k[RULE_NAMES.index("st")]))
     report("c03 oracle ordering", violations == 0,
            f"{violations} violations in {len(desk_records)} benchmark replicates")
 

@@ -99,6 +99,8 @@ def test_bench_rejects_bad_deltas(tmp_path, capsys):
             (["--tau", "0.5"], "tau"), (["--kappa", "1"], "kappa"),
             (["--tau-min", "2", "--tau", "1.5"], "tau_min"),
             (["--problem", "synthetic-exp", "--size", "800"], "D <= 709"),
+            (["--seed", "-1"], "seed"), (["--problem", "phillips", "--size", "1"], "size >= 2"),
+            (["--problem", "synthetic-poly", "--size", "0"], "size >= 1"),
         ):
             capsys.readouterr()
             with pytest.raises(SystemExit) as exit_info:

@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from speccut.montecarlo import (
     BoxplotStats,
     ExperimentConfig,
     ReplicateColumns,
-    ReplicateRecord,
     boxplot_stats,
     counterexample_tail_prob,
     evaluate_replicate,
@@ -57,70 +57,95 @@ def small_records():
     return run_experiment(SMALL)
 
 
+def columns_equal(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(column, getattr(b, name)) for name, column in vars(a).items()
+    )
+
+
+def per_rule(column, i=0):
+    """Slot i of a (rule, replicate) column, as a dict keyed by rule."""
+    return dict(zip(RULE_NAMES, column[:, i].tolist()))
+
+
+def evaluated(p, pairs):
+    """Columns filled slot by slot from a per-replicate `observe` loop over (delta, seed) pairs."""
+    cols = ReplicateColumns.empty(len(pairs))
+    for i, (d, s) in enumerate(pairs):
+        evaluate_replicate(p, observe(p, d, SMALL.noise, s), SMALL.rules, cols, i)
+    return cols
+
+
 def test_run_experiment_shape(small_records):
     assert len(small_records) == 2 * 25
-    deltas = {r.delta for r in small_records}
-    assert deltas == {1e-1, 1e-2}
-    for r in small_records:
-        assert set(r.k_by_rule) == {"dp", "bal", "es", "com", "opt", "pr", "st"}
-        assert all(0 <= k <= 48 for k in r.k_by_rule.values())
-        assert all(v >= 0 and math.isfinite(v) for v in r.e_strong_by_rule.values())
-        assert all(v >= 0 and math.isfinite(v) for v in r.e_weak_by_rule.values())
+    assert set(small_records.delta.tolist()) == {1e-1, 1e-2}
+    assert RULE_NAMES == ("dp", "bal", "es", "com", "opt", "pr", "st")
+    ks = small_records.k_by_rule
+    assert ks.shape == (len(RULE_NAMES), 50) and np.all((0 <= ks) & (ks <= 48))
+    for errs in (small_records.e_strong_by_rule, small_records.e_weak_by_rule):
+        assert errs.shape == (len(RULE_NAMES), 50)
+        assert np.all(errs >= 0) and np.all(np.isfinite(errs))
 
 
 def test_run_experiment_deterministic(small_records):
-    again = run_experiment(SMALL)
-    assert len(again) == len(small_records)
-    for a, b in zip(small_records, again):
-        assert a == b
+    assert columns_equal(run_experiment(SMALL), small_records)
 
 
 def test_columns_equal_a_per_replicate_loop(small_records):
     p = make_problem(SMALL.problem)
     seeds = [(d, replicate_seed(99, di, i)) for di, d in enumerate(SMALL.deltas) for i in range(25)]
-    loop = [evaluate_replicate(p, observe(p, d, SMALL.noise, s), SMALL.rules) for d, s in seeds]
+    loop = evaluated(p, seeds)
     assert isinstance(small_records, ReplicateColumns)
-    assert len(small_records) == len(loop) and list(small_records) == loop
-    assert [small_records[i] for i in (0, 7, -1)] == [loop[i] for i in (0, 7, -1)]
+    assert columns_equal(small_records, loop)
+    assert small_records.delta.tolist() == [d for d, _ in seeds]
+    assert small_records.seed.tolist() == [s for _, s in seeds]
+    assert small_records.seed.dtype == np.uint64 and small_records.k_by_rule.dtype == np.int64
+    # an int, slice or index array gives the columns of those replicates
+    for i in (0, 7, -1, np.int64(3)):
+        assert columns_equal(small_records[i], evaluated(p, [seeds[i]]))
     with pytest.raises(IndexError):
         small_records[len(loop)]
-    # each column holds the records' field, rules in RULE_NAMES order
-    for name in ("delta", "seed", "min_e_strong", "min_e_weak", "sat_term"):
-        assert getattr(small_records, name).tolist() == [getattr(r, name) for r in loop]
-    for name in ("k_by_rule", "e_strong_by_rule", "e_weak_by_rule"):
-        want = [[getattr(r, name)[rule] for r in loop] for rule in RULE_NAMES]
-        assert getattr(small_records, name).tolist() == want
-    assert small_records.seed.dtype == np.uint64 and small_records.k_by_rule.dtype == np.int64
-    # a slice is the columns of those replicates; a list is stacked into the same columns
-    assert list(small_records[20:30]) == loop[20:30]
-    assert list(small_records[[3, 0]]) == [loop[3], loop[0]]
-    stacked = ReplicateColumns.stack(loop)
-    assert all(
-        np.array_equal(getattr(stacked, name), getattr(small_records, name))
-        for name in vars(stacked)
-    )
-    assert ReplicateColumns.stack(small_records) is small_records
-    with pytest.raises(ValueError, match="expected 3 records, got 2"):
-        ReplicateColumns.stack(iter(loop[:2]), 3)
+    assert columns_equal(small_records[20:30], evaluated(p, seeds[20:30]))
+    assert columns_equal(small_records[[3, 0]], evaluated(p, [seeds[3], seeds[0]]))
+
+
+def test_run_experiment_evaluates_each_slot_once_in_order(monkeypatch, small_records):
+    slots = []
+
+    def counted(p, obs, cfg, out, i):
+        slots.append(i)
+        evaluate_replicate(p, obs, cfg, out, i)
+
+    monkeypatch.setattr(montecarlo, "evaluate_replicate", counted)
+    assert columns_equal(run_experiment(SMALL), small_records)
+    assert slots == list(range(len(SMALL.deltas) * SMALL.replicates))
+
+
+def replicate_values(cols):
+    """Per-replicate Python values of the columns; a per-rule field becomes a dict by rule."""
+    rows = []
+    for i in range(len(cols)):
+        values = {name: column[..., i].tolist() for name, column in vars(cols).items()}
+        rows.append(SimpleNamespace(**{
+            name: dict(zip(RULE_NAMES, v)) if isinstance(v, list) else v
+            for name, v in values.items()
+        }))
+    return rows
 
 
 def test_reductions_agree_on_columns_and_lists(small_records):
-    records = list(small_records)
+    records = replicate_values(small_records)
     consts = constants(1.5, q=2.0, c_q=1.0, C_q=1.0)
     # groups of unequal size (25 and 5 replicates), and interleaved noise levels
-    for cols, rows in (
-        (small_records, records),
-        (small_records[:30], records[:30]),
-        (ReplicateColumns.stack(records[::-3]), records[::-3]),
-    ):
-        assert summarize(cols) == summarize(rows) == summarize_literal(rows)
+    for subset in (slice(None), slice(30), slice(None, None, -3)):
+        cols, rows = small_records[subset], records[subset]
+        assert summarize(cols) == summarize_literal(rows)
         for which in ("thm1", "thm2", "cor1"):
-            assert theorem_frequency(cols, which, consts) == theorem_frequency(rows, which, consts)
-            assert theorem_frequency(rows, which, consts) == frequency_literal(rows, which, consts)
+            assert theorem_frequency(cols, which, consts) == frequency_literal(rows, which, consts)
 
 
 def summarize_literal(records):
-    """`summarize` written over the records, one list of values per group and rule."""
+    """`summarize` written over per-replicate values, one list of values per group and rule."""
     deltas = tuple(dict.fromkeys(r.delta for r in records))
     stats = ({}, {}, {}, {})
     boxes = {}
@@ -140,7 +165,7 @@ def mean_std(values):
 
 
 def frequency_literal(records, which, consts):
-    """The guarantee events of `theorem_frequency`, one record at a time."""
+    """The guarantee events of `theorem_frequency`, one replicate at a time."""
     bound = {
         "thm1": lambda r: consts.c_tau_weak * r.min_e_weak,
         "thm2": lambda r: consts.c_tau_strong * (r.min_e_strong + r.sat_term),
@@ -151,12 +176,13 @@ def frequency_literal(records, which, consts):
 
 
 def test_records_respect_exact_inequalities(small_records):
-    for r in small_records:
-        assert r.k_by_rule["pr"] <= r.k_by_rule["st"]
-        assert r.k_by_rule["com"] <= r.k_by_rule["dp"]
-        for rule in ("dp", "bal", "es"):
-            assert r.e_strong_by_rule["opt"] <= r.e_strong_by_rule[rule]
-        assert r.min_e_strong <= r.e_strong_by_rule["opt"] * (1 + 1e-12)
+    k = dict(zip(RULE_NAMES, small_records.k_by_rule))
+    e = dict(zip(RULE_NAMES, small_records.e_strong_by_rule))
+    assert np.all(k["pr"] <= k["st"])
+    assert np.all(k["com"] <= k["dp"])
+    for rule in ("dp", "bal", "es"):
+        assert np.all(e["opt"] <= e[rule])
+    assert np.all(small_records.min_e_strong <= e["opt"] * (1 + 1e-12))
 
 
 def test_zero_truth_forces_zero_optimum():
@@ -164,14 +190,13 @@ def test_zero_truth_forces_zero_optimum():
         ProblemSpec("synthetic-exp", 20, truth_power=1.0), deltas=(0.1,), replicates=10,
         base_seed=5,
     )
-    # zero truth is not reachable through a ProblemSpec; build records directly
+    # zero truth is not reachable through a ProblemSpec; evaluate replicates directly
     p = build_synthetic(20, "exp")
-    from speccut.sequence_model import observe
-
     for i in range(10):
         obs = observe(p, 0.1, NoiseModel(), replicate_seed(5, 0, i))
-        rec = evaluate_replicate(p, obs, cfg.rules)
-        assert rec.k_by_rule["opt"] == 0
+        rec = ReplicateColumns.empty(1)
+        evaluate_replicate(p, obs, cfg.rules, rec, 0)
+        assert per_rule(rec.k_by_rule)["opt"] == 0
 
 
 def test_replicate_seed_splits():
@@ -198,8 +223,7 @@ def test_summarize_statistics(small_records):
     s = summarize(small_records)
     assert s.deltas == (1e-1, 1e-2)
     for delta in s.deltas:
-        group = [r for r in small_records if r.delta == delta]
-        errs = [r.e_strong_by_rule["dp"] for r in group]
+        errs = small_records.e_strong_by_rule[RULE_NAMES.index("dp"), small_records.delta == delta]
         assert s.mean_error[(delta, "dp")] == pytest.approx(np.mean(errs), rel=1e-12)
         assert s.std_error[(delta, "dp")] == pytest.approx(np.std(errs, ddof=1), rel=1e-12)
         assert 0 <= s.mean_k[(delta, "dp")] <= 48
@@ -216,20 +240,22 @@ def test_summarize_single_record(small_records):
 
 def test_summarize_constant_samples():
     rec = small_template(k=7, err=0.5)
-    s = summarize([rec, rec, rec])
+    s = summarize(rec[[0, 0, 0]])
     assert s.mean_k[(0.01, "dp")] == 7.0
     assert s.std_k[(0.01, "dp")] == 0.0
 
 
-def small_template(k: int, err: float) -> ReplicateRecord:
-    ks = {r: k for r in ("dp", "bal", "es", "com", "opt", "pr", "st")}
-    es = {r: err for r in ks}
-    return ReplicateRecord(0.01, 0, ks, es, dict(es), err, err, 0.0)
+def small_template(k: int, err: float) -> ReplicateColumns:
+    rec = ReplicateColumns.empty(1)
+    rec.delta[0], rec.seed[0], rec.k_by_rule[:, 0], rec.sat_term[0] = 0.01, 0, k, 0.0
+    for column in (rec.e_strong_by_rule, rec.e_weak_by_rule, rec.min_e_strong, rec.min_e_weak):
+        column[..., 0] = err
+    return rec
 
 
 def test_summarize_rejects_empty():
     with pytest.raises(ValueError):
-        summarize([])
+        summarize(ReplicateColumns.empty(0))
 
 
 def test_boxplot_convention():
@@ -252,13 +278,15 @@ def zero_noise_records(D=30, delta=1e-6, scale=10.0):
     p = build_synthetic(D, "poly", q=2.0, truth=scale / np.arange(1.0, D + 1.0))
     y = p.sigma * p.x_true
     obs = NoisyObservation(y, y, np.zeros(D), delta, 0)
-    return [evaluate_replicate(p, obs, RuleConfig())]
+    records = ReplicateColumns.empty(1)
+    evaluate_replicate(p, obs, RuleConfig(), records, 0)
+    return records
 
 
 def test_theorem_frequency_zero_noise_fixture():
     records = zero_noise_records()
     consts = constants(1.5, q=2.0, c_q=1.0, C_q=1.0)
-    assert records[0].k_by_rule["dp"] == 30
+    assert per_rule(records.k_by_rule)["dp"] == 30
     assert theorem_frequency(records, "thm1", consts) == 1.0
     assert theorem_frequency(records, "thm2", consts) == 1.0
     assert theorem_frequency(records, "cor1", consts) == 1.0
@@ -267,7 +295,7 @@ def test_theorem_frequency_zero_noise_fixture():
 def test_theorem_frequency_errors(small_records):
     consts = constants(1.5)
     with pytest.raises(ValueError):
-        theorem_frequency([], "thm1", consts)
+        theorem_frequency(ReplicateColumns.empty(0), "thm1", consts)
     with pytest.raises(ValueError):
         theorem_frequency(small_records, "cor1", consts)  # needs c_tau_cor
     with pytest.raises(ValueError):
@@ -481,14 +509,17 @@ def test_shared_sums_equal_a_literal_recomputation(p, cfg):
         singles = [observe(p, delta, NoiseModel(), seed) for seed in (7, 8, 9)] + [direct]
         for obs in singles:
             ks, strong, weak = literal_levels_and_profiles(p, obs, cfg)
-            record = evaluate_replicate(p, obs, cfg)
-            assert record.k_by_rule == ks
-            assert record.e_strong_by_rule == {r: math.sqrt(strong[k]) for r, k in ks.items()}
-            assert record.e_weak_by_rule == {r: math.sqrt(weak[k]) for r, k in ks.items()}
-            assert record.min_e_strong == math.sqrt(strong.min())
-            assert record.min_e_weak == math.sqrt(weak.min())
+            record = ReplicateColumns.empty(1)
+            evaluate_replicate(p, obs, cfg, record, 0)
+            assert per_rule(record.k_by_rule) == ks
+            assert per_rule(record.e_strong_by_rule) == {
+                r: math.sqrt(strong[k]) for r, k in ks.items()
+            }
+            assert per_rule(record.e_weak_by_rule) == {r: math.sqrt(weak[k]) for r, k in ks.items()}
+            assert record.min_e_strong[0] == math.sqrt(strong.min())
+            assert record.min_e_weak[0] == math.sqrt(weak.min())
             lo = max(ks["pr"], 1) - 1
-            assert record.sat_term == math.sqrt(float(np.sum(p.x_true[lo : ks["st"]] ** 2)))
+            assert record.sat_term[0] == math.sqrt(float(np.sum(p.x_true[lo : ks["st"]] ** 2)))
         block_ks = select_all(p, rows, cfg)
         strong_block = strong_error_sq_profile(p, rows)
         weak_block = weak_error_sq_profile(p, rows)
@@ -515,7 +546,9 @@ class CountingNumpy:
 
 def test_one_replicate_builds_each_shared_sum_once(monkeypatch):
     p = build_synthetic(300, "poly", q=2.0, truth_power=1.0)
-    evaluate_replicate(p, observe(p, 1e-2, NoiseModel(), 4), RuleConfig())  # the problem's sums
+    out = ReplicateColumns.empty(1)
+    # builds the problem's own sums, so that only the replicate's are counted below
+    evaluate_replicate(p, observe(p, 1e-2, NoiseModel(), 4), RuleConfig(), out, 0)
     obs = observe(p, 1e-2, NoiseModel(), 5)
     counts = {"cumsum": 0, "suffix_sum": 0, "maximum.accumulate": 0}
 
@@ -533,7 +566,7 @@ def test_one_replicate_builds_each_shared_sum_once(monkeypatch):
     for module in (problems, sequence_model):
         monkeypatch.setattr(module, "suffix_sum", suffix)
     monkeypatch.setattr(rules, "np", CountingNumpy(counts))
-    evaluate_replicate(p, obs, RuleConfig())
+    evaluate_replicate(p, obs, RuleConfig(), out, 0)
     # S, balancing's (y/sigma)^2 sum, the noise sum, the strong profile, oracle_strong's sum
     assert counts == {"cumsum": 5, "suffix_sum": 0, "maximum.accumulate": 0}
     # dp_modified and combined share one threshold vector
