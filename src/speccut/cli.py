@@ -81,12 +81,10 @@ class CheckResult:
     detail: str
 
 
-def check_lepski_dp_identity(
-    instances: int = 1000, D: int = 256, delta: float = 0.1, fudge: float = 1.5,
-    seed: int = 424242,
-) -> CheckResult:
+def check_lepski_dp_identity(instances: int = 1000) -> CheckResult:
     """The comparison rule and the maximized residual rule must coincide when
     all singular values are one and the fudge parameters agree."""
+    D, delta, fudge, seed = 256, 0.1, 1.5, 424242
     p = make_problem(ProblemSpec("direct", D))
     model = NoiseModel("gaussian")
     agree = 0
@@ -117,12 +115,12 @@ def dp_modified_bruteforce(y_obs: np.ndarray, delta: float, tau: float) -> int:
     return best
 
 
-def check_dp_bruteforce(instances: int = 500, max_D: int = 128, seed: int = 90210) -> CheckResult:
+def check_dp_bruteforce(instances: int = 500) -> CheckResult:
     """Fast implementation against the quadratic scan, random sizes and scales."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(90210)
     agree = 0
     for _ in range(instances):
-        D = int(rng.integers(2, max_D + 1))
+        D = int(rng.integers(2, 129))  # 2 <= D <= 128
         delta = float(10.0 ** rng.uniform(-2, 0))
         tau = float(rng.uniform(1.05, 3.0))
         scale = float(10.0 ** rng.uniform(-1, 1))
@@ -134,9 +132,10 @@ def check_dp_bruteforce(instances: int = 500, max_D: int = 128, seed: int = 9021
     )
 
 
-def check_scaling_invariance(instances: int = 200, D: int = 64, seed: int = 5150) -> CheckResult:
+def check_scaling_invariance(instances: int = 200) -> CheckResult:
     """All selectors must be unchanged when data, clean data, truth, and noise
     level are rescaled by a common positive factor."""
+    D, seed = 64, 5150
     rng = np.random.default_rng(seed)
     model = NoiseModel("gaussian")
     violations = 0
@@ -171,12 +170,11 @@ def _all_levels(p, obs) -> tuple:
     )
 
 
-def check_oracle_inequalities(
-    replicates: int = 10000, D: int = 256, delta: float = 1e-2, seed: int = 1729
-) -> CheckResult:
+def check_oracle_inequalities(replicates: int = 10000) -> CheckResult:
     """Per-realization facts: weak oracle at most strong oracle, the balanced
     levels are near-minimizers (squared-error factor 2), the capped rule never
     exceeds the uncapped one, and no rule beats the realized optimum."""
+    D, delta, seed = 256, 1e-2, 1729
     p = build_synthetic(D, "poly", q=2.0, truth_power=1.0)
     model = NoiseModel("gaussian")
     cfg = RuleConfig(tau=1.5, kappa=4.0)
@@ -205,35 +203,27 @@ def _oracle_orderings_hold(p, obs: NoisyObservation, cfg: RuleConfig) -> np.ndar
     return ok
 
 
-def check_thm1_frequency(
-    size: int = 1024, delta: float = 1e-4, replicates: int = 200, tau: float = 1.5,
-    seed: int = 31337, threshold: float = 0.95,
-) -> CheckResult:
+def check_thm1_frequency(size: int = 1024, replicates: int = 200) -> CheckResult:
     """Image-space guarantee should hold in essentially every replicate."""
     cfg = ExperimentConfig(
-        ProblemSpec("phillips", size), deltas=(delta,), rules=RuleConfig(tau=tau),
-        replicates=replicates, base_seed=seed,
+        ProblemSpec("phillips", size), deltas=(1e-4,), rules=RuleConfig(tau=1.5),
+        replicates=replicates, base_seed=31337,
     )
-    freq = theorem_frequency(run_experiment(cfg), "thm1", constants(tau))
-    return CheckResult(
-        "thm1_frequency", freq >= threshold, f"frequency {freq:.3f} (required >= {threshold})"
-    )
+    freq = theorem_frequency(run_experiment(cfg), "thm1", constants(1.5))
+    return CheckResult("thm1_frequency", freq >= 0.95, f"frequency {freq:.3f} (required >= 0.95)")
 
 
-def check_cor1_efficiency(
-    D: int = 2048, delta: float = 1e-4, replicates: int = 200, tau: float = 1.5,
-    seed: int = 271828,
-) -> CheckResult:
+def check_cor1_efficiency(D: int = 2048, replicates: int = 200) -> CheckResult:
     """Solution-space efficiency on the polynomial spectrum: the selected level's
     error within a small factor of the optimum at the median, and within the
     guarantee constant at the 95th percentile."""
     cfg = ExperimentConfig(
-        ProblemSpec("synthetic-poly", D, q=2.0, truth_power=1.0), deltas=(delta,),
-        rules=RuleConfig(tau=tau), replicates=replicates, base_seed=seed,
+        ProblemSpec("synthetic-poly", D, q=2.0, truth_power=1.0), deltas=(1e-4,),
+        rules=RuleConfig(tau=1.5), replicates=replicates, base_seed=271828,
     )
     e_strong = run_experiment(cfg).e_strong_by_rule
     ratios = e_strong[RULE_NAMES.index("dp")] / e_strong[RULE_NAMES.index("opt")]
-    c_cor = constants(tau, q=2.0, c_q=1.0, C_q=1.0).c_tau_cor
+    c_cor = constants(1.5, q=2.0, c_q=1.0, C_q=1.0).c_tau_cor
     med = float(np.median(ratios))
     p95 = float(np.percentile(ratios, 95.0))
     return CheckResult(
@@ -243,13 +233,11 @@ def check_cor1_efficiency(
     )
 
 
-def check_example1(
-    kappa: float = 1.05, delta: float = 1e-3, replicates: int = 100000, seed: int = 6174
-) -> CheckResult:
+def check_example1(replicates: int = 100000) -> CheckResult:
     """Exponential-spectrum failure mode of the solution-space comparison rule:
     the empirical failure probability must reach half the Gaussian tail bound."""
-    freq = example1_frequency(kappa, delta, replicates, seed)
-    p_kappa = counterexample_tail_prob(kappa)
+    freq = example1_frequency(1.05, 1e-3, replicates, 6174)
+    p_kappa = counterexample_tail_prob(1.05)
     return CheckResult(
         "example1_counterexample",
         freq >= 0.5 * p_kappa,
@@ -257,10 +245,10 @@ def check_example1(
     )
 
 
-def check_moment_bounds(replicates: int = 10000, seed: int = 8128) -> CheckResult:
+def check_moment_bounds(replicates: int = 10000) -> CheckResult:
     """Fourth-moment bound sqrt(8/kappa) on the mean absolute running-mean
     deviation, plus the maximal-inequality check at epsilon = 1/3."""
-    model = NoiseModel("gaussian")
+    model, seed = NoiseModel("gaussian"), 8128
     rng = np.random.default_rng(seed)
     details = []
     ok = True
@@ -313,10 +301,6 @@ def _metadata(args) -> dict:
     return meta
 
 
-def _header_lines(meta: dict) -> list[str]:
-    return [f"# speccut {key}={meta[key]}" for key in meta]
-
-
 def _write_table(path: Path, header: str, rows: list[list], meta: dict, fmt: str):
     if fmt == "json":
         cols = header.split(",")
@@ -326,7 +310,7 @@ def _write_table(path: Path, header: str, rows: list[list], meta: dict, fmt: str
         }
         path.write_text(json.dumps(payload, indent=2) + "\n")
         return
-    lines = _header_lines(meta) + [header]
+    lines = [f"# speccut {key}={meta[key]}" for key in meta] + [header]
     for row in rows:
         lines.append(",".join(str(c) if isinstance(c, (str, int)) else _fmt(c) for c in row))
     path.write_text("\n".join(lines) + "\n")
@@ -353,16 +337,12 @@ def _summary_tables(summary: ExperimentSummary):
 # subcommands
 
 
-def _problem_spec(args) -> ProblemSpec:
-    return ProblemSpec(
-        name=args.problem, size=args.size, depth=args.depth,
-        kappa_heat=args.kappa_heat, q=args.q, truth_power=args.truth_power,
-    )
-
-
 def _experiment_config(args) -> ExperimentConfig:
     return ExperimentConfig(
-        problem=_problem_spec(args),
+        problem=ProblemSpec(
+            name=args.problem, size=args.size, depth=args.depth,
+            kappa_heat=args.kappa_heat, q=args.q, truth_power=args.truth_power,
+        ),
         deltas=tuple(args.deltas),
         rules=RuleConfig(tau=args.tau, kappa=args.kappa, tau_min=args.tau_min),
         noise=NoiseModel(args.noise),
@@ -377,16 +357,12 @@ def run_bench(args) -> int:
     summary = summarize(records)
     meta = _metadata(args)
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        err_rows, k_rows, box_rows = _summary_tables(summary)
-        ext = args.format
-        _write_table(out / f"errors.{ext}", ERRORS_HEADER, err_rows, meta, ext)
-        _write_table(out / f"ks.{ext}", KS_HEADER, k_rows, meta, ext)
-        _write_table(out / f"boxplot.{ext}", BOXPLOT_HEADER, box_rows, meta, ext)
-    except OSError as exc:
-        print(f"error: cannot write results: {exc}", file=sys.stderr)
-        return 1
+    out.mkdir(parents=True, exist_ok=True)
+    err_rows, k_rows, box_rows = _summary_tables(summary)
+    ext = args.format
+    _write_table(out / f"errors.{ext}", ERRORS_HEADER, err_rows, meta, ext)
+    _write_table(out / f"ks.{ext}", KS_HEADER, k_rows, meta, ext)
+    _write_table(out / f"boxplot.{ext}", BOXPLOT_HEADER, box_rows, meta, ext)
     print(f"wrote errors.{ext}, ks.{ext}, boxplot.{ext} to {out}")
     return 0
 
@@ -397,24 +373,19 @@ def run_verify(args) -> int:
         print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}")
     if args.out is not None:
         out = Path(args.out)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-            report = [
-                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-            ]
-            (out / "verify_report.json").write_text(json.dumps(report, indent=2) + "\n")
-        except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return 1
+        out.mkdir(parents=True, exist_ok=True)
+        report = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+        (out / "verify_report.json").write_text(json.dumps(report, indent=2) + "\n")
     return 0 if all(r.passed for r in results) else 1
 
 
 def run_single(args) -> int:
-    p = make_problem(_problem_spec(args))
+    cfg = _experiment_config(args)
+    p = make_problem(cfg.problem)
     delta = args.deltas[0]
-    obs = observe(p, delta, NoiseModel(args.noise), args.seed)
+    obs = observe(p, delta, cfg.noise, args.seed)
     D = p.size
-    ks = select_all(p, obs, RuleConfig(tau=args.tau, kappa=args.kappa, tau_min=args.tau_min))
+    ks = select_all(p, obs, cfg.rules)
     trace = [dp_at_m(obs, args.tau, m) for m in range(1, D + 1)]
     m_max = early_stop(obs, tau=args.tau_min)
     e_strong = {r: strong_error(p, obs, k) for r, k in ks.items()}
@@ -434,24 +405,20 @@ def run_single(args) -> int:
     print(f"deterministic oracle levels: weak={det_w} strong={det_s}")
     if args.out is not None:
         out = Path(args.out)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-            payload = {
-                "problem": p.name,
-                "delta": delta,
-                "seed": args.seed,
-                "trace": trace,
-                "m_max": m_max,
-                "k_by_rule": ks,
-                "e_strong_by_rule": e_strong,
-                "e_weak_by_rule": e_weak,
-                "det_weak": det_w,
-                "det_strong": det_s,
-            }
-            (out / "single.json").write_text(json.dumps(payload, indent=2) + "\n")
-        except OSError as exc:
-            print(f"error: cannot write record: {exc}", file=sys.stderr)
-            return 1
+        out.mkdir(parents=True, exist_ok=True)
+        payload = {
+            "problem": p.name,
+            "delta": delta,
+            "seed": args.seed,
+            "trace": trace,
+            "m_max": m_max,
+            "k_by_rule": ks,
+            "e_strong_by_rule": e_strong,
+            "e_weak_by_rule": e_weak,
+            "det_weak": det_w,
+            "det_strong": det_s,
+        }
+        (out / "single.json").write_text(json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -523,18 +490,19 @@ def _apply_preset(args):
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.subcommand == "verify":
-        return run_verify(args)
-    _apply_preset(args)
-    if args.subcommand == "single":
-        args.replicates = 1
-    try:  # numbers that parse but that the configuration rejects are usage errors
-        _experiment_config(args)
-    except ValueError as exc:
-        parser.error(f"{args.subcommand}: {exc}")
+    if args.subcommand != "verify":
+        _apply_preset(args)
+        if args.subcommand == "single":
+            args.replicates = 1
+        try:  # numbers that parse but that the configuration rejects are usage errors
+            _experiment_config(args)
+        except ValueError as exc:
+            parser.error(f"{args.subcommand}: {exc}")
+    # looked up per call, so a wrapper installed later on a run_* name is what runs
+    run = {"bench": run_bench, "verify": run_verify, "single": run_single}[args.subcommand]
     try:
-        return run_bench(args) if args.subcommand == "bench" else run_single(args)
-    except ValueError as exc:  # data the rules cannot evaluate, e.g. overflowing sums
+        return run(args)
+    except (ValueError, OSError) as exc:  # data the rules cannot evaluate, an unwritable --out
         print(f"error: {args.subcommand}: {exc}", file=sys.stderr)
         return 1
 

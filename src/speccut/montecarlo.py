@@ -87,7 +87,7 @@ class ReplicateColumns:
 
     Each slot holds one noise realization's level and seed, every rule's level
     and its strong and weak errors, and what the guarantee checks need: the
-    best achievable errors over all levels and the truth mass between the
+    best achievable weak error over all levels and the truth mass between the
     weak and strong oracle levels (the saturation term). Per-rule fields are
     (rule, replicate) arrays in `RULE_NAMES` order, the others (replicate,)
     arrays. An int, slice, mask or index array gives the columns of the
@@ -99,7 +99,6 @@ class ReplicateColumns:
     k_by_rule: np.ndarray  # int64
     e_strong_by_rule: np.ndarray
     e_weak_by_rule: np.ndarray
-    min_e_strong: np.ndarray
     min_e_weak: np.ndarray
     sat_term: np.ndarray
 
@@ -109,7 +108,7 @@ class ReplicateColumns:
         rules = len(RULE_NAMES)
         return cls(
             np.empty(n), np.empty(n, np.uint64), np.empty((rules, n), np.int64),
-            np.empty((rules, n)), np.empty((rules, n)), np.empty(n), np.empty(n), np.empty(n),
+            np.empty((rules, n)), np.empty((rules, n)), np.empty(n), np.empty(n),
         )
 
     def __len__(self) -> int:
@@ -164,8 +163,6 @@ def evaluate_replicate(
     out.k_by_rule[:, i] = levels
     out.e_strong_by_rule[:, i] = np.sqrt(strong_sq[levels])
     out.e_weak_by_rule[:, i] = np.sqrt(weak_sq[levels])
-    # min_e_strong is the opt level's error, since strong_sq[argmin] is strong_sq.min()
-    out.min_e_strong[i] = out.e_strong_by_rule[RULE_NAMES.index("opt"), i]
     out.min_e_weak[i] = math.sqrt(float(weak_sq.min()))
     lo = max(ks["pr"], 1) - 1  # truth mass over levels pr..st, one-based
     out.sat_term[i] = math.sqrt(float(np.sum(p.x_true[lo : ks["st"]] ** 2)))
@@ -235,16 +232,17 @@ def theorem_frequency(cols: ReplicateColumns, which: str, consts: TheoremConstan
     """
     if not len(cols):
         raise ValueError("no replicates")
-    dp = RULE_NAMES.index("dp")
+    dp, opt = RULE_NAMES.index("dp"), RULE_NAMES.index("opt")
     strong, weak = cols.e_strong_by_rule[dp], cols.e_weak_by_rule[dp]
+    min_strong = cols.e_strong_by_rule[opt]  # the opt level attains the least strong error
     if which == "thm1":
         hits = weak <= consts.c_tau_weak * cols.min_e_weak
     elif which == "thm2":
-        hits = strong <= consts.c_tau_strong * (cols.min_e_strong + cols.sat_term)
+        hits = strong <= consts.c_tau_strong * (min_strong + cols.sat_term)
     elif which == "cor1":
         if consts.c_tau_cor is None:
             raise ValueError("cor1 frequency needs the polynomial-spectrum constant")
-        hits = strong <= consts.c_tau_cor * cols.min_e_strong
+        hits = strong <= consts.c_tau_cor * min_strong
     else:
         raise ValueError(f"unknown inequality tag {which!r}")
     return float(np.mean(hits))

@@ -11,7 +11,9 @@ and the solution vector stores cell-normalized coefficients sqrt(h) * f(t_i).
 With this scaling the Euclidean norm of the coefficient vector approximates the
 L2 norm of the underlying function, so noise levels and error norms are
 comparable across grid sizes. Exact data in the same coordinates is
-sqrt(h) * g(s_i), which is what `matrix @ f_true` converges to.
+sqrt(h) * g(s_i), which is what `matrix @ f_true` converges to. The four
+kernel builders pass their kernel and solution to `_discretize`, which holds
+this convention.
 """
 
 from __future__ import annotations
@@ -168,9 +170,27 @@ def _midpoints(a: float, b: float, n: int) -> tuple[np.ndarray, float]:
     return a + h * (np.arange(n) + 0.5), h
 
 
-def _check_n(n: int):
+# The value each problem parameter must exceed; builders and `ProblemSpec` check it.
+_LOWER_BOUNDS = {"depth": 0.0, "kappa_heat": 0.0, "q": 0.0, "truth_power": 0.5}
+
+
+def _check_parameter(name: str, value: float):
+    if value <= _LOWER_BOUNDS[name]:
+        raise ValueError(f"{name} must exceed {_LOWER_BOUNDS[name]}, got {value}")
+
+
+def _discretize(name: str, a: float, b: float, n: int, kernel, solution) -> DenseProblem:
+    """Midpoint quadrature of kernel(s, t) and solution(t) on n cells of [a, b]."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    t, h = _midpoints(a, b, n)
+    matrix = h * kernel(t[:, None], t[None, :])
+    f_true = math.sqrt(h) * solution(t)
+    return DenseProblem(name, matrix, f_true, matrix @ f_true)
+
+
+def _phillips_bump(x: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(x) < 3.0, 1.0 + np.cos(np.pi * x / 3.0), 0.0)
 
 
 def build_phillips(n: int) -> DenseProblem:
@@ -178,14 +198,9 @@ def build_phillips(n: int) -> DenseProblem:
 
     Solution f(t) = 1 + cos(pi t / 3) on |t| < 3, zero outside.
     """
-    _check_n(n)
-    t, h = _midpoints(-6.0, 6.0, n)
-    diff = t[:, None] - t[None, :]
-    kernel = np.where(np.abs(diff) < 3.0, 1.0 + np.cos(np.pi * diff / 3.0), 0.0)
-    f = np.where(np.abs(t) < 3.0, 1.0 + np.cos(np.pi * t / 3.0), 0.0)
-    matrix = h * kernel
-    f_true = math.sqrt(h) * f
-    return DenseProblem("phillips", matrix, f_true, matrix @ f_true)
+    return _discretize(
+        "phillips", -6.0, 6.0, n, lambda s, t: _phillips_bump(s - t), _phillips_bump
+    )
 
 
 def build_deriv2(n: int) -> DenseProblem:
@@ -195,14 +210,10 @@ def build_deriv2(n: int) -> DenseProblem:
     g(s) = (s^3 - s)/6 is exposed via `deriv2_exact_data` as a quadrature
     oracle.
     """
-    _check_n(n)
-    t, h = _midpoints(0.0, 1.0, n)
-    s_grid = t[:, None]
-    t_grid = t[None, :]
-    kernel = np.where(s_grid < t_grid, s_grid * (t_grid - 1.0), t_grid * (s_grid - 1.0))
-    matrix = h * kernel
-    f_true = math.sqrt(h) * t
-    return DenseProblem("deriv2", matrix, f_true, matrix @ f_true)
+    return _discretize(
+        "deriv2", 0.0, 1.0, n, lambda s, t: np.where(s < t, s * (t - 1.0), t * (s - 1.0)),
+        lambda t: t,
+    )
 
 
 def deriv2_exact_data(n: int) -> np.ndarray:
@@ -217,16 +228,11 @@ def build_gravity(n: int, depth: float = 0.25) -> DenseProblem:
     f(t) = sin(pi t) + 0.5 sin(2 pi t). Larger depth smooths the kernel and
     makes the problem harder.
     """
-    _check_n(n)
-    if depth <= 0:
-        raise ValueError(f"depth must be positive, got {depth}")
-    t, h = _midpoints(0.0, 1.0, n)
-    diff = t[:, None] - t[None, :]
-    kernel = depth * (depth**2 + diff**2) ** (-1.5)
-    f = np.sin(np.pi * t) + 0.5 * np.sin(2.0 * np.pi * t)
-    matrix = h * kernel
-    f_true = math.sqrt(h) * f
-    return DenseProblem("gravity", matrix, f_true, matrix @ f_true)
+    _check_parameter("depth", depth)
+    return _discretize(
+        "gravity", 0.0, 1.0, n, lambda s, t: depth * (depth**2 + (s - t) ** 2) ** (-1.5),
+        lambda t: np.sin(np.pi * t) + 0.5 * np.sin(2.0 * np.pi * t),
+    )
 
 
 def _heat_kernel(u: np.ndarray, kappa_heat: float) -> np.ndarray:
@@ -246,15 +252,11 @@ def build_heat(n: int, kappa_heat: float = 1.0) -> DenseProblem:
     Lower-triangular matrix from the causal kernel; the solution is a smooth
     pulse f(t) = exp(-20 (t - 0.25)^2).
     """
-    _check_n(n)
-    if kappa_heat <= 0:
-        raise ValueError(f"kappa_heat must be positive, got {kappa_heat}")
-    t, h = _midpoints(0.0, 1.0, n)
-    diff = t[:, None] - t[None, :]
-    matrix = h * _heat_kernel(diff, kappa_heat)
-    f = np.exp(-20.0 * (t - 0.25) ** 2)
-    f_true = math.sqrt(h) * f
-    return DenseProblem("heat", matrix, f_true, matrix @ f_true)
+    _check_parameter("kappa_heat", kappa_heat)
+    return _discretize(
+        "heat", 0.0, 1.0, n, lambda s, t: _heat_kernel(s - t, kappa_heat),
+        lambda t: np.exp(-20.0 * (t - 0.25) ** 2),
+    )
 
 
 # Largest D for which the exponential spectrum's sigma_D^(-2) = e^D is finite.
@@ -286,8 +288,7 @@ def build_synthetic(
         raise ValueError(f"need D >= 1, got {D}")
     j = np.arange(1, D + 1, dtype=float)
     if spectrum == "poly":
-        if q <= 0:
-            raise ValueError(f"poly spectrum needs q > 0, got {q}")
+        _check_parameter("q", q)
         sigma = j ** (-q / 2.0)
     elif spectrum == "exp":
         _check_exp_size(D)
@@ -301,8 +302,7 @@ def build_synthetic(
         if not np.all(np.isfinite(x_true)):
             raise ValueError("truth has non-finite entries")
     elif truth_power is not None:
-        if truth_power <= 0.5:
-            raise ValueError(f"truth_power must exceed 1/2, got {truth_power}")
+        _check_parameter("truth_power", truth_power)
         x_true = j ** (-truth_power)
     else:
         x_true = np.zeros(D)
@@ -361,12 +361,14 @@ class ProblemSpec:
     q: float = 2.0
     truth_power: float = 1.0
 
-    def __post_init__(self):  # sizes the builders reject are rejected here, before any work
+    def __post_init__(self):  # what the builders reject is rejected here, before any work
         least = 2 if self.name in DENSE_BUILDERS else 1
         if self.size < least:
             raise ValueError(f"{self.name} needs size >= {least}, got {self.size}")
         if self.name == "synthetic-exp":
             _check_exp_size(self.size)
+        for param in _BOUNDED_PARAMETERS.get(self.name, ()):
+            _check_parameter(param, getattr(self, param))
 
 
 DENSE_BUILDERS = {
@@ -374,6 +376,12 @@ DENSE_BUILDERS = {
     "deriv2": lambda spec: build_deriv2(spec.size),
     "gravity": lambda spec: build_gravity(spec.size, spec.depth),
     "heat": lambda spec: build_heat(spec.size, spec.kappa_heat),
+}
+
+# The bounded parameters each problem's builder reads.
+_BOUNDED_PARAMETERS = {
+    "gravity": ("depth",), "heat": ("kappa_heat",),
+    "synthetic-poly": ("q", "truth_power"), "synthetic-exp": ("truth_power",),
 }
 
 PROBLEM_NAMES = tuple(DENSE_BUILDERS) + ("synthetic-poly", "synthetic-exp", "direct")

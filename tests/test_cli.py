@@ -68,8 +68,15 @@ def test_bench_json_mirrors_schema(tmp_path):
     assert set(boxes["rows"][0]) == set(cli.BOXPLOT_HEADER.split(","))
 
 
-def test_bench_unwritable_path_fails():
-    assert cli.main(BENCH_ARGS + ["--out", "/dev/null/nope"]) == 1
+def test_bench_unwritable_path_fails(capsys):
+    # every subcommand reports an unwritable --out as one error line and exit status 1
+    single = ["single", "--problem", "synthetic-poly", "--size", "16", "--deltas", "1e-2"]
+    for argv in (BENCH_ARGS, ["verify", "--quick"], single):
+        capsys.readouterr()
+        assert cli.main(argv + ["--out", "/dev/null/nope"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {argv[0]}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_bench_rejects_unknown_problem(capsys):
@@ -101,6 +108,11 @@ def test_bench_rejects_bad_deltas(tmp_path, capsys):
             (["--problem", "synthetic-exp", "--size", "800"], "D <= 709"),
             (["--seed", "-1"], "seed"), (["--problem", "phillips", "--size", "1"], "size >= 2"),
             (["--problem", "synthetic-poly", "--size", "0"], "size >= 1"),
+            (["--problem", "gravity", "--depth", "0"], "depth must exceed"),
+            (["--problem", "heat", "--kappa-heat", "-1"], "kappa_heat must exceed"),
+            (["--problem", "synthetic-poly", "--q", "0"], "q must exceed"),
+            (["--problem", "synthetic-poly", "--truth-power", "0.5"], "truth_power must exceed"),
+            (["--problem", "synthetic-exp", "--truth-power", "0.5"], "truth_power must exceed"),
         ):
             capsys.readouterr()
             with pytest.raises(SystemExit) as exit_info:

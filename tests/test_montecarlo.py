@@ -168,8 +168,8 @@ def frequency_literal(records, which, consts):
     """The guarantee events of `theorem_frequency`, one replicate at a time."""
     bound = {
         "thm1": lambda r: consts.c_tau_weak * r.min_e_weak,
-        "thm2": lambda r: consts.c_tau_strong * (r.min_e_strong + r.sat_term),
-        "cor1": lambda r: consts.c_tau_cor * r.min_e_strong,
+        "thm2": lambda r: consts.c_tau_strong * (r.e_strong_by_rule["opt"] + r.sat_term),
+        "cor1": lambda r: consts.c_tau_cor * r.e_strong_by_rule["opt"],
     }[which]
     error = "e_weak_by_rule" if which == "thm1" else "e_strong_by_rule"
     return float(np.mean([getattr(r, error)["dp"] <= bound(r) for r in records]))
@@ -182,7 +182,7 @@ def test_records_respect_exact_inequalities(small_records):
     assert np.all(k["com"] <= k["dp"])
     for rule in ("dp", "bal", "es"):
         assert np.all(e["opt"] <= e[rule])
-    assert np.all(small_records.min_e_strong <= e["opt"] * (1 + 1e-12))
+    assert np.all(e["opt"] == small_records.e_strong_by_rule.min(axis=0))
 
 
 def test_zero_truth_forces_zero_optimum():
@@ -248,7 +248,7 @@ def test_summarize_constant_samples():
 def small_template(k: int, err: float) -> ReplicateColumns:
     rec = ReplicateColumns.empty(1)
     rec.delta[0], rec.seed[0], rec.k_by_rule[:, 0], rec.sat_term[0] = 0.01, 0, k, 0.0
-    for column in (rec.e_strong_by_rule, rec.e_weak_by_rule, rec.min_e_strong, rec.min_e_weak):
+    for column in (rec.e_strong_by_rule, rec.e_weak_by_rule, rec.min_e_weak):
         column[..., 0] = err
     return rec
 
@@ -435,7 +435,7 @@ def test_row_block_loops_equal_per_replicate_loops(monkeypatch, rows_per_block):
     if rows_per_block:
         monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", rows_per_block * 10)
     for replicates in (1, 50, 61):
-        assert check_moment_bounds(replicates, seed=8128).detail == (
+        assert check_moment_bounds(replicates).detail == (
             moment_bounds_literal(replicates, seed=8128)
         )
 
@@ -516,7 +516,7 @@ def test_shared_sums_equal_a_literal_recomputation(p, cfg):
                 r: math.sqrt(strong[k]) for r, k in ks.items()
             }
             assert per_rule(record.e_weak_by_rule) == {r: math.sqrt(weak[k]) for r, k in ks.items()}
-            assert record.min_e_strong[0] == math.sqrt(strong.min())
+            assert per_rule(record.e_strong_by_rule)["opt"] == math.sqrt(strong.min())
             assert record.min_e_weak[0] == math.sqrt(weak.min())
             lo = max(ks["pr"], 1) - 1
             assert record.sat_term[0] == math.sqrt(float(np.sum(p.x_true[lo : ks["st"]] ** 2)))
