@@ -102,17 +102,16 @@ def check_lepski_dp_identity(instances: int = 1000) -> CheckResult:
 def dp_modified_bruteforce(y_obs: np.ndarray, delta: float, tau: float) -> int:
     """Literal per-m evaluation of the maximized residual rule.
 
-    For every m the suffix sums of the first m squared coefficients are built
-    from scratch and the smallest admissible k is taken; only the scan over k
-    is vectorized. Quadratic work, kept as the oracle for the fast version.
+    Row m of a D x (D+1) array holds the first m squared coefficients, then
+    zeros (which add exactly), so summing each row from the back gives that m's
+    suffix sums; the largest over m of each row's smallest admissible k is
+    returned. Quadratic work, kept as the oracle for the fast version.
     """
-    sq = y_obs * y_obs
-    best = 0
-    for m in range(1, len(y_obs) + 1):
-        tails = np.concatenate([np.cumsum(sq[m - 1 :: -1])[::-1], [0.0]])
-        k = int(np.argmax(np.sqrt(tails) <= tau * math.sqrt(m) * delta))
-        best = max(best, k)
-    return best
+    D = len(y_obs)
+    rows = np.tril(np.broadcast_to(np.append(y_obs * y_obs, 0.0), (D, D + 1)))
+    tails = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]
+    bound = tau * np.sqrt(np.arange(1, D + 1)) * delta
+    return int(np.argmax(np.sqrt(tails) <= bound[:, None], axis=1).max(initial=0))
 
 
 def check_dp_bruteforce(instances: int = 500) -> CheckResult:

@@ -14,9 +14,9 @@ statistics of the sequential rule's level per noise level.
 the probabilistic guarantees and the exponential-spectrum failure mode
 actually occur. The last two draw, evaluate and reduce their replicates one
 row block at a time (see `_row_blocks`), as does every other replicate loop
-of `speccut verify`, so their memory stays bounded for any replicate count
-and the battery's peak resident set (about 110 MB) is the dense
-factorization of phillips at D = 1024.
+of `speccut verify`, so their memory stays bounded for any replicate count,
+a block's arrays stay in cache, and the battery's peak resident set (about
+110 MB) is the dense factorization of phillips at D = 1024.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .sequence_model import (
 )
 
 
-# Entries per (R, D) array of a row block: 2^18 float64 values, 2 MB.
-_BLOCK_ELEMENTS = 1 << 18
+# Entries per (R, D) array of a row block: 2^15 doubles, 256 KiB, so a block fits in L2.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def _row_blocks(total: int, width: int) -> list[tuple[int, int]]:
@@ -273,16 +273,14 @@ def example1_frequency(kappa: float, delta: float, replicates: int, seed: int) -
     D = math.ceil(math.log(delta**-2)) + 10
     p = build_synthetic(D, "exp")
     rng = np.random.default_rng(seed)
-    zero = np.zeros(D)
-    zero.flags.writeable = False  # read-only arrays go into the observations uncopied
     hits = 0
     # consecutive draws continue one stream: the blocks tile one (replicates, D) sample
     for lo, hi in _row_blocks(replicates, D + 1):
         z = rng.standard_normal((hi - lo, D))
         y = delta * z
         for a in (z, y):
-            a.flags.writeable = False
-        obs = NoisyObservation(y, zero, z, delta, (seed,) * (hi - lo))
+            a.flags.writeable = False  # read-only arrays go into the observation uncopied
+        obs = NoisyObservation(y, p.y_clean, z, delta, (seed,) * (hi - lo))  # y_clean: zeros
         k = balancing(p, obs, kappa)
         coeff_sq = (y / p.sigma) ** 2
         # rows that stop at one level sum the same prefix length, as each row alone would

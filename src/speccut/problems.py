@@ -369,6 +369,11 @@ class ProblemSpec:
             _check_exp_size(self.size)
         for param in _BOUNDED_PARAMETERS.get(self.name, ()):
             _check_parameter(param, getattr(self, param))
+        if self.name == "direct":  # its largest truth entry is 1 or size ** -truth_power
+            try:
+                float(self.size) ** -self.truth_power
+            except OverflowError:
+                raise ValueError(f"truth_power {self.truth_power} overflows at size {self.size}")
 
 
 DENSE_BUILDERS = {

@@ -41,7 +41,7 @@ observations memoise the sums the rules share (`SpectralProblem`,
 prefix sum of (y_obs/sigma)^2 in `balancing`, the noise sum, the strong
 profile, and the amplified-noise sum in `oracle_strong`) and no suffix
 maximum. Callers that evaluate many replicates pass row blocks of at most
-2^18 entries per (R, D) array (`montecarlo._row_blocks`).
+2^15 entries per (R, D) array (`montecarlo._row_blocks`).
 The O(D^2) literal scans survive as test oracles.
 """
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -113,6 +114,7 @@ def test_bench_rejects_bad_deltas(tmp_path, capsys):
             (["--problem", "synthetic-poly", "--q", "0"], "q must exceed"),
             (["--problem", "synthetic-poly", "--truth-power", "0.5"], "truth_power must exceed"),
             (["--problem", "synthetic-exp", "--truth-power", "0.5"], "truth_power must exceed"),
+            (["--problem", "direct", "--size", "64", "--truth-power", "-200"], "overflows"),
         ):
             capsys.readouterr()
             with pytest.raises(SystemExit) as exit_info:
@@ -265,6 +267,36 @@ def test_verify_quick_report_is_byte_identical(capsys):
     printed = capsys.readouterr().out
     assert printed.splitlines() == QUICK_VERIFY_LINES
     assert hashlib.sha256(printed.encode()).hexdigest() == QUICK_VERIFY_SHA256
+
+
+def dp_modified_per_m_loop(y_obs, delta, tau):
+    """The literal rule one m at a time: each m's suffix sums built from scratch."""
+    sq = y_obs * y_obs
+    best = 0
+    for m in range(1, len(y_obs) + 1):
+        tails = np.concatenate([np.cumsum(sq[m - 1 :: -1])[::-1], [0.0]])
+        k = int(np.argmax(np.sqrt(tails) <= tau * math.sqrt(m) * delta))
+        best = max(best, k)
+    return best
+
+
+def test_bruteforce_oracle_equals_the_per_m_loop():
+    rng = np.random.default_rng(2718)
+    levels = []
+    for _ in range(1000):
+        D = int(rng.integers(1, 129))  # 1 <= D <= 128
+        delta = float(10.0 ** rng.uniform(-8, 0))
+        tau = float(rng.uniform(1.01, 3.0))
+        scale = float(10.0 ** rng.uniform(-3, 3))
+        # decaying coefficients with some exact zeros spread the levels over 0..D
+        y = scale * np.arange(1, D + 1) ** -rng.uniform(0, 4) * rng.standard_normal(D)
+        y[rng.random(D) < 0.1] = 0.0
+        k = cli.dp_modified_bruteforce(y, delta, tau)
+        assert type(k) is int and k == dp_modified_per_m_loop(y, delta, tau), (D, delta, tau)
+        levels.append((k, D))
+    assert sum(k == 0 for k, _ in levels) >= 50
+    assert sum(k == D for k, D in levels) >= 50
+    assert sum(0 < k < D for k, D in levels) >= 300
 
 
 def oracle_orderings_hold_literal(ks, strong_sq, weak_sq):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from speccut import montecarlo, problems, rules, sequence_model
+from speccut import cli, montecarlo, problems, rules, sequence_model
 from speccut.cli import check_moment_bounds
 from speccut.montecarlo import (
     BoxplotStats,
@@ -440,16 +440,50 @@ def test_row_block_loops_equal_per_replicate_loops(monkeypatch, rows_per_block):
         )
 
 
+def test_cli_block_loops_do_not_depend_on_block_size(monkeypatch):
+    # both checks draw (R, 256) blocks: one-row blocks, 7-row blocks, then the package's own
+    log = {}
+    for module, name in ((cli, "balancing"), (cli, "dp_modified"), (cli, "select_all")):
+        def logged(*args, _fn=getattr(module, name), _name=name):
+            out = _fn(*args)
+            log.setdefault(_name, []).append(out)
+            return out
+        monkeypatch.setattr(module, name, logged)
+    runs = []
+    for rows in (1, 7, montecarlo._BLOCK_ELEMENTS // 257):
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", rows * 257)
+        log.clear()
+        details = (
+            cli.check_lepski_dp_identity(instances=45).detail,
+            cli.check_oracle_inequalities(replicates=45).detail,
+        )
+        assert len(log["dp_modified"]) == -(-45 // rows)  # one call per block
+        levels = {name: np.concatenate(log[name]) for name in ("balancing", "dp_modified")}
+        for rule in RULE_NAMES:
+            levels[rule] = np.concatenate([ks[rule] for ks in log["select_all"]])
+        runs.append((details, levels))
+    for details, levels in runs[1:]:
+        assert details == runs[0][0]
+        assert all(np.array_equal(levels[key], runs[0][1][key]) for key in levels)
+    assert runs[0][0] == (
+        "45/45 exact agreements (D=256, delta=0.1, fudge=1.5)",
+        "0/45 replicates violated an exact inequality",
+    )
+
+
 def test_verify_loops_hold_a_few_blocks_at_a_time():
-    # numpy reports its array allocations to tracemalloc; 8 float64 blocks are 16 MiB
+    # numpy reports its array allocations to tracemalloc; 8 float64 blocks are 2 MiB
     bound = 8 * 8 * montecarlo._BLOCK_ELEMENTS
-    for run in (
-        lambda: check_moment_bounds(replicates=10000),  # 76 MiB per sample at kappa = 1000
-        lambda: example1_frequency(1.05, 1e-3, 100000, 6174),  # 18 MiB of rows
+    for run, replicates in (
+        (check_moment_bounds, 10000),  # 76 MiB per sample at kappa = 1000
+        (lambda n: example1_frequency(1.05, 1e-3, n, 6174), 100000),  # 18 MiB of rows
     ):
+        # in a fresh process the first call imports numpy.random and numpy.ma (about
+        # 1.8 MB of module objects, not row blocks), so it runs once untraced
+        run(10)
         tracemalloc.start()
         try:
-            run()
+            run(replicates)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
