@@ -261,6 +261,7 @@ def check_moment_bounds(replicates: int = 10000) -> CheckResult:
         bound = math.sqrt(8.0 / kappa)
         ok = ok and est <= 1.05 * bound
         details.append(f"kappa={kappa}: {est:.4f} <= {bound:.4f}")
+    del dev  # released before prop2_check draws its D = 10^4 rows
     emp, bound = prop2_check(model, 10000, 100, 1.0 / 3.0, 1000, seed)
     ok = ok and emp <= bound
     details.append(f"sup-deviation: P={emp:.3f} <= bound {bound:.3f}")

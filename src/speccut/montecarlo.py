@@ -12,10 +12,12 @@ with the n-1 denominator, reported as 0 for a single sample) plus boxplot
 statistics of the sequential rule's level per noise level.
 `theorem_frequency`, `example1_frequency` and `prop2_check` measure how often
 the probabilistic guarantees and the exponential-spectrum failure mode
-actually occur. The last two draw, evaluate and reduce their replicates one
-row block at a time (see `_row_blocks`), as does every other replicate loop
-of `speccut verify`, so their memory stays bounded for any replicate count,
-a block's arrays stay in cache, and the battery's peak resident set (about
+actually occur. `run_experiment` (and so `bench`), the last two and every
+other replicate loop of `speccut verify` draw, evaluate and reduce their
+replicates one row block at a time (see `_row_blocks`): each row of a block
+gets the bits it would get on its own, memory stays bounded for any
+replicate count, a block's arrays stay in cache, and Python's per-call cost
+is paid once per block. The verify battery's peak resident set (about
 110 MB) is the dense factorization of phillips at D = 1024.
 """
 
@@ -45,8 +47,12 @@ from .sequence_model import (
 )
 
 
-# Entries per (R, D) array of a row block: 2^15 doubles, 256 KiB, so a block fits in L2.
-_BLOCK_ELEMENTS = 1 << 15
+# Entries per (R, D) array of a row block: 2^13 doubles, 64 KiB. The ten or so arrays a
+# `run_experiment` block keeps alive then fit in L2, and the heap they take is reused from
+# block to block: with arrays of 96 KiB or more, glibc's malloc gave it back to the system
+# after every block and refaulted it in the next (about 38 minor page faults per replicate
+# at D = 5000 with 2^14, 0.3 with 2^13), which made `bench` slower than one row at a time.
+_BLOCK_ELEMENTS = 1 << 13
 
 
 def _row_blocks(total: int, width: int) -> list[tuple[int, int]]:
@@ -154,28 +160,45 @@ def replicate_seed(base_seed: int, delta_index: int, replicate: int) -> int:
 def evaluate_replicate(
     p: SpectralProblem, obs: NoisyObservation, cfg: RuleConfig, out: ReplicateColumns, i: int
 ) -> None:
-    """Run every rule on one observation and write levels, errors and oracles to slot i."""
+    """Run every rule on an observation row or block and write slots i, i+1, ...
+
+    A block of R rows fills slots i .. i+R-1, row r into slot i+r, with the
+    bits that row gets on its own: one `select_all` and one strong and one
+    weak profile serve the whole block, and each row reads its own entries.
+    """
     ks = select_all(p, obs, cfg)
-    levels = [ks[r] for r in RULE_NAMES]
-    strong_sq = strong_error_sq_profile(p, obs)
-    weak_sq = weak_error_sq_profile(p, obs)
-    out.delta[i], out.seed[i] = obs.delta, obs.seed
-    out.k_by_rule[:, i] = levels
-    out.e_strong_by_rule[:, i] = np.sqrt(strong_sq[levels])
-    out.e_weak_by_rule[:, i] = np.sqrt(weak_sq[levels])
-    out.min_e_weak[i] = math.sqrt(float(weak_sq.min()))
-    lo = max(ks["pr"], 1) - 1  # truth mass over levels pr..st, one-based
-    out.sat_term[i] = math.sqrt(float(np.sum(p.x_true[lo : ks["st"]] ** 2)))
+    levels = np.array([ks[r] for r in RULE_NAMES]).reshape(len(RULE_NAMES), -1)  # (rule, R)
+    strong_sq = strong_error_sq_profile(p, obs).reshape(-1, p.size + 1)  # (R, D + 1)
+    weak_sq = weak_error_sq_profile(p, obs).reshape(-1, p.size + 1)
+    rows = np.arange(levels.shape[1])
+    slots = slice(i, i + rows.size)
+    out.delta[slots], out.seed[slots] = obs.delta, obs.seed
+    out.k_by_rule[:, slots] = levels
+    out.e_strong_by_rule[:, slots] = np.sqrt(strong_sq[rows, levels])
+    out.e_weak_by_rule[:, slots] = np.sqrt(weak_sq[rows, levels])
+    out.min_e_weak[slots] = np.sqrt(weak_sq.min(axis=-1))
+    # truth mass over levels pr..st, one-based; each row sums its own slice, as on its own
+    pr, st = levels[RULE_NAMES.index("pr")].tolist(), levels[RULE_NAMES.index("st")].tolist()
+    out.sat_term[slots] = [
+        math.sqrt(float(np.sum(p.x_true[max(a, 1) - 1 : b] ** 2))) for a, b in zip(pr, st)
+    ]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ReplicateColumns:
-    """All replicates of the full noise-level grid, in (delta, replicate) order."""
+    """All replicates of the full noise-level grid, in (delta, replicate) order.
+
+    Each noise level's replicates are drawn and evaluated one row block at a
+    time (`_row_blocks`); row r of a block is replicate r's own draw.
+    """
     p = make_problem(cfg.problem)
-    out = ReplicateColumns.empty(len(cfg.deltas) * cfg.replicates)
+    n = cfg.replicates
+    out = ReplicateColumns.empty(len(cfg.deltas) * n)
     for di, delta in enumerate(cfg.deltas):
-        for r in range(cfg.replicates):
-            obs = observe(p, delta, cfg.noise, replicate_seed(cfg.base_seed, di, r))
-            evaluate_replicate(p, obs, cfg.rules, out, di * cfg.replicates + r)
+        for lo, hi in _row_blocks(n, p.size + 1):
+            seeds = [replicate_seed(cfg.base_seed, di, r) for r in range(lo, hi)]
+            # a block of one row (D >= 4096) is drawn as a row: its rules bisect, not count
+            obs = observe(p, delta, cfg.noise, seeds if len(seeds) > 1 else seeds[0])
+            evaluate_replicate(p, obs, cfg.rules, out, di * n + lo)
     return out
 
 
@@ -185,12 +208,35 @@ def _mean_std(values: np.ndarray) -> tuple[float, float]:
     return mean, std
 
 
+def _quartiles(x: np.ndarray) -> tuple[float, ...]:
+    """`np.percentile(x, [25, 50, 75])` of a nonempty float array without NaN, bit for bit.
+
+    numpy's linear method on a sorted copy s: quantile q sits at v = (n - 1) q;
+    with k = floor(v), a = s[k], b = s[k + 1] and t = v - k it is a + (b - a) t,
+    or b - (b - a)(1 - t) when t >= 1/2. For v >= n - 1 numpy takes k = -1, so
+    that a = b = s[-1]; so does this. Unlike `np.percentile`, it does not import
+    `numpy.ma` (about 1 MB of resident memory).
+    """
+    s = np.sort(x).tolist()
+    n = len(s)
+    out = []
+    for q in (0.25, 0.5, 0.75):
+        v = (n - 1) * q
+        k = -1 if v >= n - 1 else math.floor(v)
+        t = v - k
+        a, b = s[k], s[-1 if k == -1 else k + 1]
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return tuple(out)
+
+
 def boxplot_stats(samples: np.ndarray) -> BoxplotStats:
     """Quartiles, 1.5 IQR whiskers clipped to data points, and outliers."""
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ValueError("no samples")
-    q25, median, q75 = (float(v) for v in np.percentile(x, [25.0, 50.0, 75.0]))
+    if np.isnan(x).any():
+        raise ValueError("samples contain NaN")
+    q25, median, q75 = _quartiles(x)
     iqr = q75 - q25
     lo_fence, hi_fence = q25 - 1.5 * iqr, q75 + 1.5 * iqr
     inside = x[(x >= lo_fence) & (x <= hi_fence)]

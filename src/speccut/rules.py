@@ -40,8 +40,9 @@ observations memoise the sums the rules share (`SpectralProblem`,
 `_dp_thresholds`), so one replicate builds five cumulative sums (S, the
 prefix sum of (y_obs/sigma)^2 in `balancing`, the noise sum, the strong
 profile, and the amplified-noise sum in `oracle_strong`) and no suffix
-maximum. Callers that evaluate many replicates pass row blocks of at most
-2^15 entries per (R, D) array (`montecarlo._row_blocks`).
+maximum. Callers that evaluate many replicates, `bench`'s replicate loop
+and the verify loops, pass row blocks of at most 2^13 entries per (R, D)
+array (`montecarlo._row_blocks`).
 The O(D^2) literal scans survive as test oracles.
 """
 
@@ -322,8 +323,12 @@ def empirical_sup_deviation(z: np.ndarray, kappa_idx: int) -> float:
     D = z.shape[-1]
     if not 1 <= kappa_idx <= D:
         raise ValueError(f"kappa_idx={kappa_idx} outside [1, {D}]")
-    means = np.cumsum(z * z - 1.0, axis=-1) / np.arange(1, D + 1)
-    dev = np.max(np.abs(means[..., kappa_idx - 1 :]), axis=-1)
+    means = z * z  # in place: one row (D = 10^4 in verify) can be wider than a row block
+    means -= 1.0
+    np.cumsum(means, axis=-1, out=means)
+    means /= np.arange(1, D + 1)
+    tail = means[..., kappa_idx - 1 :]
+    dev = np.max(np.abs(tail, out=tail), axis=-1)
     return dev if dev.ndim else float(dev)
 
 

@@ -158,23 +158,20 @@ def sample_noise(model: NoiseModel, D: int, seed: int | Sequence[int]) -> np.nda
     """Draw D independent unit-variance noise coordinates, reproducibly.
 
     A sequence of seeds gives an (R, D) block with one row per seed, in order;
-    each row is drawn from its own seed alone.
+    each row is drawn from its own seed alone, straight into its place.
     """
     if D < 1:
         raise ValueError(f"need D >= 1, got {D}")
-    if isinstance(seed, (int, np.integer)):
-        return _draw(model, D, seed)
-    rows = np.empty((len(seed), D))
-    for i, s in enumerate(seed):
-        rows[i] = _draw(model, D, int(s))
+    one = isinstance(seed, (int, np.integer))
+    rows = np.empty(D if one else (len(seed), D))
+    for row, s in zip(rows.reshape(-1, D), [seed] if one else seed):
+        rng = np.random.default_rng(int(s))
+        if model.kind == "gaussian":
+            rng.standard_normal(out=row)
+        else:
+            np.multiply(rng.integers(0, 2, size=D), 2.0, out=row)
+            row -= 1.0
     return rows
-
-
-def _draw(model: NoiseModel, D: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    if model.kind == "gaussian":
-        return rng.standard_normal(D)
-    return 2.0 * rng.integers(0, 2, size=D).astype(float) - 1.0
 
 
 def observe(
@@ -188,7 +185,8 @@ def observe(
     _check_delta(delta)
     z = sample_noise(model, p.size, seed)
     seed = int(seed) if z.ndim == 1 else tuple(int(s) for s in seed)
-    y_obs = p.y_clean + delta * z
+    y_obs = delta * z  # adding y_clean in place gives y_clean + delta * z's bits, one array fewer
+    y_obs += p.y_clean
     for fresh in (y_obs, z):  # nobody else holds them: freeze, do not copy
         fresh.flags.writeable = False
     obs = NoisyObservation(y_obs, p.y_clean, z, float(delta), seed)

@@ -126,22 +126,43 @@ def test_bench_rejects_bad_deltas(tmp_path, capsys):
 
 
 # SHA-256 of the tables of the run below; a faster rule or harness must keep them.
+# (problem, size, replicates) -> SHA-256 of each table at --deltas 1e0,1e-2,1e-4,1e-6 and
+# --seed 20240717. The phillips and heat digests hold at 1 and 2 BLAS threads. The phillips and
+# heat 5-replicate ones are perfbench's *-smoke/20240717 entries; heat at 600 replicates spans
+# five row blocks per noise level.
 GUARDED_DIGESTS = {
-    "errors.csv": "a6c901ec12caf88e29edc596604c2698a0e9efd6a94a2b1b6bb44659bd31864d",
-    "ks.csv": "bbecc2e45fcb51dc7e8f89f0dac24d8c31d6cb1ea4f59c4d0e16b6f1f4359b6e",
-    "boxplot.csv": "57fe165e2b4a9ddd0e36fc2372701e71b70a9148911163f8ddd09f01a555f307",
+    ("synthetic-poly", 256, 5): {
+        "errors.csv": "a6c901ec12caf88e29edc596604c2698a0e9efd6a94a2b1b6bb44659bd31864d",
+        "ks.csv": "bbecc2e45fcb51dc7e8f89f0dac24d8c31d6cb1ea4f59c4d0e16b6f1f4359b6e",
+        "boxplot.csv": "57fe165e2b4a9ddd0e36fc2372701e71b70a9148911163f8ddd09f01a555f307",
+    },
+    ("phillips", 64, 5): {
+        "errors.csv": "415bbc9aecdc5dd14193224f89e954fa4c67946f17517c54a996f980ebe85836",
+        "ks.csv": "b20164f2752449f251424eff0824954f420ef2f684ef8927b755f7721e39a35e",
+        "boxplot.csv": "cf27aafff1b481febf6a4536d9323e4d44bf7f5497c3b0d614910d94f51cd8de",
+    },
+    ("heat", 64, 5): {
+        "errors.csv": "57754796d69a37378eee2c1a0a00f9baa88065005a4e2cf4e17baa505020f774",
+        "ks.csv": "b3b2ed9d087a4f01175099fb542bb9dcba7dd0b65db33b9c102f01abedbac8ce",
+        "boxplot.csv": "edc6d07edd7afc9994dccc6f7bed66be6f71413ded634d0fafbc8d8a839bb3fc",
+    },
+    ("heat", 64, 600): {
+        "errors.csv": "aee0d8596e0b4db6b7ebcaab7ee84cc36fafcc68238a696dc872c58da156ab0e",
+        "ks.csv": "9dcd7325a21e712e687f295306dd395c57a58f287378a977379cb3ae56eaee85",
+        "boxplot.csv": "b80f0eb6ca982b028a583a1284253c30751cf3c3066f63df6e292565372c2eda",
+    },
 }
 
 
 def test_bench_tables_are_byte_identical_to_reference(tmp_path):
-    # synthetic-poly needs no factorization, so the digests hold for any BLAS thread count
-    out = tmp_path / "guard"
-    assert cli.main([
-        "bench", "--problem", "synthetic-poly", "--size", "256", "--replicates", "5",
-        "--deltas", "1e0,1e-2,1e-4,1e-6", "--seed", "20240717", "--out", str(out),
-    ]) == 0
-    for name, digest in GUARDED_DIGESTS.items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    for (problem, size, replicates), digests in GUARDED_DIGESTS.items():
+        out = tmp_path / f"{problem}-{replicates}"
+        assert cli.main([
+            "bench", "--problem", problem, "--size", str(size), "--replicates", str(replicates),
+            "--deltas", "1e0,1e-2,1e-4,1e-6", "--seed", "20240717", "--out", str(out),
+        ]) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (problem, name)
 
 
 def test_overflowing_balancing_sums_fail_without_tables(tmp_path, capsys):

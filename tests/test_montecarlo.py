@@ -1,6 +1,10 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -68,12 +72,35 @@ def per_rule(column, i=0):
     return dict(zip(RULE_NAMES, column[:, i].tolist()))
 
 
-def evaluated(p, pairs):
+def evaluated(p, pairs, cfg=SMALL):
     """Columns filled slot by slot from a per-replicate `observe` loop over (delta, seed) pairs."""
     cols = ReplicateColumns.empty(len(pairs))
     for i, (d, s) in enumerate(pairs):
-        evaluate_replicate(p, observe(p, d, SMALL.noise, s), SMALL.rules, cols, i)
+        evaluate_replicate(p, observe(p, d, cfg.noise, s), cfg.rules, cols, i)
     return cols
+
+
+def grid_seeds(cfg):
+    """(delta, seed) of every replicate of the grid, in (delta, replicate) order."""
+    return [
+        (d, replicate_seed(cfg.base_seed, di, r))
+        for di, d in enumerate(cfg.deltas) for r in range(cfg.replicates)
+    ]
+
+
+# a dense kernel, an exponential spectrum and Rademacher noise, besides SMALL
+BLOCKED_CASES = [
+    SMALL,
+    ExperimentConfig(ProblemSpec("heat", 64), deltas=(1e0, 1e-3, 1e-6), replicates=25, base_seed=3),
+    ExperimentConfig(
+        ProblemSpec("synthetic-exp", 40, truth_power=1.0), deltas=(1e-1, 1e-4), replicates=25,
+        base_seed=4,
+    ),
+    ExperimentConfig(
+        SMALL.problem, deltas=(1e-1, 1e-3), noise=NoiseModel("rademacher"), replicates=25,
+        base_seed=5,
+    ),
+]
 
 
 def test_run_experiment_shape(small_records):
@@ -91,9 +118,9 @@ def test_run_experiment_deterministic(small_records):
     assert columns_equal(run_experiment(SMALL), small_records)
 
 
-def test_columns_equal_a_per_replicate_loop(small_records):
+def test_columns_equal_a_per_replicate_loop(monkeypatch, small_records):
     p = make_problem(SMALL.problem)
-    seeds = [(d, replicate_seed(99, di, i)) for di, d in enumerate(SMALL.deltas) for i in range(25)]
+    seeds = grid_seeds(SMALL)
     loop = evaluated(p, seeds)
     assert isinstance(small_records, ReplicateColumns)
     assert columns_equal(small_records, loop)
@@ -107,18 +134,36 @@ def test_columns_equal_a_per_replicate_loop(small_records):
         small_records[len(loop)]
     assert columns_equal(small_records[20:30], evaluated(p, seeds[20:30]))
     assert columns_equal(small_records[[3, 0]], evaluated(p, [seeds[3], seeds[0]]))
+    # one-row and 7-row blocks, and the package's own: 25 replicates cross block boundaries
+    for cfg in BLOCKED_CASES:
+        p = make_problem(cfg.problem)
+        loop = evaluated(p, grid_seeds(cfg), cfg)
+        for rows in (1, 7, None):
+            if rows:
+                monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", rows * (p.size + 1))
+            else:
+                monkeypatch.undo()
+            assert columns_equal(run_experiment(cfg), loop), (cfg.problem, rows)
 
 
 def test_run_experiment_evaluates_each_slot_once_in_order(monkeypatch, small_records):
-    slots = []
+    blocks = []
 
     def counted(p, obs, cfg, out, i):
-        slots.append(i)
+        blocks.append(range(i, i + len(np.atleast_2d(obs.y_obs))))
         evaluate_replicate(p, obs, cfg, out, i)
 
     monkeypatch.setattr(montecarlo, "evaluate_replicate", counted)
-    assert columns_equal(run_experiment(SMALL), small_records)
-    assert slots == list(range(len(SMALL.deltas) * SMALL.replicates))
+    width = SMALL.problem.size + 1
+    for rows, blocks_per_delta in ((1, 25), (7, 4), (montecarlo._BLOCK_ELEMENTS // width, 1)):
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", rows * width)
+        blocks.clear()
+        assert columns_equal(run_experiment(SMALL), small_records)
+        # one call per block, and the blocks tile the slots in (delta, replicate) order
+        assert len(blocks) == len(SMALL.deltas) * blocks_per_delta
+        assert [slot for block in blocks for slot in block] == list(
+            range(len(SMALL.deltas) * SMALL.replicates)
+        )
 
 
 def replicate_values(cols):
@@ -263,8 +308,33 @@ def test_boxplot_convention():
     assert b.q25 == 2.0 and b.median == 3.0 and b.q75 == 4.0
     assert b.whisker_lo == 1.0 and b.whisker_hi == 4.0
     assert b.outliers == (100.0,)
-    with pytest.raises(ValueError):
-        boxplot_stats(np.array([]))
+    for bad in ([], [1.0, math.nan]):
+        with pytest.raises(ValueError):
+            boxplot_stats(np.array(bad))
+
+
+def test_quartiles_equal_numpy_percentile_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for size in (*range(1, 10), 500):
+        for _ in range(40):
+            ints = rng.integers(-3, 40, size).astype(float)
+            floats = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9)
+            for x in (ints, floats):
+                expected = np.percentile(x, [25.0, 50.0, 75.0])
+                assert np.array(montecarlo._quartiles(x)).tobytes() == expected.tobytes()
+
+
+def test_bench_does_not_import_numpy_ma(tmp_path):
+    # np.percentile imports numpy.ma, about 1 MB of resident memory, on first use
+    args = ["bench", "--problem", "synthetic-poly", "--size", "32", "--replicates", "3",
+            "--out", str(tmp_path)]
+    code = f"import sys; from speccut import cli; cli.main({args!r}); print('numpy.ma' in sys.modules)"
+    src = str(Path(montecarlo.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_boxplot_degenerate_constant():
@@ -488,6 +558,25 @@ def test_verify_loops_hold_a_few_blocks_at_a_time():
         finally:
             tracemalloc.stop()
         assert peak <= bound
+
+
+def test_run_experiment_holds_a_few_blocks_at_a_time():
+    columns = sum(column.nbytes for column in vars(ReplicateColumns.empty(600)).values())
+    run_experiment(SMALL)  # imports and first-use caches, untraced
+    # D = 5000 goes one row at a time, D = 1000 in blocks of several rows; all 600
+    # replicates at once would be 24 MB and 4.8 MB of rows
+    for D in (5000, 1000):
+        cfg = ExperimentConfig(
+            ProblemSpec("synthetic-poly", D), deltas=(1e-2,), replicates=600, base_seed=1
+        )
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the columns, plus the problem's D-sized arrays and one block's arrays
+        assert peak <= columns + 12 * 8 * montecarlo._BLOCK_ELEMENTS, D
 
 
 # --------------------------------------------------------------------------
