@@ -52,6 +52,7 @@ from .sequence_model import (
     NoiseModel,
     NoisyObservation,
     observe,
+    sample_noise,
     strong_error,
     strong_error_sq_profile,
     weak_error,
@@ -124,7 +125,7 @@ def check_dp_bruteforce(instances: int = 500) -> CheckResult:
         tau = float(rng.uniform(1.05, 3.0))
         scale = float(10.0 ** rng.uniform(-1, 1))
         y = scale * rng.standard_normal(D)
-        obs = NoisyObservation(y, np.zeros(D), y / delta, delta, 0)
+        obs = NoisyObservation(y, np.zeros(D), delta)
         agree += dp_modified(obs, tau) == dp_modified_bruteforce(y, delta, tau)
     return CheckResult(
         "dp_bruteforce_equivalence", agree == instances, f"{agree}/{instances} exact agreements"
@@ -143,14 +144,12 @@ def check_scaling_invariance(instances: int = 200) -> CheckResult:
         s = float(rng.uniform(0.6, 2.0))
         delta = float(10.0 ** rng.uniform(-3, -0.5))
         p = build_synthetic(D, "poly", q=q, truth_power=s)
-        obs = observe(p, delta, model, seed + i)
-        base = _all_levels(p, obs)
+        z = sample_noise(model, D, seed + i)
+        base = _all_levels(p, NoisyObservation(p.y_clean + delta * z, p.y_clean, delta))
         for c in (1e-3, 1e3):
             p2 = type(p)(p.name, p.sigma, c * p.x_true)
-            y_clean2 = c * obs.y_clean
-            obs2 = NoisyObservation(
-                y_clean2 + (c * delta) * obs.z, y_clean2, obs.z, c * delta, obs.seed
-            )
+            y_clean2 = c * p.y_clean
+            obs2 = NoisyObservation(y_clean2 + (c * delta) * z, y_clean2, c * delta)
             if _all_levels(p2, obs2) != base:
                 violations += 1
                 break
@@ -455,11 +454,9 @@ def _add_common(sub):
     sub.add_argument("--tau", type=_finite, default=1.5)
     sub.add_argument("--kappa", type=_finite, default=4.0)
     sub.add_argument("--tau-min", dest="tau_min", type=_finite, default=1.0)
-    sub.add_argument("--replicates", type=int, default=None)
     sub.add_argument("--seed", type=int, default=20240717)
     sub.add_argument("--noise", choices=("gaussian", "rademacher"), default="gaussian")
     sub.add_argument("--out", default="results")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--preset", choices=tuple(PRESETS), default="paper")
 
 
@@ -471,11 +468,14 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
     bench = subs.add_parser("bench", help="Monte Carlo comparison tables")
     _add_common(bench)
+    bench.add_argument("--replicates", type=int, default=None)
+    bench.add_argument("--format", choices=("csv", "json"), default="csv")
     verify = subs.add_parser("verify", help="identity/frequency/bound checks")
     verify.add_argument("--quick", action="store_true", help="reduced replicate counts")
     verify.add_argument("--out", default=None)
     single = subs.add_parser("single", help="one replicate with full diagnostics")
     _add_common(single)
+    single.set_defaults(replicates=1)
     return parser
 
 
@@ -492,8 +492,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.subcommand != "verify":
         _apply_preset(args)
-        if args.subcommand == "single":
-            args.replicates = 1
         try:  # numbers that parse but that the configuration rejects are usage errors
             _experiment_config(args)
         except ValueError as exc:

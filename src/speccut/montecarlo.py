@@ -110,7 +110,7 @@ class ReplicateColumns:
 
     @classmethod
     def empty(cls, n: int) -> ReplicateColumns:
-        """Unfilled columns for n replicates; `evaluate_replicate` fills one slot."""
+        """Unfilled columns for n replicates; `evaluate_replicate` fills all but the seeds."""
         rules = len(RULE_NAMES)
         return cls(
             np.empty(n), np.empty(n, np.uint64), np.empty((rules, n), np.int64),
@@ -165,6 +165,7 @@ def evaluate_replicate(
     A block of R rows fills slots i .. i+R-1, row r into slot i+r, with the
     bits that row gets on its own: one `select_all` and one strong and one
     weak profile serve the whole block, and each row reads its own entries.
+    It writes every column but `seed`, which the caller that drew the noise knows.
     """
     ks = select_all(p, obs, cfg)
     levels = np.array([ks[r] for r in RULE_NAMES]).reshape(len(RULE_NAMES), -1)  # (rule, R)
@@ -172,7 +173,7 @@ def evaluate_replicate(
     weak_sq = weak_error_sq_profile(p, obs).reshape(-1, p.size + 1)
     rows = np.arange(levels.shape[1])
     slots = slice(i, i + rows.size)
-    out.delta[slots], out.seed[slots] = obs.delta, obs.seed
+    out.delta[slots] = obs.delta
     out.k_by_rule[:, slots] = levels
     out.e_strong_by_rule[:, slots] = np.sqrt(strong_sq[rows, levels])
     out.e_weak_by_rule[:, slots] = np.sqrt(weak_sq[rows, levels])
@@ -199,6 +200,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReplicateColumns:
             # a block of one row (D >= 4096) is drawn as a row: its rules bisect, not count
             obs = observe(p, delta, cfg.noise, seeds if len(seeds) > 1 else seeds[0])
             evaluate_replicate(p, obs, cfg.rules, out, di * n + lo)
+            out.seed[di * n + lo : di * n + hi] = seeds
     return out
 
 
@@ -322,18 +324,17 @@ def example1_frequency(kappa: float, delta: float, replicates: int, seed: int) -
     hits = 0
     # consecutive draws continue one stream: the blocks tile one (replicates, D) sample
     for lo, hi in _row_blocks(replicates, D + 1):
-        z = rng.standard_normal((hi - lo, D))
-        y = delta * z
-        for a in (z, y):
-            a.flags.writeable = False  # read-only arrays go into the observation uncopied
-        obs = NoisyObservation(y, p.y_clean, z, delta, (seed,) * (hi - lo))  # y_clean: zeros
+        y = rng.standard_normal((hi - lo, D))
+        y *= delta
+        y.flags.writeable = False  # a read-only array goes into the observation uncopied
+        obs = NoisyObservation(y, p.y_clean, delta)  # y_clean: zeros
         k = balancing(p, obs, kappa)
         coeff_sq = (y / p.sigma) ** 2
         # rows that stop at one level sum the same prefix length, as each row alone would
         for level in np.unique(k):
             norm_sq = np.sum(coeff_sq[k == level, :level], axis=-1)
             hits += int(np.count_nonzero(norm_sq >= 1.0))
-        del z, y, obs, coeff_sq  # release this block before drawing the next
+        del y, obs, coeff_sq  # release this block before drawing the next
     return hits / replicates
 
 
@@ -350,6 +351,8 @@ def prop2_check(
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not 1 <= kappa_idx <= D:
         raise ValueError(f"kappa_idx={kappa_idx} outside [1, {D}]")
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
     ss = np.random.SeedSequence(seed)
     seeds = ss.generate_state(replicates, dtype=np.uint64)
     exceed = 0

@@ -36,13 +36,13 @@ P_m >= g_m, so every level below the search fails at that m. Entry m of
 every row is read as `S.T[m]`: a float for one row (where `S[..., m]` would
 make a slower 0-d array), the (R,) column of a block. Problems and
 observations memoise the sums the rules share (`SpectralProblem`,
-`NoisyObservation`, and per tau the thresholds S_m - tau^2 m delta^2 in
-`_dp_thresholds`), so one replicate builds five cumulative sums (S, the
+`NoisyObservation`), so one replicate builds five cumulative sums (S, the
 prefix sum of (y_obs/sigma)^2 in `balancing`, the noise sum, the strong
 profile, and the amplified-noise sum in `oracle_strong`) and no suffix
-maximum. Callers that evaluate many replicates, `bench`'s replicate loop
-and the verify loops, pass row blocks of at most 2^13 entries per (R, D)
-array (`montecarlo._row_blocks`).
+maximum; `dp_modified` and `combined` each compute the thresholds they
+compare, `combined` only up to its largest m_max. Callers that evaluate many
+replicates, `bench`'s replicate loop and the verify loops, pass row blocks
+of at most 2^13 entries per (R, D) array (`montecarlo._row_blocks`).
 The O(D^2) literal scans survive as test oracles.
 """
 
@@ -164,21 +164,13 @@ def _min_levels(S: np.ndarray, thresholds):
     return (S < thresholds[..., None]).sum(axis=-1)
 
 
-def _dp_thresholds(obs: NoisyObservation, tau: float) -> np.ndarray:
-    """T with T[..., m-1] = S_m - tau^2 m delta^2 for every m in [1, D], read-only.
+def _thresholds(obs: NoisyObservation, tau: float, n: int) -> np.ndarray:
+    """T with T[..., m-1] = S_m - tau^2 m delta^2 for every m in [1, n], per row.
 
-    Built once per observation and tau and memoised on the observation; each
-    entry is computed on its own, so a prefix equals the vector of a shorter
-    resolution.
+    Each entry is computed on its own, so T is a prefix of the vector for any larger n.
     """
-    key = ("dp_thresholds", tau)
-    T = obs._memo.get(key)
-    if T is None:
-        m = np.arange(1.0, obs.size + 1)  # float counts: no int-to-float cast in the product
-        T = obs.prefix_sq[..., 1:] - _square(tau * obs.delta) * m
-        T.flags.writeable = False
-        obs._memo[key] = T
-    return T
+    m = np.arange(1.0, n + 1)  # float counts: no int-to-float cast in the product
+    return obs.prefix_sq[..., 1 : n + 1] - _square(tau * obs.delta) * m
 
 
 def _residual_level(obs: NoisyObservation, c: float, m: int):
@@ -190,14 +182,14 @@ def _residual_level(obs: NoisyObservation, c: float, m: int):
     return _min_levels(S, S.T[m] - _square(c * obs.delta) * m)
 
 
-def _max_level(S: np.ndarray, thresholds: np.ndarray):
+def _max_level(S: np.ndarray, thresholds: np.ndarray, where=True):
     """Largest per-threshold level, max over T of the smallest k with S[k] >= T, per row.
 
     `_min_levels` is nondecreasing in T for nondecreasing S, so the maximum is
-    attained at the largest threshold: one search gives it exactly. A row with
-    no thresholds gets level 0.
+    attained at the largest threshold: one search gives it exactly. Only the
+    thresholds selected by `where` count; a row with none gets level 0.
     """
-    return _min_levels(S, thresholds.max(axis=-1, initial=-np.inf))
+    return _min_levels(S, thresholds.max(axis=-1, initial=-np.inf, where=where))
 
 
 def dp_at_m(obs: NoisyObservation, tau: float, m: int) -> int:
@@ -219,7 +211,7 @@ def dp_modified(obs: NoisyObservation, tau: float) -> int:
     one search.
     """
     _check_fudge("tau", tau)
-    return _level(_max_level(obs.prefix_sq, _dp_thresholds(obs, tau)))
+    return _level(_max_level(obs.prefix_sq, _thresholds(obs, tau, obs.size)))
 
 
 def balancing(p: SpectralProblem, obs: NoisyObservation, kappa: float) -> int:
@@ -266,15 +258,10 @@ def combined(obs: NoisyObservation, tau: float, tau_min: float = 1.0) -> int:
     """
     if not (math.isfinite(tau) and tau > tau_min):
         raise ValueError(f"need finite tau > tau_min, got tau={tau}, tau_min={tau_min}")
-    m_max = early_stop(obs, tau=tau_min)
-    S = obs.prefix_sq
-    if S.ndim == 1:
-        thresholds = _dp_thresholds(obs, tau)[:m_max]
-    else:  # rows stop at different levels: drop the thresholds past each row's m_max
-        thresholds = _dp_thresholds(obs, tau)[:, : m_max.max()]
-        m = np.arange(1, thresholds.shape[-1] + 1)
-        thresholds = np.where(m <= m_max[:, None], thresholds, -np.inf)
-    return _level(_max_level(S, thresholds))
+    m_max = np.asarray(early_stop(obs, tau=tau_min))
+    T = _thresholds(obs, tau, m_max.max())
+    m = np.arange(1, T.shape[-1] + 1)  # rows stop at different levels: each reads m <= m_max
+    return _level(_max_level(obs.prefix_sq, T, where=m <= m_max[..., None]))
 
 
 def oracle_opt(p: SpectralProblem, obs: NoisyObservation) -> int:

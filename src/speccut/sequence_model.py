@@ -8,18 +8,19 @@ grows with k and a bias part that shrinks with k. Sums beyond the problem
 resolution D are identically zero: the truth is represented exactly at
 resolution D.
 
-An observation stores its vectors read-only and memoises the sums that several
-rules and error profiles read, so each is built once per observation: the
-prefix sums of y_obs^2 and of the squared noise (y_obs - y_clean)^2, and the
-strong error profile of the problem it was last evaluated against. The clean
-data and its tail sums depend only on the problem: `observe` hands every
-observation the problem's own memoised arrays (`SpectralProblem.y_clean`,
-`clean_tail`), and an observation built directly computes the tail of its own
-`y_clean`. An observation may hold one row (D,) or a block of R rows (R, D)
-that share the noise level and the clean data; every sum and profile works
-along the last axis, row by row, with the same floating-point operations as
-for one row. The prefix sums of y_obs^2 raise ValueError when they overflow a
-double, so no residual rule returns a level past D.
+An observation holds only its data (y_obs, y_clean, delta), stores its vectors
+read-only and memoises the sums that several rules and error profiles read, so
+each is built once per observation: the prefix sums of y_obs^2 and of the
+squared noise (y_obs - y_clean)^2, and the strong error profile of the problem
+it was last evaluated against. The clean data and its tail sums depend only on
+the problem: `observe` hands every observation the problem's own memoised
+arrays (`SpectralProblem.y_clean`, `clean_tail`), and an observation built
+directly computes the tail of its own `y_clean`. An observation may hold one
+row (D,) or a block of R rows (R, D) that share the noise level and the clean
+data; every sum and profile works along the last axis, row by row, with the
+same floating-point operations as for one row. The prefix sums of y_obs^2
+raise ValueError when they overflow a double, so no residual rule returns a
+level past D.
 """
 
 from __future__ import annotations
@@ -73,24 +74,22 @@ def _prefix_sq(y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoisyObservation:
-    """One realization y_obs = y_clean + delta * z with its ingredients kept.
+    """One realization y_obs = y_clean + delta * z of the clean data, at noise level delta.
 
-    `y_obs` and `z` are one row (D,) or a block of R rows (R, D); a block's
-    rows share `delta` and the clean data `y_clean` (D,), and `seed` is then
-    the tuple of row seeds. The three vectors must be finite and are stored
-    read-only; a caller's array that is still writeable is copied, so writing
-    to it later cannot change the observation or the sums memoised on it.
+    `y_obs` is one row (D,) or a block of R rows (R, D); a block's rows share
+    `delta` and the clean data `y_clean` (D,). Both vectors must be finite and
+    are stored read-only; a caller's array that is still writeable is copied,
+    so writing to it later cannot change the observation or the sums memoised
+    on it.
     """
 
     y_obs: np.ndarray
     y_clean: np.ndarray
-    z: np.ndarray
     delta: float
-    seed: int | tuple[int, ...]
 
     def __post_init__(self):
         _check_delta(self.delta)
-        for name in ("y_obs", "y_clean", "z"):
+        for name in ("y_obs", "y_clean"):
             a = readonly(getattr(self, name))
             if not np.isfinite(a).all():
                 raise ValueError(f"{name} has non-finite entries")
@@ -98,11 +97,8 @@ class NoisyObservation:
         shape = self.y_obs.shape
         if len(shape) not in (1, 2) or 0 in shape:
             raise ValueError(f"y_obs must be one row (D,) or a block (R, D), got shape {shape}")
-        if self.z.shape != shape or self.y_clean.shape != shape[-1:]:
-            raise ValueError(
-                f"z must have shape {shape} and y_clean shape {shape[-1:]}, "
-                f"got {self.z.shape} and {self.y_clean.shape}"
-            )
+        if self.y_clean.shape != shape[-1:]:
+            raise ValueError(f"y_clean must have shape {shape[-1:]}, got {self.y_clean.shape}")
 
     @property
     def size(self) -> int:
@@ -147,10 +143,7 @@ class NoisyObservation:
 
     @cached_property
     def _memo(self) -> dict:
-        """Sums that also depend on the problem or a rule parameter, by key.
-
-        Held on the observation so that they live exactly as long as it does.
-        """
+        """The strong profile of `strong_error_sq_profile`, kept as long as the observation."""
         return {}
 
 
@@ -180,16 +173,15 @@ def observe(
     """Generate one noisy observation of the problem's clean data.
 
     A sequence of seeds gives a block with one row per seed, in order; row i is
-    bit-identical to `observe(p, delta, model, seed[i]).y_obs`.
+    bit-identical to `observe(p, delta, model, seed[i]).y_obs`. The noise is
+    `sample_noise(model, p.size, seed)`, scaled and shifted in place.
     """
     _check_delta(delta)
-    z = sample_noise(model, p.size, seed)
-    seed = int(seed) if z.ndim == 1 else tuple(int(s) for s in seed)
-    y_obs = delta * z  # adding y_clean in place gives y_clean + delta * z's bits, one array fewer
+    y_obs = sample_noise(model, p.size, seed)
+    y_obs *= delta  # in place: y_clean + delta * z's bits, with no array for z kept
     y_obs += p.y_clean
-    for fresh in (y_obs, z):  # nobody else holds them: freeze, do not copy
-        fresh.flags.writeable = False
-    obs = NoisyObservation(y_obs, p.y_clean, z, float(delta), seed)
+    y_obs.flags.writeable = False  # nobody else holds it: freeze, do not copy
+    obs = NoisyObservation(y_obs, p.y_clean, float(delta))
     # obs.y_clean is p.y_clean itself (read-only, so not copied): share its tail too
     obs.__dict__["clean_tail"] = p.clean_tail
     return obs

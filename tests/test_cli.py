@@ -93,32 +93,40 @@ def test_bench_rejects_bad_deltas(tmp_path, capsys):
         cli.main(["bench", "--deltas", "abc"])
     with pytest.raises(SystemExit):  # one noise level three times would merge into one row
         cli.main(["bench", "--deltas", "1e-2,1e-2,0.01", "--replicates", "3"])
-    small = ["bench", "--problem", "synthetic-poly", "--size", "16", "--replicates", "2"]
+    small = ["--problem", "synthetic-poly", "--size", "16"]
     for bad in (
         ["--deltas", "inf"], ["--deltas", "1e-2,nan"], ["--kappa", "nan"], ["--tau", "inf"],
         ["--tau-min", "nan"], ["--q", "inf"],
     ):
         with pytest.raises(SystemExit):
-            cli.main(small + ["--deltas", "1e-2"] + bad)
+            cli.main(["bench", "--replicates", "2"] + small + ["--deltas", "1e-2"] + bad)
     # numbers that parse but that the rule configuration or problem rejects
+    rejected = (
+        (["--tau", "0.5"], "tau"), (["--kappa", "1"], "kappa"),
+        (["--tau-min", "2", "--tau", "1.5"], "tau_min"),
+        (["--problem", "synthetic-exp", "--size", "800"], "D <= 709"),
+        (["--seed", "-1"], "seed"), (["--problem", "phillips", "--size", "1"], "size >= 2"),
+        (["--problem", "synthetic-poly", "--size", "0"], "size >= 1"),
+        (["--problem", "gravity", "--depth", "0"], "depth must exceed"),
+        (["--problem", "heat", "--kappa-heat", "-1"], "kappa_heat must exceed"),
+        (["--problem", "synthetic-poly", "--q", "0"], "q must exceed"),
+        (["--problem", "synthetic-poly", "--truth-power", "0.5"], "truth_power must exceed"),
+        (["--problem", "synthetic-exp", "--truth-power", "0.5"], "truth_power must exceed"),
+        (["--problem", "direct", "--size", "64", "--truth-power", "-200"], "overflows"),
+    )
+    # bench's table options, which single does not take
+    bench_only = (
+        (["--replicates", "9"], "unrecognized arguments: --replicates 9"),
+        (["--format", "json"], "unrecognized arguments: --format json"),
+    )
     out = tmp_path / "never"
-    for command in ("bench", "single"):
-        for bad, message in (
-            (["--tau", "0.5"], "tau"), (["--kappa", "1"], "kappa"),
-            (["--tau-min", "2", "--tau", "1.5"], "tau_min"),
-            (["--problem", "synthetic-exp", "--size", "800"], "D <= 709"),
-            (["--seed", "-1"], "seed"), (["--problem", "phillips", "--size", "1"], "size >= 2"),
-            (["--problem", "synthetic-poly", "--size", "0"], "size >= 1"),
-            (["--problem", "gravity", "--depth", "0"], "depth must exceed"),
-            (["--problem", "heat", "--kappa-heat", "-1"], "kappa_heat must exceed"),
-            (["--problem", "synthetic-poly", "--q", "0"], "q must exceed"),
-            (["--problem", "synthetic-poly", "--truth-power", "0.5"], "truth_power must exceed"),
-            (["--problem", "synthetic-exp", "--truth-power", "0.5"], "truth_power must exceed"),
-            (["--problem", "direct", "--size", "64", "--truth-power", "-200"], "overflows"),
-        ):
+    for command, extra, cases in (
+        ("bench", ["--replicates", "2"], rejected), ("single", [], rejected + bench_only),
+    ):
+        for bad, message in cases:
             capsys.readouterr()
             with pytest.raises(SystemExit) as exit_info:
-                cli.main([command] + small[1:] + ["--deltas", "1e-2", "--out", str(out)] + bad)
+                cli.main([command] + small + extra + ["--deltas", "1e-2", "--out", str(out)] + bad)
             assert exit_info.value.code == 2
             captured = capsys.readouterr()
             assert message in captured.err and "Traceback" not in captured.err
@@ -167,12 +175,13 @@ def test_bench_tables_are_byte_identical_to_reference(tmp_path):
 
 def test_overflowing_balancing_sums_fail_without_tables(tmp_path, capsys):
     out = tmp_path / "never"
-    exp = ["--problem", "synthetic-exp", "--replicates", "2", "--out", str(out)]
+    exp = ["--problem", "synthetic-exp", "--out", str(out)]
     for command, size, delta in (
         ("bench", "709", "1"), ("bench", "300", "1e100"), ("single", "300", "1e100"),
     ):
         capsys.readouterr()
-        assert cli.main([command, "--size", size, "--deltas", delta] + exp) == 1
+        replicates = ["--replicates", "2"] if command == "bench" else []
+        assert cli.main([command, "--size", size, "--deltas", delta] + replicates + exp) == 1
         captured = capsys.readouterr()
         # one error line: no traceback, and no numpy overflow warning before it
         assert captured.err.startswith(f"error: {command}: balancing sums overflow")
@@ -340,7 +349,7 @@ def test_oracle_check_rows_equal_scalar_rules():
     rng = np.random.default_rng(3)
     skewed = observe(p, 1e-1, GAUSS, seeds)
     y_clean = skewed.y_clean * (1.0 + 0.5 * rng.standard_normal(256))
-    skewed = NoisyObservation(skewed.y_obs, y_clean, skewed.z, 1e-1, skewed.seed)
+    skewed = NoisyObservation(skewed.y_obs, y_clean, 1e-1)
     failed = 0
     for obs in (block, skewed):
         ks = select_all(p, obs, cfg)
@@ -348,7 +357,7 @@ def test_oracle_check_rows_equal_scalar_rules():
         weak_sq = weak_error_sq_profile(p, obs)
         hold = cli._oracle_orderings_hold(p, obs, cfg)
         for r, seed in enumerate(seeds):
-            row = NoisyObservation(obs.y_obs[r], obs.y_clean, obs.z[r], obs.delta, seed)
+            row = NoisyObservation(obs.y_obs[r], obs.y_clean, obs.delta)
             if obs is block:
                 assert np.array_equal(row.y_obs, observe(p, 1e-2, GAUSS, seed).y_obs)
             single = select_all(p, row, cfg)

@@ -30,7 +30,6 @@ from speccut.problems import ProblemSpec, SpectralProblem, build_synthetic, make
 from speccut.rules import (
     RULE_NAMES,
     RuleConfig,
-    _dp_thresholds,
     balancing,
     combined,
     constants,
@@ -77,6 +76,7 @@ def evaluated(p, pairs, cfg=SMALL):
     cols = ReplicateColumns.empty(len(pairs))
     for i, (d, s) in enumerate(pairs):
         evaluate_replicate(p, observe(p, d, cfg.noise, s), cfg.rules, cols, i)
+        cols.seed[i] = s
     return cols
 
 
@@ -143,7 +143,9 @@ def test_columns_equal_a_per_replicate_loop(monkeypatch, small_records):
                 monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", rows * (p.size + 1))
             else:
                 monkeypatch.undo()
-            assert columns_equal(run_experiment(cfg), loop), (cfg.problem, rows)
+            cols = run_experiment(cfg)
+            assert columns_equal(cols, loop), (cfg.problem, rows)
+            assert cols.seed.tolist() == [s for _, s in grid_seeds(cfg)], (cfg.problem, rows)
 
 
 def test_run_experiment_evaluates_each_slot_once_in_order(monkeypatch, small_records):
@@ -347,7 +349,7 @@ def zero_noise_records(D=30, delta=1e-6, scale=10.0):
     # resolution and every error is exactly zero, so each guarantee holds
     p = build_synthetic(D, "poly", q=2.0, truth=scale / np.arange(1.0, D + 1.0))
     y = p.sigma * p.x_true
-    obs = NoisyObservation(y, y, np.zeros(D), delta, 0)
+    obs = NoisyObservation(y, y, delta)
     records = ReplicateColumns.empty(1)
     evaluate_replicate(p, obs, RuleConfig(), records, 0)
     return records
@@ -433,6 +435,9 @@ def test_prop2_check_edge_cases():
     for epsilon in (math.nan, math.inf):
         with pytest.raises(ValueError):
             prop2_check(NoiseModel(), 100, 10, epsilon, 10, seed=5)
+    for replicates in (0, -3):  # not a division by zero or a negative dimension
+        with pytest.raises(ValueError, match="replicates must be >= 1"):
+            prop2_check(NoiseModel(), 100, 10, 0.1, replicates, seed=1)
 
 
 # --------------------------------------------------------------------------
@@ -445,7 +450,7 @@ def example1_frequency_loop(kappa, delta, replicates, seed):
     z_all = np.random.default_rng(seed).standard_normal((replicates, D))
     hits = 0
     for z in z_all:
-        obs = NoisyObservation(delta * z, np.zeros(D), z, delta, seed)
+        obs = NoisyObservation(delta * z, np.zeros(D), delta)
         k = balancing(p, obs, kappa)
         hits += float(np.sum((obs.y_obs[:k] / p.sigma[:k]) ** 2)) >= 1.0
     return hits / replicates
@@ -585,7 +590,7 @@ def test_run_experiment_holds_a_few_blocks_at_a_time():
 
 def fresh(obs):
     """The same data in a new observation that shares no memoised sum with `obs`."""
-    return NoisyObservation(obs.y_obs.copy(), obs.y_clean.copy(), obs.z.copy(), obs.delta, obs.seed)
+    return NoisyObservation(obs.y_obs.copy(), obs.y_clean.copy(), obs.delta)
 
 
 def accumulate(terms):
@@ -628,7 +633,8 @@ def test_shared_sums_equal_a_literal_recomputation(p, cfg):
         rows = observe(p, delta, NoiseModel(), [7, 8, 9])
         # clean data that is not the problem's own: the observation sums its own tail
         y_clean = 0.5 * p.y_clean + 1e-3
-        direct = NoisyObservation(y_clean + delta * rows.z[0], y_clean, rows.z[0], delta, 0)
+        z = sample_noise(NoiseModel(), p.size, 7)
+        direct = NoisyObservation(y_clean + delta * z, y_clean, delta)
         singles = [observe(p, delta, NoiseModel(), seed) for seed in (7, 8, 9)] + [direct]
         for obs in singles:
             ks, strong, weak = literal_levels_and_profiles(p, obs, cfg)
@@ -692,8 +698,8 @@ def test_one_replicate_builds_each_shared_sum_once(monkeypatch):
     evaluate_replicate(p, obs, RuleConfig(), out, 0)
     # S, balancing's (y/sigma)^2 sum, the noise sum, the strong profile, oracle_strong's sum
     assert counts == {"cumsum": 5, "suffix_sum": 0, "maximum.accumulate": 0}
-    # dp_modified and combined share one threshold vector
-    assert [key for key in obs._memo if key != "strong"] == [("dp_thresholds", 1.5)]
+    # the rules keep nothing on the observation: its memo holds only the strong profile
+    assert list(obs._memo) == ["strong"]
 
 
 def test_memoised_sums_are_keyed_and_read_only():
@@ -701,7 +707,7 @@ def test_memoised_sums_are_keyed_and_read_only():
     for seed in (3, [3, 4, 5]):
         obs = observe(p, 1e-2, NoiseModel(), seed)
         dp_modified(obs, 1.5)
-        # the thresholds memoised for tau = 1.5 are not read for tau = 2.0
+        # the sums built for tau = 1.5 give the same levels for tau = 2.0 as fresh ones
         assert np.array_equal(combined(obs, 2.0, 1.2), combined(fresh(obs), 2.0, 1.2))
         assert np.array_equal(early_stop(obs, tau=1.2), early_stop(fresh(obs), tau=1.2))
         assert np.array_equal(dp_modified(obs, 2.0), dp_modified(fresh(obs), 2.0))
@@ -713,8 +719,7 @@ def test_memoised_sums_are_keyed_and_read_only():
             strong_error_sq_profile(scaled, obs), strong_error_sq_profile(scaled, fresh(obs))
         )
         memoised = (
-            obs.prefix_sq, obs.noise_prefix_sq, obs.clean_tail, strong,
-            _dp_thresholds(obs, 1.5), _dp_thresholds(obs, 2.0), p.y_clean,
+            obs.prefix_sq, obs.noise_prefix_sq, obs.clean_tail, strong, p.y_clean,
         )
         for arr in memoised:
             with pytest.raises(ValueError):

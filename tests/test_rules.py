@@ -27,6 +27,7 @@ from speccut.sequence_model import (
     NoiseModel,
     NoisyObservation,
     observe,
+    sample_noise,
     strong_error,
     strong_error_sq_profile,
     weak_error,
@@ -38,7 +39,7 @@ GAUSS = NoiseModel("gaussian")
 
 def direct_obs(y, delta=1.0):
     y = np.asarray(y, dtype=float)
-    return NoisyObservation(y, np.zeros_like(y), y / delta, delta, 0)
+    return NoisyObservation(y, np.zeros_like(y), delta)
 
 
 def unit_problem(D):
@@ -52,7 +53,7 @@ def random_instance(rng, D, delta=0.1, s=1.0, q=2.0):
 
 def first_coefficients(p, obs, m):
     """The problem and observation cut to their first m coefficients (a resolution m <= D)."""
-    cut = NoisyObservation(obs.y_obs[..., :m], obs.y_clean[:m], obs.z[..., :m], obs.delta, obs.seed)
+    cut = NoisyObservation(obs.y_obs[..., :m], obs.y_clean[:m], obs.delta)
     return SpectralProblem(p.name, p.sigma[:m], p.x_true[:m]), cut
 
 
@@ -177,7 +178,7 @@ def test_balancing_exponential_spectrum_late_stop():
     p = build_synthetic(D, "exp")
     z = np.zeros(D)
     z[m_crit - 1] = 10.0
-    obs = NoisyObservation(delta * z, np.zeros(D), z, delta, 0)
+    obs = NoisyObservation(delta * z, np.zeros(D), delta)
     assert balancing(p, obs, 4.0) >= m_crit
 
 
@@ -205,7 +206,7 @@ def test_balancing_threshold_overflow_admits_every_level():
     # the same data scaled by an exact power of two, where nothing overflows
     c = 2.0**-500
     small = SpectralProblem(p.name, p.sigma, c * p.x_true)
-    scaled = NoisyObservation(c * obs.y_obs, c * obs.y_clean, obs.z, c * obs.delta, 1)
+    scaled = NoisyObservation(c * obs.y_obs, c * obs.y_clean, c * obs.delta)
     assert balancing(small, scaled, 1e10) == 0
 
 
@@ -219,7 +220,7 @@ def test_balancing_rejects_undetermined_thresholds():
     huge = SpectralProblem("flat", np.full(2, 1e200), np.zeros(2))
     for problem, rows, delta in ((p, y, 1e-170), (huge, np.ones(2), 1e160)):
         for block in (rows, np.stack([rows, 0.5 * rows])):  # one row, then a 2-row block
-            obs = NoisyObservation(block, np.zeros(block.shape[-1]), block / delta, delta, 0)
+            obs = NoisyObservation(block, np.zeros(block.shape[-1]), delta)
             with pytest.raises(ValueError, match="overflow"):
                 balancing(problem, obs, 1.5 if problem is p else 4.0)
 
@@ -281,7 +282,7 @@ def test_combined_examples():
 def test_oracle_opt_examples():
     p = build_synthetic(10, "poly", q=2.0, truth_power=1.0)
     y = p.sigma * p.x_true
-    noiseless = NoisyObservation(y, y, np.zeros(10), 1e-12, 0)
+    noiseless = NoisyObservation(y, y, 1e-12)
     assert oracle_opt(p, noiseless) == 10  # bias strictly decreasing
     p0 = build_synthetic(10, "poly", q=2.0)
     obs = observe(p0, 0.1, GAUSS, 1)
@@ -299,12 +300,12 @@ def test_oracle_opt_matches_exhaustive_scan():
 def test_oracle_weak_examples():
     p = unit_problem(4)
     y_clean = np.array([2.0, 1.0, 0.0, 0.0])
-    obs = NoisyObservation(y_clean + 1.0, y_clean, np.ones(4), 1.0, 0)
+    obs = NoisyObservation(y_clean + 1.0, y_clean, 1.0)
     assert oracle_weak(p, obs) == 1
     zero = build_synthetic(4, "poly", q=2.0)
     assert oracle_weak(zero, observe(zero, 1.0, GAUSS, 2)) == 0
     full = np.array([2.0, 1.0, 0.5, 0.25])  # no trailing zeros: tail empties only at D
-    noiseless = NoisyObservation(full, full, np.zeros(4), 1.0, 0)
+    noiseless = NoisyObservation(full, full, 1.0)
     assert oracle_weak(p, noiseless) == 4
 
 
@@ -312,7 +313,7 @@ def test_oracle_strong_examples():
     p = unit_problem(4)
     y_clean = np.array([2.0, 1.0, 0.0, 0.0])
     x = SpectralProblem("unit", np.ones(4), y_clean)  # sigma 1: x = y_clean
-    obs = NoisyObservation(y_clean + 1.0, y_clean, np.ones(4), 1.0, 0)
+    obs = NoisyObservation(y_clean + 1.0, y_clean, 1.0)
     assert oracle_strong(x, obs) == oracle_weak(p, obs) == 1
     zero = build_synthetic(4, "poly", q=2.0)
     assert oracle_strong(zero, observe(zero, 1.0, GAUSS, 3)) == 0
@@ -471,7 +472,7 @@ def test_balancing_equals_suffix_max_formulation(
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(D if rows is None else (rows, D))
     y_clean = 10.0**scale * sigma * rng.uniform(-1.0, 1.0, D)
-    obs = NoisyObservation(y_clean + delta * z, y_clean, z, delta, 0)
+    obs = NoisyObservation(y_clean + delta * z, y_clean, delta)
     p = SpectralProblem("steep", sigma, np.zeros(D))
     with np.errstate(over="ignore"):  # the rule's sequential sums, last entries
         weights = np.cumsum(sigma**-2.0)[-1]
@@ -512,7 +513,10 @@ def test_dp_at_m_never_exceeds_m_and_modified_dominates():
 def test_selectors_scale_invariant():
     rng = np.random.default_rng(67)
     for _ in range(20):
-        p, obs = random_instance(rng, 48, delta=float(10.0 ** rng.uniform(-3, -1)))
+        delta = float(10.0 ** rng.uniform(-3, -1))
+        p = build_synthetic(48, "poly", q=2.0, truth_power=1.0)
+        z = sample_noise(GAUSS, 48, int(rng.integers(0, 2**32)))
+        obs = NoisyObservation(p.y_clean + delta * z, p.y_clean, delta)
         unit = unit_problem(48)
         base = (
             dp_modified(obs, 1.5),
@@ -526,9 +530,7 @@ def test_selectors_scale_invariant():
         for c in (1e-3, 1e3):
             p2 = SpectralProblem(p.name, p.sigma, c * p.x_true)
             y_clean = c * obs.y_clean
-            obs2 = NoisyObservation(
-                y_clean + (c * obs.delta) * obs.z, y_clean, obs.z, c * obs.delta, obs.seed
-            )
+            obs2 = NoisyObservation(y_clean + (c * delta) * z, y_clean, c * delta)
             scaled = (
                 dp_modified(obs2, 1.5),
                 balancing(unit, obs2, 1.5),
@@ -612,7 +614,7 @@ def test_rules_reject_non_finite_parameters():
         lambda x: combined(obs, 1.5, x),
         lambda x: det_weak(p, x),
         lambda x: det_strong(p, x),
-        lambda x: NoisyObservation(obs.y_obs, obs.y_clean, obs.z, x, 0),
+        lambda x: NoisyObservation(obs.y_obs, obs.y_clean, x),
         lambda x: observe(p, x, GAUSS, 0),
     ):
         for x in (math.nan, math.inf):
@@ -664,14 +666,11 @@ def test_row_block_equals_scalar_rule_per_row():
         seeds = [int(s) for s in rng.integers(0, 2**32, size=R)]
         block = observe(p, delta, GAUSS, seeds)
         singles = [observe(p, delta, GAUSS, s) for s in seeds]
-        assert block.seed == tuple(seeds)
+        assert block.y_obs.shape == (R, D)
         if i % 2:
             row_scale = rng.choice([1e-8, 1.0, 1e8], size=(R, 1))
-            block = NoisyObservation(row_scale * block.y_obs, block.y_clean, block.z, delta, seeds)
-            singles = [
-                NoisyObservation(block.y_obs[r], block.y_clean, block.z[r], delta, seeds[r])
-                for r in range(R)
-            ]
+            block = NoisyObservation(row_scale * block.y_obs, block.y_clean, delta)
+            singles = [NoisyObservation(block.y_obs[r], block.y_clean, delta) for r in range(R)]
         cfg = RuleConfig(tau=tau, kappa=kappa, tau_min=tau_min)
         unit = unit_problem(D)
         rules = {
@@ -688,7 +687,7 @@ def test_row_block_equals_scalar_rule_per_row():
             "strong_sq": lambda o: strong_error_sq_profile(p, o),
             "weak_sq": lambda o: weak_error_sq_profile(p, o),
             "prefix_sq": lambda o: o.prefix_sq,
-            "sup_dev": lambda o: empirical_sup_deviation(o.z, m),
+            "sup_dev": lambda o: empirical_sup_deviation((o.y_obs - o.y_clean) / delta, m),
             **{f"select_all.{r}": (lambda o, r=r: select_all(p, o, cfg)[r]) for r in RULE_NAMES},
         }
         for name, rule in rules.items():
@@ -708,13 +707,13 @@ def test_row_block_equals_scalar_rule_per_row():
 def test_block_observation_shapes():
     p = build_synthetic(8, "poly", q=2.0, truth_power=1.0)
     block = observe(p, 0.1, GAUSS, range(3))
-    assert block.y_obs.shape == block.z.shape == (3, 8) and block.y_clean.shape == (8,)
+    assert block.y_obs.shape == (3, 8) and block.y_clean.shape == (8,)
     assert block.size == 8 and block.prefix_sq.shape == (3, 9)
     with pytest.raises(ValueError):  # y_clean must be one row
-        NoisyObservation(block.y_obs, block.z, block.z, 0.1, (0, 1, 2))
+        NoisyObservation(block.y_obs, block.y_obs, 0.1)
     with pytest.raises(ValueError):
-        NoisyObservation(block.y_obs, block.y_clean, block.z[:2], 0.1, (0, 1, 2))
+        NoisyObservation(block.y_obs, block.y_clean[:7], 0.1)
     with pytest.raises(ValueError):
-        NoisyObservation(np.zeros((0, 8)), block.y_clean, np.zeros((0, 8)), 0.1, ())
+        NoisyObservation(np.zeros((0, 8)), block.y_clean, 0.1)
     with pytest.raises(ValueError):
-        NoisyObservation(np.zeros((2, 2, 8)), block.y_clean, np.zeros((2, 2, 8)), 0.1, 0)
+        NoisyObservation(np.zeros((2, 2, 8)), block.y_clean, 0.1)

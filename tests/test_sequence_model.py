@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ GAUSS = NoiseModel("gaussian")
 def two_by_two():
     # sigma=[1,1], x=[1,0], delta=1, z=[1,1] -> y_clean=[1,0], y_obs=[2,1]
     p = SpectralProblem("toy", np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-    obs = NoisyObservation(np.array([2.0, 1.0]), np.array([1.0, 0.0]), np.array([1.0, 1.0]), 1.0, 0)
+    obs = NoisyObservation(np.array([2.0, 1.0]), np.array([1.0, 0.0]), 1.0)
     return p, obs
 
 
@@ -47,11 +48,10 @@ def test_block_rows_equal_single_draws(model):
         assert np.array_equal(row, sample_noise(model, 33, seed))
     p = build_synthetic(33, "poly", q=2.0, truth_power=1.0)
     block = observe(p, 0.01, model, np.array(seeds, dtype=np.uint64))
-    assert block.seed == tuple(seeds) and block.size == 33
+    assert block.y_obs.shape == (4, 33) and block.size == 33
     for r, seed in enumerate(seeds):
         single = observe(p, 0.01, model, seed)
         assert np.array_equal(block.y_obs[r], single.y_obs)
-        assert np.array_equal(block.z[r], single.z)
         assert np.array_equal(block.prefix_sq[r], single.prefix_sq)
     assert np.array_equal(block.y_clean, single.y_clean)
 
@@ -60,7 +60,7 @@ def test_non_finite_noise_parameters_rejected():
     y = np.ones(3)
     for delta in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            NoisyObservation(y, y, y, delta, 0)
+            NoisyObservation(y, y, delta)
 
 
 def test_rademacher_support():
@@ -87,10 +87,12 @@ def test_squared_mean_concentrates():
 
 def test_observe_composition():
     p = build_synthetic(32, "poly", q=2.0, truth_power=1.0)
-    obs = observe(p, 0.1, GAUSS, 42)
-    assert np.array_equal(obs.y_clean, p.sigma * p.x_true)
-    assert np.array_equal(obs.y_obs, obs.y_clean + obs.delta * obs.z)
-    assert obs.seed == 42 and obs.delta == 0.1
+    for model in (GAUSS, NoiseModel("rademacher")):
+        for seed in (42, [42, 7, 2**63 + 5]):
+            obs = observe(p, 0.1, model, seed)
+            assert np.array_equal(obs.y_clean, p.sigma * p.x_true)
+            assert np.array_equal(obs.y_obs, obs.y_clean + 0.1 * sample_noise(model, 32, seed))
+            assert obs.delta == 0.1
     with pytest.raises(ValueError):
         observe(p, 0.0, GAUSS, 42)
 
@@ -99,13 +101,13 @@ def test_observation_is_immune_to_later_writes():
     y = np.array([3.0, 1.0, 0.5, 0.0])
     view = y[:]
     view.flags.writeable = False  # read-only, but y can still write through it
-    obs = NoisyObservation(view, y, y, 1.0, 0)
+    obs = NoisyObservation(view, y, 1.0)
     assert obs.prefix_sq[-1] == 10.25 and obs.clean_tail[0] == 10.25
     y[0] = 0.0
-    for got in (obs.y_obs, obs.y_clean, obs.z):
+    for got in (obs.y_obs, obs.y_clean):
         assert np.array_equal(got, [3.0, 1.0, 0.5, 0.0])
     assert obs.prefix_sq[-1] == 10.25 and obs.clean_tail[0] == 10.25
-    for arr in (obs.y_obs, obs.y_clean, obs.z, obs.prefix_sq, obs.clean_tail):
+    for arr in (obs.y_obs, obs.y_clean, obs.prefix_sq, obs.clean_tail):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
@@ -117,8 +119,22 @@ def test_observe_stores_its_own_arrays_uncopied():
     assert obs.y_clean is p.y_clean and obs.clean_tail is p.clean_tail
     block = observe(p, 0.1, GAUSS, [3, 4])
     assert block.y_clean is p.y_clean and block.clean_tail is p.clean_tail
-    again = NoisyObservation(obs.y_obs, obs.y_clean, obs.z, obs.delta, obs.seed)
-    assert again.y_obs is obs.y_obs and again.y_clean is obs.y_clean and again.z is obs.z
+    again = NoisyObservation(obs.y_obs, obs.y_clean, obs.delta)
+    assert again.y_obs is obs.y_obs and again.y_clean is obs.y_clean
+
+
+def test_block_observation_holds_one_block_array():
+    p = build_synthetic(600, "poly", q=2.0, truth_power=1.0)
+    observe(p, 1e-2, GAUSS, range(13))  # builds the problem's sums, untraced
+    tracemalloc.start()
+    try:
+        obs = observe(p, 1e-2, GAUSS, range(13))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # y_obs and small objects; the noise it was drawn from is not kept beside it
+    assert obs.y_obs.nbytes == 13 * 600 * 8
+    assert held <= obs.y_obs.nbytes + 4096
 
 
 def test_observation_rejects_non_finite_data():
@@ -126,30 +142,30 @@ def test_observation_rejects_non_finite_data():
     y = np.array([1.0, np.nan, 0.5, 0.2])
     for y_obs in (y, np.stack([y, y])):
         with pytest.raises(ValueError, match="y_obs"):
-            NoisyObservation(y_obs, np.zeros(4), y_obs / 0.1, 0.1, 0)
+            NoisyObservation(y_obs, np.zeros(4), 0.1)
     finite = np.array([1.0, 0.3, 0.5, 0.2])
     for bad in (np.inf, -np.inf, np.nan):
         broken = finite.copy()
         broken[2] = bad
-        with pytest.raises(ValueError, match="y_clean"):
-            NoisyObservation(finite, broken, finite, 0.1, 0)
-        with pytest.raises(ValueError, match="z"):
-            NoisyObservation(np.stack([finite, finite]), finite, np.stack([finite, broken]), 0.1, 0)
+        for y_obs in (finite, np.stack([finite, finite])):
+            with pytest.raises(ValueError, match="y_clean"):
+                NoisyObservation(y_obs, broken, 0.1)
 
 
 def test_observe_noise_scales_linearly():
     p = build_synthetic(64, "poly", q=2.0, truth_power=1.0)
     lo = observe(p, 0.05, GAUSS, 11)
     hi = observe(p, 0.1, GAUSS, 11)
-    assert np.array_equal(hi.z, lo.z)
-    assert np.array_equal(hi.delta * hi.z, 2.0 * (lo.delta * lo.z))
+    z = sample_noise(GAUSS, 64, 11)  # one draw, scaled by each noise level
+    assert np.array_equal(lo.y_obs, lo.y_clean + 0.05 * z)
+    assert np.array_equal(hi.y_obs, hi.y_clean + (2.0 * 0.05) * z)
 
 
 def test_observe_zero_truth():
     p = build_synthetic(16, "exp")
     obs = observe(p, 0.3, GAUSS, 5)
     assert np.all(obs.y_clean == 0.0)
-    assert np.array_equal(obs.y_obs, 0.3 * obs.z)
+    assert np.array_equal(obs.y_obs, 0.3 * sample_noise(GAUSS, 16, 5))
 
 
 def test_observe_reproducible_on_dense_problem():
@@ -162,7 +178,7 @@ def test_observe_reproducible_on_dense_problem():
 def test_observation_mean_smoke():
     p = build_synthetic(2048, "poly", q=1.0, truth_power=1.0)
     obs = observe(p, 1.0, GAUSS, 31)
-    assert abs(np.mean(obs.z)) <= 5.0 / math.sqrt(2048)
+    assert abs(np.mean(obs.y_obs - obs.y_clean)) <= 5.0 / math.sqrt(2048)
 
 
 def test_cutoff_recovers_truth_without_noise():
@@ -170,7 +186,7 @@ def test_cutoff_recovers_truth_without_noise():
     sigma = 2.0 ** -np.arange(1, 9)
     x = np.linspace(-1.0, 2.5, 8)
     p = SpectralProblem("dyadic", sigma, x)
-    obs = NoisyObservation(sigma * x, sigma * x, np.zeros(8), 1e-3, 0)
+    obs = NoisyObservation(sigma * x, sigma * x, 1e-3)
     assert strong_error(p, obs, 8) == 0.0
     assert strong_error_sq_profile(p, obs)[8] == 0.0
 
@@ -190,7 +206,7 @@ def test_error_examples():
 def test_pure_bias_without_noise():
     p = build_synthetic(12, "poly", q=2.0, truth_power=1.0)
     y = p.sigma * p.x_true
-    obs = NoisyObservation(y, y, np.zeros(12), 1e-9, 0)
+    obs = NoisyObservation(y, y, 1e-9)
     errs = [strong_error(p, obs, k) for k in range(13)]
     assert errs[0] == np.linalg.norm(p.x_true)
     assert all(a >= b for a, b in zip(errs, errs[1:]))
@@ -210,8 +226,9 @@ def test_profiles_match_pointwise_errors():
 def test_variance_bias_decomposition():
     p = build_synthetic(64, "poly", q=2.0, truth_power=1.0)
     obs = observe(p, 0.01, GAUSS, 13)
+    z = sample_noise(GAUSS, 64, 13)
     for k in (0, 7, 31, 64):
-        var = np.sum((obs.delta * obs.z[:k] / p.sigma[:k]) ** 2)
+        var = np.sum((obs.delta * z[:k] / p.sigma[:k]) ** 2)
         bias = np.sum(p.x_true[k:] ** 2)
         assert strong_error(p, obs, k) ** 2 == pytest.approx(var + bias, rel=1e-10)
 
@@ -228,8 +245,8 @@ def test_variance_monotone_bias_monotone():
 def test_error_scaling_in_delta():
     p = build_synthetic(30, "poly", q=2.0, truth_power=1.0)
     lo = observe(p, 0.01, GAUSS, 8)
-    y2 = lo.y_clean + (3 * 0.01) * lo.z
-    hi = NoisyObservation(y2, lo.y_clean, lo.z, 3 * 0.01, 8)
+    y2 = lo.y_clean + (3 * 0.01) * sample_noise(GAUSS, 30, 8)
+    hi = NoisyObservation(y2, lo.y_clean, 3 * 0.01)
     assert strong_error(p, lo, 0) == strong_error(p, hi, 0)  # pure bias, unchanged
     for k in (5, 30):
         var_lo = strong_error(p, lo, k) ** 2 - np.sum(p.x_true[k:] ** 2)
