@@ -61,9 +61,7 @@ from .sequence_model import (
     NoisyObservation,
     observe,
     sample_noise,
-    strong_error,
     strong_error_sq_profile,
-    weak_error,
     weak_error_sq_profile,
 )
 

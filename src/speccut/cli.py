@@ -5,8 +5,9 @@ Subcommands:
           boxplot statistics of the sequential rule (CSV or JSON)
   verify  run the identity, ordering, frequency, and bound checks and write a
           pass/fail report; exit status is nonzero when any check fails
-  single  run one replicate and dump its full diagnostics, including the
-          per-m trace of the residual rule
+  single  run one replicate at one noise level and dump its full diagnostics,
+          including the per-m trace of the residual rule; its levels and errors
+          are those of the `bench` replicate drawn from the same seed
 
 Output files carry a comment header with the full configuration, numbers are
 written with shortest round-trip precision, and reruns with identical flags
@@ -27,8 +28,10 @@ import numpy as np
 from .montecarlo import (
     ExperimentConfig,
     ExperimentSummary,
+    ReplicateColumns,
     _row_blocks,
     counterexample_tail_prob,
+    evaluate_replicate,
     example1_frequency,
     prop2_check,
     run_experiment,
@@ -53,9 +56,7 @@ from .sequence_model import (
     NoisyObservation,
     observe,
     sample_noise,
-    strong_error,
     strong_error_sq_profile,
-    weak_error,
     weak_error_sq_profile,
 )
 
@@ -384,11 +385,14 @@ def run_single(args) -> int:
     delta = args.deltas[0]
     obs = observe(p, delta, cfg.noise, args.seed)
     D = p.size
-    ks = select_all(p, obs, cfg.rules)
+    cols = ReplicateColumns.empty(1)  # bench's evaluation: its replicate of this seed, bit for bit
+    evaluate_replicate(p, obs, cfg.rules, cols, 0)
+    ks, e_strong, e_weak = (
+        dict(zip(RULE_NAMES, col[:, 0].tolist()))
+        for col in (cols.k_by_rule, cols.e_strong_by_rule, cols.e_weak_by_rule)
+    )
     trace = [dp_at_m(obs, args.tau, m) for m in range(1, D + 1)]
     m_max = early_stop(obs, tau=args.tau_min)
-    e_strong = {r: strong_error(p, obs, k) for r, k in ks.items()}
-    e_weak = {r: weak_error(p, obs, k) for r, k in ks.items()}
     det_w, det_s = det_weak(p, delta), det_strong(p, delta)
     print(f"problem={p.name} D={D} delta={_fmt(delta)} seed={args.seed}")
     print("per-m trace of the residual rule (m: k):")
@@ -473,9 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify = subs.add_parser("verify", help="identity/frequency/bound checks")
     verify.add_argument("--quick", action="store_true", help="reduced replicate counts")
     verify.add_argument("--out", default=None)
-    single = subs.add_parser("single", help="one replicate with full diagnostics")
+    single = subs.add_parser("single", help="one replicate at one noise level, in full detail")
     _add_common(single)
-    single.set_defaults(replicates=1)
+    single.set_defaults(replicates=1, deltas=[1e0])
     return parser
 
 
@@ -494,6 +498,8 @@ def main(argv: list[str] | None = None) -> int:
         _apply_preset(args)
         try:  # numbers that parse but that the configuration rejects are usage errors
             _experiment_config(args)
+            if args.subcommand == "single" and len(args.deltas) > 1:
+                raise ValueError(f"takes one noise level, got --deltas {args.deltas}")
         except ValueError as exc:
             parser.error(f"{args.subcommand}: {exc}")
     # looked up per call, so a wrapper installed later on a run_* name is what runs

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .problems import ProblemSpec, SpectralProblem, build_synthetic, make_problem
+from .problems import EXP_MAX_SIZE, ProblemSpec, SpectralProblem, build_synthetic, make_problem
 from .rules import (
     RULE_NAMES,
     RuleConfig,
@@ -40,6 +40,7 @@ from .rules import (
 from .sequence_model import (
     NoiseModel,
     NoisyObservation,
+    _cumsum0,
     observe,
     sample_noise,
     strong_error_sq_profile,
@@ -310,15 +311,20 @@ def example1_frequency(kappa: float, delta: float, replicates: int, seed: int) -
 
     Exponential spectrum sigma_j^2 = e^(-j) with zero truth; the resolution is
     ceil(log delta^(-2)) plus a margin of 10 so the critical index is safely
-    inside the horizon.
+    inside the horizon. The spectrum needs D <= EXP_MAX_SIZE, which bounds
+    delta below by about e^(-349.5), or 1.6e-152.
     """
     if not (math.isfinite(kappa) and kappa > 1):
         raise ValueError(f"kappa must be finite and exceed 1, got {kappa}")
-    if not 0 < delta <= math.exp(-1.0):
-        raise ValueError(f"delta must lie in (0, e^-1], got {delta}")
+    # log(delta^-2) as -2 log(delta): delta^-2 itself overflows below about 1.5e-154
+    D = math.ceil(-2.0 * math.log(delta)) + 10 if 0 < delta <= math.exp(-1.0) else 0
+    if not 0 < D <= EXP_MAX_SIZE:
+        raise ValueError(
+            f"delta must lie in (0, e^-1] with ceil(log delta^-2) + 10 <= {EXP_MAX_SIZE}, "
+            f"got {delta}"
+        )
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    D = math.ceil(math.log(delta**-2)) + 10
     p = build_synthetic(D, "exp")
     rng = np.random.default_rng(seed)
     hits = 0
@@ -329,12 +335,10 @@ def example1_frequency(kappa: float, delta: float, replicates: int, seed: int) -
         y.flags.writeable = False  # a read-only array goes into the observation uncopied
         obs = NoisyObservation(y, p.y_clean, delta)  # y_clean: zeros
         k = balancing(p, obs, kappa)
-        coeff_sq = (y / p.sigma) ** 2
-        # rows that stop at one level sum the same prefix length, as each row alone would
-        for level in np.unique(k):
-            norm_sq = np.sum(coeff_sq[k == level, :level], axis=-1)
-            hits += int(np.count_nonzero(norm_sq >= 1.0))
-        del y, obs, coeff_sq  # release this block before drawing the next
+        # squared norm of each row's estimate: its prefix sum of (y/sigma)^2 at its level
+        norm_sq = np.take_along_axis(_cumsum0((y / p.sigma) ** 2), k[:, None], axis=-1)
+        hits += int(np.count_nonzero(norm_sq >= 1.0))
+        del y, obs  # release this block before drawing the next
     return hits / replicates
 
 

@@ -187,11 +187,6 @@ def observe(
     return obs
 
 
-def _check_level(k: int, D: int):
-    if not 0 <= k <= D:
-        raise ValueError(f"truncation level {k} outside [0, {D}]")
-
-
 def strong_error_sq_profile(p: SpectralProblem, obs: NoisyObservation) -> np.ndarray:
     """Squared solution-space error for every level: entry k is ||x_k - x_true||^2, per row.
 
@@ -212,19 +207,3 @@ def strong_error_sq_profile(p: SpectralProblem, obs: NoisyObservation) -> np.nda
 def weak_error_sq_profile(p: SpectralProblem, obs: NoisyObservation) -> np.ndarray:
     """Squared image-space error for every level: entry k is ||K(x_k - x_true)||^2, per row."""
     return obs.noise_prefix_sq + obs.clean_tail
-
-
-def strong_error(p: SpectralProblem, obs: NoisyObservation, k: int) -> float:
-    """Solution-space error ||x_k - x_true|| of the level-k estimate."""
-    _check_level(k, p.size)
-    var = float(np.sum((obs.y_obs[:k] / p.sigma[:k] - p.x_true[:k]) ** 2))
-    bias = float(np.sum(p.x_true[k:] ** 2))
-    return math.sqrt(var + bias)
-
-
-def weak_error(p: SpectralProblem, obs: NoisyObservation, k: int) -> float:
-    """Image-space (predictive) error ||K(x_k - x_true)|| of the level-k estimate."""
-    _check_level(k, p.size)
-    var = float(np.sum((obs.y_obs[:k] - obs.y_clean[:k]) ** 2))
-    bias = float(np.sum(obs.y_clean[k:] ** 2))
-    return math.sqrt(var + bias)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from speccut import cli
+from speccut.montecarlo import run_experiment
 from speccut.problems import build_synthetic
-from speccut.rules import RuleConfig, select_all
+from speccut.rules import RULE_NAMES, RuleConfig, select_all
 from speccut.sequence_model import (
     NoiseModel,
     NoisyObservation,
@@ -240,8 +241,8 @@ SINGLE_ARGS = [
     "--seed", "7", "--tau-min", "1.2",
 ]
 SINGLE_DIGESTS = {
-    "stdout": "93ee8011b33c29faad0f3434dbe0959d376c672e53960cf040e2623cb937edb3",
-    "single.json": "afcadd9d014e9b0605fdefe7d816e60937dfc57a348661238a12b7fb15d26a5b",
+    "stdout": "5a2505ff0aa75320362bb40618bbf7f1e9ca4638ed0720727e05a62269adfc63",
+    "single.json": "c6eb0230fd4080c81572616141508de12dcadde73f352e13950ae3a33ca41638",
 }
 
 
@@ -265,6 +266,44 @@ def test_single_is_stable(tmp_path):
         )
         outs.append((out / "single.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_single_takes_one_noise_level(tmp_path, capsys, monkeypatch):
+    small = ["single", "--problem", "synthetic-poly", "--size", "16"]
+    out = tmp_path / "never"
+    with monkeypatch.context() as m:
+        m.setattr(cli, "run_single", lambda args: pytest.fail("a rejected single ran"))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(small + ["--deltas", "1e-2,1e-4", "--out", str(out)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "single: takes one noise level" in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+    # without --deltas, single runs at 1e0
+    printed = []
+    for deltas in ([], ["--deltas", "1e0"]):
+        assert cli.main(small + deltas + ["--out", str(tmp_path / "one")]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] and " delta=1.0 " in printed[0]
+
+
+def test_single_replays_a_bench_replicate(tmp_path):
+    # single --seed s --deltas d gives the levels and errors of the bench replicate drawn
+    # from seed s, bit for bit
+    problem = ["--problem", "synthetic-poly", "--size", "64"]
+    args = cli.build_parser().parse_args(
+        ["bench"] + problem + ["--deltas", "1e-2,1e-6", "--replicates", "40"]
+    )
+    cli._apply_preset(args)
+    cols = run_experiment(cli._experiment_config(args))
+    for i, (seed, delta) in enumerate(zip(cols.seed.tolist(), cols.delta.tolist())):
+        out = tmp_path / str(i)
+        argv = problem + ["--seed", str(seed), "--deltas", repr(delta), "--out", str(out)]
+        assert cli.main(["single"] + argv) == 0
+        payload = json.loads((out / "single.json").read_text())
+        for name in ("k_by_rule", "e_strong_by_rule", "e_weak_by_rule"):
+            assert list(payload[name]) == list(RULE_NAMES)
+            assert list(payload[name].values()) == getattr(cols, name)[:, i].tolist(), (i, name)
 
 
 def test_verify_quick_passes(tmp_path, capsys):

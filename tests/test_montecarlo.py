@@ -410,6 +410,10 @@ def test_example1_counterexample_frequency():
     for kappa, delta in ((math.nan, 1e-2), (math.inf, 1e-2), (1.2, math.nan)):
         with pytest.raises(ValueError):
             example1_frequency(kappa, delta, 100, seed=1)
+    # resolutions past EXP_MAX_SIZE, down to where delta^-2 overflows and beyond
+    for delta in (1e-153, 1e-160, 5e-324):
+        with pytest.raises(ValueError, match=f"^delta must lie .* got {delta}$"):
+            example1_frequency(1.2, delta, 100, seed=1)
 
 
 def test_counterexample_tail_value():

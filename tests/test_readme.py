@@ -1,6 +1,17 @@
+import shlex
 from pathlib import Path
 
+from speccut import cli
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def sh_lines():
+    """The lines of the README's sh blocks, backslash continuations joined."""
+    lines = []
+    for block in README.read_text().split("```sh\n")[1:]:
+        lines += block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+    return lines
 
 
 def test_readme_library_example_runs(capsys):
@@ -10,3 +21,29 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, str(README), "exec"), {})
     k, error, k_opt = capsys.readouterr().out.split()
     assert 0 <= int(k) <= 1024 and float(error) > 0.0 and 0 <= int(k_opt) <= 1024
+
+
+def test_readme_command_lines_pass_the_parser(monkeypatch):
+    # every documented `speccut ...` line passes main's parsing and usage checks;
+    # main looks up run_* per call, so stubs stand in for the runs themselves
+    ran = []
+    for name in ("run_bench", "run_verify", "run_single"):
+        monkeypatch.setattr(cli, name, lambda args, name=name: ran.append(name) or 0)
+    lines = [shlex.split(line, comments=True) for line in sh_lines()]
+    commands = [words[1:] for words in lines if words[:1] == ["speccut"]]
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    assert len(ran) == len(commands) and set(ran) == {"run_bench", "run_verify", "run_single"}
+
+
+def test_readme_python_one_liners_print_what_they_say(capsys):
+    # a `python -c "..."` line followed by `# prints X` must print X (the replay recipe's seed)
+    lines = sh_lines()
+    checked = 0
+    for line, note in zip(lines, lines[1:]):
+        words = shlex.split(line)
+        if words[:2] == ["python", "-c"] and note.startswith("# prints "):
+            exec(compile(words[2], str(README), "exec"), {})
+            assert capsys.readouterr().out == note.removeprefix("# prints ") + "\n"
+            checked += 1
+    assert checked >= 1

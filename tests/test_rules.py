@@ -28,11 +28,11 @@ from speccut.sequence_model import (
     NoisyObservation,
     observe,
     sample_noise,
-    strong_error,
     strong_error_sq_profile,
-    weak_error,
     weak_error_sq_profile,
 )
+
+from error_oracles import strong_error_literal
 
 GAUSS = NoiseModel("gaussian")
 
@@ -293,7 +293,7 @@ def test_oracle_opt_matches_exhaustive_scan():
     rng = np.random.default_rng(17)
     for _ in range(40):
         p, obs = random_instance(rng, int(rng.integers(2, 40)))
-        errs = [strong_error(p, obs, k) for k in range(p.size + 1)]
+        errs = [strong_error_literal(p, obs, k) for k in range(p.size + 1)]
         assert oracle_opt(p, obs) == int(np.argmin(errs))
 
 
@@ -630,10 +630,9 @@ def test_select_all_returns_every_rule():
     assert all(0 <= k <= 32 for k in ks.values())
     assert ks["pr"] <= ks["st"]
     assert ks["com"] <= ks["dp"]
-    assert strong_error(p, obs, ks["opt"]) <= min(
-        strong_error(p, obs, ks[r]) for r in ("dp", "bal", "es")
-    )
-    assert weak_error(p, obs, 0) == np.linalg.norm(obs.y_clean)
+    strong_sq = strong_error_sq_profile(p, obs)
+    assert strong_sq[ks["opt"]] <= min(strong_sq[ks[r]] for r in ("dp", "bal", "es"))
+    assert math.sqrt(weak_error_sq_profile(p, obs)[0]) == np.linalg.norm(obs.y_clean)
 
 
 def test_row_block_equals_scalar_rule_per_row():

@@ -10,11 +10,11 @@ from speccut.sequence_model import (
     NoisyObservation,
     observe,
     sample_noise,
-    strong_error,
     strong_error_sq_profile,
-    weak_error,
     weak_error_sq_profile,
 )
+
+from error_oracles import strong_error_literal, weak_error_literal
 
 GAUSS = NoiseModel("gaussian")
 
@@ -187,27 +187,23 @@ def test_cutoff_recovers_truth_without_noise():
     x = np.linspace(-1.0, 2.5, 8)
     p = SpectralProblem("dyadic", sigma, x)
     obs = NoisyObservation(sigma * x, sigma * x, 1e-3)
-    assert strong_error(p, obs, 8) == 0.0
     assert strong_error_sq_profile(p, obs)[8] == 0.0
 
 
 def test_error_examples():
     p, obs = two_by_two()
-    assert strong_error(p, obs, 0) == np.linalg.norm(p.x_true)
-    assert strong_error(p, obs, 2) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert weak_error(p, obs, 0) == np.linalg.norm(obs.y_clean)
-    assert weak_error(p, obs, 1) == pytest.approx(1.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        strong_error(p, obs, 5)
-    with pytest.raises(ValueError):
-        weak_error(p, obs, -2)
+    strong_sq, weak_sq = strong_error_sq_profile(p, obs), weak_error_sq_profile(p, obs)
+    assert math.sqrt(strong_sq[0]) == np.linalg.norm(p.x_true)
+    assert math.sqrt(strong_sq[2]) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert math.sqrt(weak_sq[0]) == np.linalg.norm(obs.y_clean)
+    assert math.sqrt(weak_sq[1]) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_pure_bias_without_noise():
     p = build_synthetic(12, "poly", q=2.0, truth_power=1.0)
     y = p.sigma * p.x_true
     obs = NoisyObservation(y, y, 1e-9)
-    errs = [strong_error(p, obs, k) for k in range(13)]
+    errs = np.sqrt(strong_error_sq_profile(p, obs)).tolist()
     assert errs[0] == np.linalg.norm(p.x_true)
     assert all(a >= b for a, b in zip(errs, errs[1:]))
     assert errs[12] <= 1e-12 * errs[0]  # only multiply/divide round-off left
@@ -219,18 +215,20 @@ def test_profiles_match_pointwise_errors():
     strong_sq = strong_error_sq_profile(p, obs)
     weak_sq = weak_error_sq_profile(p, obs)
     for k in range(0, 41, 5):
-        assert math.sqrt(strong_sq[k]) == pytest.approx(strong_error(p, obs, k), rel=1e-12)
-        assert math.sqrt(weak_sq[k]) == pytest.approx(weak_error(p, obs, k), rel=1e-12)
+        assert math.sqrt(strong_sq[k]) == pytest.approx(strong_error_literal(p, obs, k), rel=1e-12)
+        assert math.sqrt(weak_sq[k]) == pytest.approx(weak_error_literal(p, obs, k), rel=1e-12)
 
 
 def test_variance_bias_decomposition():
     p = build_synthetic(64, "poly", q=2.0, truth_power=1.0)
     obs = observe(p, 0.01, GAUSS, 13)
     z = sample_noise(GAUSS, 64, 13)
+    strong_sq = strong_error_sq_profile(p, obs)
     for k in (0, 7, 31, 64):
         var = np.sum((obs.delta * z[:k] / p.sigma[:k]) ** 2)
         bias = np.sum(p.x_true[k:] ** 2)
-        assert strong_error(p, obs, k) ** 2 == pytest.approx(var + bias, rel=1e-10)
+        assert strong_error_literal(p, obs, k) ** 2 == pytest.approx(var + bias, rel=1e-10)
+        assert strong_sq[k] == pytest.approx(var + bias, rel=1e-10)
 
 
 def test_variance_monotone_bias_monotone():
@@ -247,10 +245,11 @@ def test_error_scaling_in_delta():
     lo = observe(p, 0.01, GAUSS, 8)
     y2 = lo.y_clean + (3 * 0.01) * sample_noise(GAUSS, 30, 8)
     hi = NoisyObservation(y2, lo.y_clean, 3 * 0.01)
-    assert strong_error(p, lo, 0) == strong_error(p, hi, 0)  # pure bias, unchanged
+    sq_lo, sq_hi = strong_error_sq_profile(p, lo), strong_error_sq_profile(p, hi)
+    assert sq_lo[0] == sq_hi[0]  # pure bias, unchanged
     for k in (5, 30):
-        var_lo = strong_error(p, lo, k) ** 2 - np.sum(p.x_true[k:] ** 2)
-        var_hi = strong_error(p, hi, k) ** 2 - np.sum(p.x_true[k:] ** 2)
+        var_lo = sq_lo[k] - p.truth_tail[k]
+        var_hi = sq_hi[k] - p.truth_tail[k]
         assert var_hi == pytest.approx(9.0 * var_lo, rel=1e-6)
 
 
