@@ -33,14 +33,14 @@ from .rules import (
     RULE_NAMES,
     RuleConfig,
     TheoremConstants,
-    balancing,
+    _balancing_level,
     empirical_sup_deviation,
     select_all,
 )
 from .sequence_model import (
     NoiseModel,
     NoisyObservation,
-    _cumsum0,
+    _prefix_sq,
     observe,
     sample_noise,
     strong_error_sq_profile,
@@ -48,12 +48,14 @@ from .sequence_model import (
 )
 
 
-# Entries per (R, D) array of a row block: 2^13 doubles, 64 KiB. The ten or so arrays a
-# `run_experiment` block keeps alive then fit in L2, and the heap they take is reused from
-# block to block: with arrays of 96 KiB or more, glibc's malloc gave it back to the system
-# after every block and refaulted it in the next (about 38 minor page faults per replicate
-# at D = 5000 with 2^14, 0.3 with 2^13), which made `bench` slower than one row at a time.
-_BLOCK_ELEMENTS = 1 << 13
+# Entries per (R, width) array of a row block: 16,381 doubles, 131,048 bytes, the largest
+# request glibc's malloc serves from its heap under the default 128 KiB M_MMAP_THRESHOLD
+# (mallopt(3)). Every array a block allocates has a size fixed by (R, D), never by the data,
+# so each block reuses the heap the one before it freed. With larger arrays (2^15 entries),
+# or with `combined`'s thresholds sized by the data, glibc gave that memory back after a
+# block and refaulted it in the next, on some inputs or on all: up to 26 minor page faults
+# per replicate more than one-row blocks, against about 1 here.
+_BLOCK_ELEMENTS = 16381
 
 
 def _row_blocks(total: int, width: int) -> list[tuple[int, int]]:
@@ -198,7 +200,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReplicateColumns:
     for di, delta in enumerate(cfg.deltas):
         for lo, hi in _row_blocks(n, p.size + 1):
             seeds = [replicate_seed(cfg.base_seed, di, r) for r in range(lo, hi)]
-            # a block of one row (D >= 4096) is drawn as a row: its rules bisect, not count
+            # a block of one row (D >= 8190) is drawn as a row: its rules bisect, not count
             obs = observe(p, delta, cfg.noise, seeds if len(seeds) > 1 else seeds[0])
             evaluate_replicate(p, obs, cfg.rules, out, di * n + lo)
             out.seed[di * n + lo : di * n + hi] = seeds
@@ -331,14 +333,14 @@ def example1_frequency(kappa: float, delta: float, replicates: int, seed: int) -
     # consecutive draws continue one stream: the blocks tile one (replicates, D) sample
     for lo, hi in _row_blocks(replicates, D + 1):
         y = rng.standard_normal((hi - lo, D))
-        y *= delta
-        y.flags.writeable = False  # a read-only array goes into the observation uncopied
-        obs = NoisyObservation(y, p.y_clean, delta)  # y_clean: zeros
-        k = balancing(p, obs, kappa)
+        y *= delta  # the truth is zero: y is the observation
+        # one prefix sum of (y/sigma)^2 per block gives both the level and the norm
+        with np.errstate(over="ignore"):  # overflowing sums raise in `_balancing_level`
+            P = _prefix_sq(y / p.sigma)
+        k = _balancing_level(p, P, delta, kappa)
         # squared norm of each row's estimate: its prefix sum of (y/sigma)^2 at its level
-        norm_sq = np.take_along_axis(_cumsum0((y / p.sigma) ** 2), k[:, None], axis=-1)
-        hits += int(np.count_nonzero(norm_sq >= 1.0))
-        del y, obs  # release this block before drawing the next
+        hits += int(np.count_nonzero(np.take_along_axis(P, k[:, None], axis=-1) >= 1.0))
+        del y, P  # release this block before drawing the next
     return hits / replicates
 
 

@@ -136,6 +136,11 @@ class SpectralProblem:
         return w
 
     @cached_property
+    def unit_sigma(self) -> bool:
+        """Whether every singular value is exactly 1, decided once per problem."""
+        return bool((self.sigma == 1.0).all())
+
+    @cached_property
     def truth_tail(self) -> np.ndarray:
         """`suffix_sum(x_true**2)`: the bias of every truncation level, read-only.
 

@@ -37,17 +37,19 @@ every row is read as `S.T[m]`: a float for one row (where `S[..., m]` would
 make a slower 0-d array), the (R,) column of a block. Problems and
 observations memoise the sums the rules share (`SpectralProblem`,
 `NoisyObservation`), so one replicate builds five cumulative sums (S, the
-prefix sum of (y_obs/sigma)^2 in `balancing`, the noise sum, the strong
-profile, and the amplified-noise sum in `oracle_strong`) and no suffix
-maximum; `dp_modified` and `combined` each compute the thresholds they
-compare, `combined` only up to its largest m_max. Callers that evaluate many
-replicates, `bench`'s replicate loop and the verify loops, pass row blocks
-of at most 2^13 entries per (R, D) array (`montecarlo._row_blocks`).
+prefix sum of (y_obs/sigma)^2 in `balancing`, which is S itself when every
+sigma is 1, the noise sum, the strong profile, and the amplified-noise sum
+in `oracle_strong`) and no suffix maximum; `dp_modified` and `combined` each
+compute the thresholds they compare, both for every m in [1, D], so no array
+a rule allocates has a size that depends on the data. Callers that evaluate
+many replicates, `bench`'s replicate loop and the verify loops, pass row
+blocks of at most 16,381 entries per (R, D) array (`montecarlo._row_blocks`).
 The O(D^2) literal scans survive as test oracles.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -164,13 +166,10 @@ def _min_levels(S: np.ndarray, thresholds):
     return (S < thresholds[..., None]).sum(axis=-1)
 
 
-def _thresholds(obs: NoisyObservation, tau: float, n: int) -> np.ndarray:
-    """T with T[..., m-1] = S_m - tau^2 m delta^2 for every m in [1, n], per row.
-
-    Each entry is computed on its own, so T is a prefix of the vector for any larger n.
-    """
-    m = np.arange(1.0, n + 1)  # float counts: no int-to-float cast in the product
-    return obs.prefix_sq[..., 1 : n + 1] - _square(tau * obs.delta) * m
+def _thresholds(obs: NoisyObservation, tau: float) -> np.ndarray:
+    """T with T[..., m-1] = S_m - tau^2 m delta^2 for every m in [1, D], per row."""
+    m = np.arange(1.0, obs.size + 1)  # float counts: no int-to-float cast in the product
+    return obs.prefix_sq[..., 1:] - _square(tau * obs.delta) * m
 
 
 def _residual_level(obs: NoisyObservation, c: float, m: int):
@@ -211,7 +210,7 @@ def dp_modified(obs: NoisyObservation, tau: float) -> int:
     one search.
     """
     _check_fudge("tau", tau)
-    return _level(_max_level(obs.prefix_sq, _thresholds(obs, tau, obs.size)))
+    return _level(_max_level(obs.prefix_sq, _thresholds(obs, tau)))
 
 
 def balancing(p: SpectralProblem, obs: NoisyObservation, kappa: float) -> int:
@@ -226,19 +225,34 @@ def balancing(p: SpectralProblem, obs: NoisyObservation, kappa: float) -> int:
     when P overflows, or when w overflows while (kappa delta)^2 is finite or
     underflows while it overflows: no level can then be told apart. An
     overflowing (kappa delta)^2 with nonzero weights gives infinite
-    thresholds, which is exact.
+    thresholds, which is exact. With every sigma exactly 1, y_obs / 1 is
+    y_obs, so P is the observation's memoised `prefix_sq`, bit for bit.
     """
     _check_fudge("kappa", kappa)
-    factor = _square(kappa * obs.delta)
+    P = None
+    if p.unit_sigma:
+        with contextlib.suppress(ValueError):  # the sums overflow: `_balancing_level` says so
+            P = obs.prefix_sq
+    if P is None:
+        with np.errstate(over="ignore"):
+            P = _prefix_sq(obs.y_obs / p.sigma)
+    return _balancing_level(p, P, obs.delta, kappa)
+
+
+def _balancing_level(p: SpectralProblem, P: np.ndarray, delta: float, kappa: float):
+    """`balancing` at noise level delta, searched on the prefix sums P of (y_obs/sigma)^2.
+
+    For callers that read P themselves; it raises what `balancing` raises.
+    """
+    factor = _square(kappa * delta)
     w = p.inv_sigma_sq_cumsum  # nondecreasing: its ends bound every weight
     if (factor < math.inf and w[-1] == math.inf) or (factor == math.inf and w[0] == 0.0):
-        raise ValueError(f"balancing weights overflow or underflow (delta={obs.delta})")
-    with np.errstate(over="ignore"):
-        P = _prefix_sq(obs.y_obs / p.sigma)
-        thresh = factor * w
+        raise ValueError(f"balancing weights overflow or underflow (delta={delta})")
     # P is nondecreasing, so its last entry bounds every compared sum
     if not np.isfinite(P[..., -1]).all():
-        raise ValueError(f"balancing sums overflow (D={obs.size}, delta={obs.delta})")
+        raise ValueError(f"balancing sums overflow (D={P.shape[-1] - 1}, delta={delta})")
+    with np.errstate(over="ignore"):
+        thresh = factor * w
     return _level(_max_level(P, P[..., 1:] - thresh))
 
 
@@ -259,8 +273,9 @@ def combined(obs: NoisyObservation, tau: float, tau_min: float = 1.0) -> int:
     if not (math.isfinite(tau) and tau > tau_min):
         raise ValueError(f"need finite tau > tau_min, got tau={tau}, tau_min={tau_min}")
     m_max = np.asarray(early_stop(obs, tau=tau_min))
-    T = _thresholds(obs, tau, m_max.max())
-    m = np.arange(1, T.shape[-1] + 1)  # rows stop at different levels: each reads m <= m_max
+    # thresholds for every m, so their size never depends on the data; each row reads m <= m_max
+    T = _thresholds(obs, tau)
+    m = np.arange(1, obs.size + 1)
     return _level(_max_level(obs.prefix_sq, T, where=m <= m_max[..., None]))
 
 

@@ -66,8 +66,9 @@ def _cumsum0(x: np.ndarray) -> np.ndarray:
 def _prefix_sq(y: np.ndarray) -> np.ndarray:
     """S with S[..., k] = sum of the first k squared entries of each row, S[..., 0] = 0.
 
-    Callers reach it by its module-level name (here and as `rules._prefix_sq`),
-    which is how `perfbench` counts prefix-sum builds per replicate.
+    Callers reach it by its module-level name (here, as `rules._prefix_sq` and as
+    `montecarlo._prefix_sq`), which is how `perfbench` counts prefix-sum builds
+    per replicate.
     """
     return _cumsum0(y * y)
 

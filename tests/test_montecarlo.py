@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -146,6 +147,15 @@ def test_columns_equal_a_per_replicate_loop(monkeypatch, small_records):
             cols = run_experiment(cfg)
             assert columns_equal(cols, loop), (cfg.problem, rows)
             assert cols.seed.tolist() == [s for _, s in grid_seeds(cfg)], (cfg.problem, rows)
+    # D = 5000 and D = 4095 at the package's own size: blocks of 3 rows, which count where a
+    # row bisects, then a last block of one row
+    for D in (5000, 4095):
+        cfg = ExperimentConfig(
+            ProblemSpec("synthetic-poly", D), deltas=(1e0, 1e-6), replicates=7, base_seed=6
+        )
+        assert montecarlo._row_blocks(cfg.replicates, D + 1) == [(0, 3), (3, 6), (6, 7)]
+        p = make_problem(cfg.problem)
+        assert columns_equal(run_experiment(cfg), evaluated(p, grid_seeds(cfg), cfg)), D
 
 
 def test_run_experiment_evaluates_each_slot_once_in_order(monkeypatch, small_records):
@@ -551,7 +561,7 @@ def test_cli_block_loops_do_not_depend_on_block_size(monkeypatch):
 
 
 def test_verify_loops_hold_a_few_blocks_at_a_time():
-    # numpy reports its array allocations to tracemalloc; 8 float64 blocks are 2 MiB
+    # numpy reports its array allocations to tracemalloc; 8 float64 blocks are 1 MiB
     bound = 8 * 8 * montecarlo._BLOCK_ELEMENTS
     for run, replicates in (
         (check_moment_bounds, 10000),  # 76 MiB per sample at kappa = 1000
@@ -572,8 +582,8 @@ def test_verify_loops_hold_a_few_blocks_at_a_time():
 def test_run_experiment_holds_a_few_blocks_at_a_time():
     columns = sum(column.nbytes for column in vars(ReplicateColumns.empty(600)).values())
     run_experiment(SMALL)  # imports and first-use caches, untraced
-    # D = 5000 goes one row at a time, D = 1000 in blocks of several rows; all 600
-    # replicates at once would be 24 MB and 4.8 MB of rows
+    # D = 5000 goes in blocks of 3 rows, D = 1000 in blocks of 16; all 600 replicates at
+    # once would be 24 MB and 4.8 MB of rows
     for D in (5000, 1000):
         cfg = ExperimentConfig(
             ProblemSpec("synthetic-poly", D), deltas=(1e-2,), replicates=600, base_seed=1
@@ -586,6 +596,53 @@ def test_run_experiment_holds_a_few_blocks_at_a_time():
             tracemalloc.stop()
         # the columns, plus the problem's D-sized arrays and one block's arrays
         assert peak <= columns + 12 * 8 * montecarlo._BLOCK_ELEMENTS, D
+
+
+def test_row_block_arrays_stay_below_the_mmap_threshold():
+    # glibc's malloc serves requests of up to 131,048 bytes from the heap (M_MMAP_THRESHOLD)
+    for width in (25, 257, 700, 1024, 1601, 4096, 5001, 8191):
+        blocks = montecarlo._row_blocks(1000, width)
+        rows = blocks[0][1] - blocks[0][0]
+        assert rows >= 1 and rows * width * 8 <= 131048, width
+        assert [lo for lo, _ in blocks] == list(range(0, 1000, rows)) and blocks[-1][1] == 1000
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="counts the page faults of glibc's malloc on Linux",
+)
+def test_bench_row_blocks_do_not_churn_the_heap(tmp_path):
+    # a block array that glibc mmaps, or whose size varies with the data, can be given back
+    # to the system after one block and refaulted by the next: 2^15-entry blocks cost 18-26
+    # minor page faults per replicate more than one-row blocks, `combined`'s thresholds cut
+    # at max(m_max) 9 at D = 4095. Shipped blocks may cost at most 2 more per replicate.
+    run = (
+        "import sys; from speccut import cli, montecarlo\n"
+        "if sys.argv[1] == 'rows': montecarlo._BLOCK_ELEMENTS = 1\n"
+        "sys.exit(cli.main(sys.argv[2:]))"
+    )
+    # glibc's default thresholds, which the block size is fitted to
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    replicates, deltas = 250, "1e0,1e-2,1e-4,1e-6"
+
+    def minor_faults(blocks, size):
+        cmd = [
+            sys.executable, "-c", run, blocks, "bench", "--problem", "synthetic-poly",
+            "--size", str(size), "--replicates", str(replicates), "--deltas", deltas,
+            "--seed", "20240725", "--out", str(tmp_path / f"{blocks}-{size}"),
+        ]
+        devnull = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+        pid = os.posix_spawn(sys.executable, cmd, env, file_actions=devnull)
+        _, status, usage = os.wait4(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0, (blocks, size)
+        return usage.ru_minflt
+
+    for size in (5000, 4095):
+        extra = minor_faults("shipped", size) - minor_faults("rows", size)
+        assert extra <= 2 * 4 * replicates, (size, extra)
 
 
 # --------------------------------------------------------------------------
@@ -678,11 +735,14 @@ class CountingNumpy:
 
 
 def test_one_replicate_builds_each_shared_sum_once(monkeypatch):
-    p = build_synthetic(300, "poly", q=2.0, truth_power=1.0)
+    # S, balancing's (y/sigma)^2 sum, the noise sum, the strong profile, oracle_strong's sum;
+    # with every sigma 1, balancing's sum is S itself
+    cases = [(build_synthetic(300, "poly", q=2.0, truth_power=1.0), 5),
+             (make_problem(ProblemSpec("direct", 300)), 4)]
     out = ReplicateColumns.empty(1)
-    # builds the problem's own sums, so that only the replicate's are counted below
-    evaluate_replicate(p, observe(p, 1e-2, NoiseModel(), 4), RuleConfig(), out, 0)
-    obs = observe(p, 1e-2, NoiseModel(), 5)
+    # builds the problems' own sums, so that only the replicates' are counted below
+    for p, _ in cases:
+        evaluate_replicate(p, observe(p, 1e-2, NoiseModel(), 4), RuleConfig(), out, 0)
     counts = {"cumsum": 0, "suffix_sum": 0, "maximum.accumulate": 0}
 
     def counted(tag, fn):
@@ -699,11 +759,23 @@ def test_one_replicate_builds_each_shared_sum_once(monkeypatch):
     for module in (problems, sequence_model):
         monkeypatch.setattr(module, "suffix_sum", suffix)
     monkeypatch.setattr(rules, "np", CountingNumpy(counts))
-    evaluate_replicate(p, obs, RuleConfig(), out, 0)
-    # S, balancing's (y/sigma)^2 sum, the noise sum, the strong profile, oracle_strong's sum
-    assert counts == {"cumsum": 5, "suffix_sum": 0, "maximum.accumulate": 0}
-    # the rules keep nothing on the observation: its memo holds only the strong profile
-    assert list(obs._memo) == ["strong"]
+    for p, cumsums in cases:
+        counts.update(dict.fromkeys(counts, 0))
+        obs = observe(p, 1e-2, NoiseModel(), 5)
+        evaluate_replicate(p, obs, RuleConfig(), out, 0)
+        assert counts == {"cumsum": cumsums, "suffix_sum": 0, "maximum.accumulate": 0}, p.name
+        # the rules keep nothing on the observation: its memo holds only the strong profile
+        assert list(obs._memo) == ["strong"]
+    # c01 compares balancing with dp_modified on unit sigma: one S per block serves both;
+    # example1_frequency reads its levels and norms from one sum per block
+    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 7 * 257)
+    counts["cumsum"] = 0
+    assert cli.check_lepski_dp_identity(instances=45).passed
+    assert counts["cumsum"] == len(montecarlo._row_blocks(45, 257)) == 7
+    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 7 * 21)
+    counts["cumsum"] = 0
+    example1_frequency(1.2, 1e-2, 50, seed=404)  # D = 20
+    assert counts["cumsum"] == len(montecarlo._row_blocks(50, 21)) == 8
 
 
 def test_memoised_sums_are_keyed_and_read_only():

@@ -249,6 +249,9 @@ def test_residual_rules_reject_overflowing_data():
         ):
             with pytest.raises(ValueError, match="overflow"):
                 call()
+        # unit sigma: balancing reads S, and still reports its own sums
+        with pytest.raises(ValueError, match="^balancing sums overflow"):
+            balancing(p, observe(p, 1e153, GAUSS, seed), 4.0)
 
 
 def test_early_stop_examples():
