@@ -200,8 +200,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReplicateColumns:
     for di, delta in enumerate(cfg.deltas):
         for lo, hi in _row_blocks(n, p.size + 1):
             seeds = [replicate_seed(cfg.base_seed, di, r) for r in range(lo, hi)]
-            # a block of one row (D >= 8190) is drawn as a row: its rules bisect, not count
-            obs = observe(p, delta, cfg.noise, seeds if len(seeds) > 1 else seeds[0])
+            obs = observe(p, delta, cfg.noise, seeds)
             evaluate_replicate(p, obs, cfg.rules, out, di * n + lo)
             out.seed[di * n + lo : di * n + hi] = seeds
     return out

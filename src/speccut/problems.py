@@ -136,11 +136,6 @@ class SpectralProblem:
         return w
 
     @cached_property
-    def unit_sigma(self) -> bool:
-        """Whether every singular value is exactly 1, decided once per problem."""
-        return bool((self.sigma == 1.0).all())
-
-    @cached_property
     def truth_tail(self) -> np.ndarray:
         """`suffix_sum(x_true**2)`: the bias of every truncation level, read-only.
 
@@ -326,11 +321,13 @@ def decompose(p: DenseProblem) -> SVDFactors:
             u, s, vt = scipy_svd(p.matrix, lapack_driver="gesvd")
         except Exception as exc:
             raise DecompositionError(f"SVD of {p.name!r} did not converge") from exc
-    v = vt.T
     lead = np.argmax(np.abs(u), axis=0)
     signs = np.sign(u[lead, np.arange(u.shape[1])])
     signs[signs == 0.0] = 1.0
-    return SVDFactors(u * signs, s, v * signs)
+    u *= signs  # in place: products with +-1 are exact, and no n x n copy is made
+    v = vt.T
+    v *= signs
+    return SVDFactors(u, s, v)
 
 
 RANK_TOL = 1e-14

@@ -22,23 +22,21 @@ along the last axis. It takes one observation row (D,) and returns an int, or
 a block of R rows (R, D) (`NoisyObservation` holds either) and returns an
 (R,) array whose entry i equals the rule on row i alone, bit for bit: the
 cumulative sums run sequentially through each row, and maxima, minima and
-comparisons are exact. With S_k the prefix sum of squared data coefficients,
-the per-m discrepancy choice is the smallest k with S_k >= T_m = S_m - tau^2 m
-delta^2. `_min_levels` finds it in two ways. One row keeps a binary search
-(`np.searchsorted`, side "left"). A block counts, per row, the entries of S
-below the row's threshold; since S is nondecreasing those are exactly the
-entries before the first S_k >= T, so the count is the same k. The search is
-nondecreasing in the threshold, so the largest per-m choice over m equals the
-choice for max_m T_m exactly: `dp_modified` and `combined` take the maximum
-threshold and search once, O(D). So does `balancing`, on the prefix sums P
-of (y_obs/sigma)^2: the last m whose threshold g_m is the largest has
-P_m >= g_m, so every level below the search fails at that m. Entry m of
-every row is read as `S.T[m]`: a float for one row (where `S[..., m]` would
-make a slower 0-d array), the (R,) column of a block. Problems and
-observations memoise the sums the rules share (`SpectralProblem`,
-`NoisyObservation`), so one replicate builds five cumulative sums (S, the
-prefix sum of (y_obs/sigma)^2 in `balancing`, which is S itself when every
-sigma is 1, the noise sum, the strong profile, and the amplified-noise sum
+comparisons are exact. Every rule and oracle takes the first k whose test
+passes, with one search, `_first_level`: per row, the first k with
+a[..., k] >= b[..., k], for a row and a block alike. Its `argmax` is exact
+because some entry always passes (see there). With S_k the prefix sum of
+squared data coefficients, the per-m discrepancy choice is the smallest k
+with S_k >= T_m = S_m - tau^2 m delta^2. That choice is nondecreasing in the
+threshold, since S is nondecreasing, so the largest per-m choice over m
+equals the choice for max_m T_m exactly: `dp_modified` and `combined` take
+the maximum threshold and search once, O(D). So does `balancing`, on the
+prefix sums P of (y_obs/sigma)^2: the last m whose threshold g_m is the
+largest has P_m >= g_m, so every level below the search fails at that m.
+Problems and observations memoise the sums the rules share
+(`SpectralProblem`, `NoisyObservation`), so one replicate builds five
+cumulative sums for every problem (S, the prefix sum of (y_obs/sigma)^2 in
+`balancing`, the noise sum, the strong profile, and the amplified-noise sum
 in `oracle_strong`) and no suffix maximum; `dp_modified` and `combined` each
 compute the thresholds they compare, both for every m in [1, D], so no array
 a rule allocates has a size that depends on the data. Callers that evaluate
@@ -49,7 +47,6 @@ The O(D^2) literal scans survive as test oracles.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -154,16 +151,18 @@ def _level(k):
     return k if isinstance(k, np.ndarray) and k.ndim else int(k)
 
 
-def _min_levels(S: np.ndarray, thresholds):
-    """Per row of S, the smallest k with S[..., k] >= T (each row nondecreasing).
+def _first_level(a: np.ndarray, b):
+    """Per row, the first k with a[..., k] >= b[..., k]; b broadcasts against a.
 
-    One row bisects, for any number of thresholds. A block takes one threshold
-    per row and counts the entries below it, which in a nondecreasing row are
-    exactly the entries before the first one >= T: the same k as the search.
+    One `argmax` over the comparisons, for one row (an int) and a block (an
+    (R,) array) alike. It is exact only if some entry of every row passes,
+    since a row without one would give 0, and every caller ensures that:
+    each threshold a residual rule or `balancing` searches for in its
+    nondecreasing sums S (or P) is an S_m (P_m) minus a nonnegative amount,
+    or -inf, so k = m passes; each oracle compares a sum of nonnegative terms
+    with a tail sum, which is 0 at k = D.
     """
-    if S.ndim == 1:
-        return S.searchsorted(thresholds)  # side="left"
-    return (S < thresholds[..., None]).sum(axis=-1)
+    return _level((a >= b).argmax(axis=-1))
 
 
 def _thresholds(obs: NoisyObservation, tau: float) -> np.ndarray:
@@ -178,17 +177,17 @@ def _residual_level(obs: NoisyObservation, c: float, m: int):
     That is the smallest k with S_k >= S_m - (c delta)^2 m, for m in [1, D].
     """
     S = obs.prefix_sq
-    return _min_levels(S, S.T[m] - _square(c * obs.delta) * m)
+    return _first_level(S, S[..., m, None] - _square(c * obs.delta) * m)
 
 
 def _max_level(S: np.ndarray, thresholds: np.ndarray, where=True):
     """Largest per-threshold level, max over T of the smallest k with S[k] >= T, per row.
 
-    `_min_levels` is nondecreasing in T for nondecreasing S, so the maximum is
+    That level is nondecreasing in T for nondecreasing S, so the maximum is
     attained at the largest threshold: one search gives it exactly. Only the
     thresholds selected by `where` count; a row with none gets level 0.
     """
-    return _min_levels(S, thresholds.max(axis=-1, initial=-np.inf, where=where))
+    return _first_level(S, thresholds.max(axis=-1, initial=-np.inf, where=where, keepdims=True))
 
 
 def dp_at_m(obs: NoisyObservation, tau: float, m: int) -> int:
@@ -200,7 +199,7 @@ def dp_at_m(obs: NoisyObservation, tau: float, m: int) -> int:
     _check_fudge("tau", tau)
     if not 1 <= m <= obs.size:
         raise ValueError(f"m={m} outside [1, {obs.size}]")
-    return _level(_residual_level(obs, tau, m))
+    return _residual_level(obs, tau, m)
 
 
 def dp_modified(obs: NoisyObservation, tau: float) -> int:
@@ -210,7 +209,7 @@ def dp_modified(obs: NoisyObservation, tau: float) -> int:
     one search.
     """
     _check_fudge("tau", tau)
-    return _level(_max_level(obs.prefix_sq, _thresholds(obs, tau)))
+    return _max_level(obs.prefix_sq, _thresholds(obs, tau))
 
 
 def balancing(p: SpectralProblem, obs: NoisyObservation, kappa: float) -> int:
@@ -225,17 +224,11 @@ def balancing(p: SpectralProblem, obs: NoisyObservation, kappa: float) -> int:
     when P overflows, or when w overflows while (kappa delta)^2 is finite or
     underflows while it overflows: no level can then be told apart. An
     overflowing (kappa delta)^2 with nonzero weights gives infinite
-    thresholds, which is exact. With every sigma exactly 1, y_obs / 1 is
-    y_obs, so P is the observation's memoised `prefix_sq`, bit for bit.
+    thresholds, which is exact.
     """
     _check_fudge("kappa", kappa)
-    P = None
-    if p.unit_sigma:
-        with contextlib.suppress(ValueError):  # the sums overflow: `_balancing_level` says so
-            P = obs.prefix_sq
-    if P is None:
-        with np.errstate(over="ignore"):
-            P = _prefix_sq(obs.y_obs / p.sigma)
+    with np.errstate(over="ignore"):
+        P = _prefix_sq(obs.y_obs / p.sigma)
     return _balancing_level(p, P, obs.delta, kappa)
 
 
@@ -253,14 +246,14 @@ def _balancing_level(p: SpectralProblem, P: np.ndarray, delta: float, kappa: flo
         raise ValueError(f"balancing sums overflow (D={P.shape[-1] - 1}, delta={delta})")
     with np.errstate(over="ignore"):
         thresh = factor * w
-    return _level(_max_level(P, P[..., 1:] - thresh))
+    return _max_level(P, P[..., 1:] - thresh)
 
 
 def early_stop(obs: NoisyObservation, *, tau: float = 1.0) -> int:
     """Sequential residual rule at full resolution with threshold factor tau >= 1."""
     if not (math.isfinite(tau) and tau >= 1):
         raise ValueError(f"early-stop factor must be finite and at least 1, got {tau}")
-    return _level(_residual_level(obs, tau, obs.size))
+    return _residual_level(obs, tau, obs.size)
 
 
 def combined(obs: NoisyObservation, tau: float, tau_min: float = 1.0) -> int:
@@ -276,7 +269,7 @@ def combined(obs: NoisyObservation, tau: float, tau_min: float = 1.0) -> int:
     # thresholds for every m, so their size never depends on the data; each row reads m <= m_max
     T = _thresholds(obs, tau)
     m = np.arange(1, obs.size + 1)
-    return _level(_max_level(obs.prefix_sq, T, where=m <= m_max[..., None]))
+    return _max_level(obs.prefix_sq, T, where=m <= m_max[..., None])
 
 
 def oracle_opt(p: SpectralProblem, obs: NoisyObservation) -> int:
@@ -284,35 +277,27 @@ def oracle_opt(p: SpectralProblem, obs: NoisyObservation) -> int:
     return _level(strong_error_sq_profile(p, obs).argmin(axis=-1))
 
 
-def _balanced_level(acc: np.ndarray, rest: np.ndarray) -> int:
-    """Smallest k with acc[..., k] >= rest[k], per row.
-
-    `acc` is the accumulated term (a `_cumsum0`), `rest` the remaining one (a `suffix_sum`).
-    """
-    return _level((acc >= rest).argmax(axis=-1))
-
-
 def oracle_weak(p: SpectralProblem, obs: NoisyObservation) -> int:
     """Level where accumulated squared noise overtakes the remaining squared clean data."""
-    return _balanced_level(obs.noise_prefix_sq, obs.clean_tail)
+    return _first_level(obs.noise_prefix_sq, obs.clean_tail)
 
 
 def oracle_strong(p: SpectralProblem, obs: NoisyObservation) -> int:
     """Level where accumulated amplified noise overtakes the remaining squared truth."""
     noise = ((obs.y_obs - obs.y_clean) / p.sigma) ** 2
-    return _balanced_level(_cumsum0(noise), p.truth_tail)
+    return _first_level(_cumsum0(noise), p.truth_tail)
 
 
 def det_weak(p: SpectralProblem, delta: float) -> int:
     """Deterministic counterpart of the weak oracle: expected variance delta^2 k."""
     _check_delta(delta)
-    return _balanced_level(_cumsum0(np.full(p.size, _square(delta))), p.clean_tail)
+    return _first_level(_cumsum0(np.full(p.size, _square(delta))), p.clean_tail)
 
 
 def det_strong(p: SpectralProblem, delta: float) -> int:
     """Deterministic counterpart of the strong oracle: expected variance delta^2 sum sigma^(-2)."""
     _check_delta(delta)
-    return _balanced_level(_cumsum0(_square(delta) * p.sigma ** (-2.0)), p.truth_tail)
+    return _first_level(_cumsum0(_square(delta) * p.sigma ** (-2.0)), p.truth_tail)
 
 
 def empirical_sup_deviation(z: np.ndarray, kappa_idx: int) -> float:

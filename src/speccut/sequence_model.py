@@ -117,7 +117,7 @@ class NoisyObservation:
         """
         with np.errstate(over="ignore"):
             S = _prefix_sq(self.y_obs)
-        if not (S.T[-1] < math.inf).all():  # a sum of squares is finite when below inf
+        if not (S[..., -1] < math.inf).all():  # a sum of squares is finite when below inf
             raise ValueError(f"sums of y_obs^2 overflow (D={self.size}, delta={self.delta})")
         S.flags.writeable = False
         return S

@@ -131,6 +131,7 @@ def test_c09_desk_scale_error_ordering(desk_records):
     report("c09a desk ordering", ok, "; ".join(lines))
 
 
+@pytest.mark.slow
 def test_c09_paper_scale_reproduction():
     cfg = ExperimentConfig(
         ProblemSpec("phillips", 5000), deltas=(1e-2,), replicates=1000, base_seed=20240717

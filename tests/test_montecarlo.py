@@ -147,13 +147,14 @@ def test_columns_equal_a_per_replicate_loop(monkeypatch, small_records):
             cols = run_experiment(cfg)
             assert columns_equal(cols, loop), (cfg.problem, rows)
             assert cols.seed.tolist() == [s for _, s in grid_seeds(cfg)], (cfg.problem, rows)
-    # D = 5000 and D = 4095 at the package's own size: blocks of 3 rows, which count where a
-    # row bisects, then a last block of one row
-    for D in (5000, 4095):
+    # D = 5000 and D = 4095 at the package's own size: blocks of 3 rows, then a last block of
+    # one row; D = 8190: (1, D) blocks only. A block searches as one row does
+    for D, blocks in ((5000, [(0, 3), (3, 6), (6, 7)]), (4095, [(0, 3), (3, 6), (6, 7)]),
+                      (8190, [(r, r + 1) for r in range(7)])):
         cfg = ExperimentConfig(
             ProblemSpec("synthetic-poly", D), deltas=(1e0, 1e-6), replicates=7, base_seed=6
         )
-        assert montecarlo._row_blocks(cfg.replicates, D + 1) == [(0, 3), (3, 6), (6, 7)]
+        assert montecarlo._row_blocks(cfg.replicates, D + 1) == blocks
         p = make_problem(cfg.problem)
         assert columns_equal(run_experiment(cfg), evaluated(p, grid_seeds(cfg), cfg)), D
 
@@ -735,10 +736,10 @@ class CountingNumpy:
 
 
 def test_one_replicate_builds_each_shared_sum_once(monkeypatch):
-    # S, balancing's (y/sigma)^2 sum, the noise sum, the strong profile, oracle_strong's sum;
-    # with every sigma 1, balancing's sum is S itself
+    # S, balancing's (y/sigma)^2 sum, the noise sum, the strong profile, oracle_strong's sum,
+    # on every problem: balancing builds its own sum also where every sigma is 1
     cases = [(build_synthetic(300, "poly", q=2.0, truth_power=1.0), 5),
-             (make_problem(ProblemSpec("direct", 300)), 4)]
+             (make_problem(ProblemSpec("direct", 300)), 5)]
     out = ReplicateColumns.empty(1)
     # builds the problems' own sums, so that only the replicates' are counted below
     for p, _ in cases:
@@ -766,12 +767,13 @@ def test_one_replicate_builds_each_shared_sum_once(monkeypatch):
         assert counts == {"cumsum": cumsums, "suffix_sum": 0, "maximum.accumulate": 0}, p.name
         # the rules keep nothing on the observation: its memo holds only the strong profile
         assert list(obs._memo) == ["strong"]
-    # c01 compares balancing with dp_modified on unit sigma: one S per block serves both;
-    # example1_frequency reads its levels and norms from one sum per block
+    # c01 compares balancing with dp_modified on unit sigma: each builds one sum per block,
+    # and y/1 is y, so both search the same bits; example1_frequency reads its levels and
+    # norms from one sum per block
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 7 * 257)
     counts["cumsum"] = 0
     assert cli.check_lepski_dp_identity(instances=45).passed
-    assert counts["cumsum"] == len(montecarlo._row_blocks(45, 257)) == 7
+    assert counts["cumsum"] == 2 * len(montecarlo._row_blocks(45, 257)) == 14
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 7 * 21)
     counts["cumsum"] = 0
     example1_frequency(1.2, 1e-2, 50, seed=404)  # D = 20

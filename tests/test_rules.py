@@ -9,6 +9,7 @@ from speccut.problems import ProblemSpec, SpectralProblem, build_synthetic, make
 from speccut.rules import (
     RULE_NAMES,
     RuleConfig,
+    _first_level,
     balancing,
     combined,
     constants,
@@ -399,6 +400,76 @@ def test_empirical_sup_deviation_examples():
     assert empirical_sup_deviation(np.zeros(7), 3) == 1.0
     with pytest.raises(ValueError):
         empirical_sup_deviation(np.ones(5), 6)
+
+
+# --------------------------------------------------------------------------
+# the one level search of every rule and oracle
+
+
+def bisected_level(row, t):
+    """The smallest k with row[k] >= t in a nondecreasing row, by bisection."""
+    return int(np.searchsorted(row, t, side="left"))
+
+
+def first_true_level(a, b):
+    """The smallest k with a[k] >= b[k], by a literal loop."""
+    return next(k for k in range(len(a)) if a[k] >= b[k])
+
+
+MAGNITUDES = st.just(0.0) | st.floats(1e-150, 1e150)
+SHAPES = st.sampled_from([None, 1, 3])  # None: one row; else a block of that many rows
+
+
+@st.composite
+def nondecreasing_rows(draw, D, rows):
+    """`rows` nondecreasing rows of D + 1 entries from a few magnitudes, so ties are common."""
+    pool = draw(st.lists(MAGNITUDES, min_size=1, max_size=6))
+    entries = st.lists(st.sampled_from(pool), min_size=D + 1, max_size=D + 1)
+    return np.sort(draw(st.lists(entries, min_size=rows, max_size=rows)), axis=-1)
+
+
+@st.composite
+def reached_threshold(draw, row):
+    """A threshold some entry of the nondecreasing row reaches: an entry, a value between
+    two, an entry less a nonnegative amount, or -inf, as the residual rules search for."""
+    m = draw(st.integers(0, row.size - 1))
+    kind = draw(st.sampled_from(["entry", "between", "less", "-inf"]))
+    if kind == "entry":
+        return row[m]
+    if kind == "between":
+        return ((row[m - 1] if m else 0.0) + row[m]) / 2
+    if kind == "less":
+        return row[m] - draw(MAGNITUDES)
+    return -np.inf
+
+
+def assert_levels(k, shape, want):
+    """One row's level is an int; a block's is the (R,) array of its rows' levels."""
+    if shape is None:
+        assert type(k) is int and [k] == want
+    else:
+        assert k.shape == (shape,) and k.tolist() == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(D=st.integers(0, 40), shape=SHAPES, data=st.data())
+def test_first_level_equals_bisection_of_each_row(D, shape, data):
+    S = data.draw(nondecreasing_rows(D, shape or 1))
+    t = np.array([data.draw(reached_threshold(row)) for row in S])
+    rows = 0 if shape is None else slice(None)  # one row, or the block
+    want = [bisected_level(row, row_t) for row, row_t in zip(S, t)]
+    assert_levels(_first_level(S[rows], t[rows, None]), shape, want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(D=st.integers(0, 40), shape=SHAPES, data=st.data())
+def test_first_level_equals_first_crossing_of_each_row(D, shape, data):
+    # an oracle's accumulated sums per row against one nonincreasing tail that ends at 0
+    acc = data.draw(nondecreasing_rows(D, shape or 1))
+    tail = data.draw(nondecreasing_rows(D, 1))[0, ::-1].copy()
+    tail[-1] = 0.0
+    rows = 0 if shape is None else slice(None)
+    assert_levels(_first_level(acc[rows], tail), shape, [first_true_level(a, tail) for a in acc])
 
 
 # --------------------------------------------------------------------------
