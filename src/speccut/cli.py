@@ -38,7 +38,7 @@ from .montecarlo import (
     summarize,
     theorem_frequency,
 )
-from .problems import PROBLEM_NAMES, ProblemSpec, build_synthetic, make_problem
+from .problems import PROBLEM_NAMES, ProblemSpec, SpectralProblem, build_synthetic, make_problem
 from .rules import (
     RULE_NAMES,
     RuleConfig,
@@ -92,7 +92,7 @@ def check_lepski_dp_identity(instances: int = 1000) -> CheckResult:
     agree = 0
     for lo, hi in _row_blocks(instances, D + 1):
         obs = observe(p, delta, model, range(seed + lo, seed + hi))
-        same = balancing(p, obs, fudge) == dp_modified(obs, fudge)
+        same = balancing(obs, fudge) == dp_modified(obs, fudge)
         agree += int(np.count_nonzero(same))
     return CheckResult(
         "lepski_dp_identity",
@@ -126,7 +126,7 @@ def check_dp_bruteforce(instances: int = 500) -> CheckResult:
         tau = float(rng.uniform(1.05, 3.0))
         scale = float(10.0 ** rng.uniform(-1, 1))
         y = scale * rng.standard_normal(D)
-        obs = NoisyObservation(y, np.zeros(D), delta)
+        obs = NoisyObservation(SpectralProblem("direct", np.ones(D), np.zeros(D)), y, delta)
         agree += dp_modified(obs, tau) == dp_modified_bruteforce(y, delta, tau)
     return CheckResult(
         "dp_bruteforce_equivalence", agree == instances, f"{agree}/{instances} exact agreements"
@@ -134,7 +134,7 @@ def check_dp_bruteforce(instances: int = 500) -> CheckResult:
 
 
 def check_scaling_invariance(instances: int = 200) -> CheckResult:
-    """All selectors must be unchanged when data, clean data, truth, and noise
+    """All selectors must be unchanged when the truth, the data and the noise
     level are rescaled by a common positive factor."""
     D, seed = 64, 5150
     rng = np.random.default_rng(seed)
@@ -146,12 +146,11 @@ def check_scaling_invariance(instances: int = 200) -> CheckResult:
         delta = float(10.0 ** rng.uniform(-3, -0.5))
         p = build_synthetic(D, "poly", q=q, truth_power=s)
         z = sample_noise(model, D, seed + i)
-        base = _all_levels(p, NoisyObservation(p.y_clean + delta * z, p.y_clean, delta))
+        base = _all_levels(NoisyObservation(p, p.y_clean + delta * z, delta))
         for c in (1e-3, 1e3):
-            p2 = type(p)(p.name, p.sigma, c * p.x_true)
-            y_clean2 = c * p.y_clean
-            obs2 = NoisyObservation(y_clean2 + (c * delta) * z, y_clean2, c * delta)
-            if _all_levels(p2, obs2) != base:
+            p2 = SpectralProblem(p.name, p.sigma, c * p.x_true)
+            obs2 = NoisyObservation(p2, p2.y_clean + (c * delta) * z, c * delta)
+            if _all_levels(obs2) != base:
                 violations += 1
                 break
     return CheckResult(
@@ -161,11 +160,11 @@ def check_scaling_invariance(instances: int = 200) -> CheckResult:
     )
 
 
-def _all_levels(p, obs) -> tuple:
+def _all_levels(obs: NoisyObservation) -> tuple:
     """Every rule's level, plus the fixed-m residual rule."""
     return (
-        dp_at_m(obs, 1.5, max(1, p.size // 2)),
-        select_all(p, obs, RuleConfig(tau=1.5, kappa=4.0)),
+        dp_at_m(obs, 1.5, max(1, obs.size // 2)),
+        select_all(obs, RuleConfig(tau=1.5, kappa=4.0)),
     )
 
 
@@ -180,17 +179,17 @@ def check_oracle_inequalities(replicates: int = 10000) -> CheckResult:
     bad = 0
     for lo, hi in _row_blocks(replicates, D + 1):
         obs = observe(p, delta, model, range(seed + lo, seed + hi))
-        bad += int(np.count_nonzero(~_oracle_orderings_hold(p, obs, cfg)))
+        bad += int(np.count_nonzero(~_oracle_orderings_hold(obs, cfg)))
     return CheckResult(
         "oracle_orderings", bad == 0, f"{bad}/{replicates} replicates violated an exact inequality"
     )
 
 
-def _oracle_orderings_hold(p, obs: NoisyObservation, cfg: RuleConfig) -> np.ndarray:
+def _oracle_orderings_hold(obs: NoisyObservation, cfg: RuleConfig) -> np.ndarray:
     """Per row of a block of observations: whether all of its exact inequalities hold."""
-    ks = select_all(p, obs, cfg)
-    strong_sq = strong_error_sq_profile(p, obs)
-    weak_sq = weak_error_sq_profile(p, obs)
+    ks = select_all(obs, cfg)
+    strong_sq = strong_error_sq_profile(obs)
+    weak_sq = weak_error_sq_profile(obs)
     rows = np.arange(strong_sq.shape[0])
     pr, st = ks["pr"], ks["st"]
     ok = (pr <= st) & (ks["com"] <= ks["dp"])
@@ -386,7 +385,7 @@ def run_single(args) -> int:
     obs = observe(p, delta, cfg.noise, args.seed)
     D = p.size
     cols = ReplicateColumns.empty(1)  # bench's evaluation: its replicate of this seed, bit for bit
-    evaluate_replicate(p, obs, cfg.rules, cols, 0)
+    evaluate_replicate(obs, cfg.rules, cols, 0)
     ks, e_strong, e_weak = (
         dict(zip(RULE_NAMES, col[:, 0].tolist()))
         for col in (cols.k_by_rule, cols.e_strong_by_rule, cols.e_weak_by_rule)

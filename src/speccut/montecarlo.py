@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .problems import EXP_MAX_SIZE, ProblemSpec, SpectralProblem, build_synthetic, make_problem
+from .problems import EXP_MAX_SIZE, ProblemSpec, build_synthetic, make_problem
 from .rules import (
     RULE_NAMES,
     RuleConfig,
@@ -161,7 +161,7 @@ def replicate_seed(base_seed: int, delta_index: int, replicate: int) -> int:
 
 
 def evaluate_replicate(
-    p: SpectralProblem, obs: NoisyObservation, cfg: RuleConfig, out: ReplicateColumns, i: int
+    obs: NoisyObservation, cfg: RuleConfig, out: ReplicateColumns, i: int
 ) -> None:
     """Run every rule on an observation row or block and write slots i, i+1, ...
 
@@ -170,10 +170,10 @@ def evaluate_replicate(
     weak profile serve the whole block, and each row reads its own entries.
     It writes every column but `seed`, which the caller that drew the noise knows.
     """
-    ks = select_all(p, obs, cfg)
+    ks = select_all(obs, cfg)
     levels = np.array([ks[r] for r in RULE_NAMES]).reshape(len(RULE_NAMES), -1)  # (rule, R)
-    strong_sq = strong_error_sq_profile(p, obs).reshape(-1, p.size + 1)  # (R, D + 1)
-    weak_sq = weak_error_sq_profile(p, obs).reshape(-1, p.size + 1)
+    strong_sq = strong_error_sq_profile(obs).reshape(-1, obs.size + 1)  # (R, D + 1)
+    weak_sq = weak_error_sq_profile(obs).reshape(-1, obs.size + 1)
     rows = np.arange(levels.shape[1])
     slots = slice(i, i + rows.size)
     out.delta[slots] = obs.delta
@@ -183,8 +183,9 @@ def evaluate_replicate(
     out.min_e_weak[slots] = np.sqrt(weak_sq.min(axis=-1))
     # truth mass over levels pr..st, one-based; each row sums its own slice, as on its own
     pr, st = levels[RULE_NAMES.index("pr")].tolist(), levels[RULE_NAMES.index("st")].tolist()
+    x_true = obs.problem.x_true
     out.sat_term[slots] = [
-        math.sqrt(float(np.sum(p.x_true[max(a, 1) - 1 : b] ** 2))) for a, b in zip(pr, st)
+        math.sqrt(float(np.sum(x_true[max(a, 1) - 1 : b] ** 2))) for a, b in zip(pr, st)
     ]
 
 
@@ -201,7 +202,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReplicateColumns:
         for lo, hi in _row_blocks(n, p.size + 1):
             seeds = [replicate_seed(cfg.base_seed, di, r) for r in range(lo, hi)]
             obs = observe(p, delta, cfg.noise, seeds)
-            evaluate_replicate(p, obs, cfg.rules, out, di * n + lo)
+            evaluate_replicate(obs, cfg.rules, out, di * n + lo)
             out.seed[di * n + lo : di * n + hi] = seeds
     return out
 

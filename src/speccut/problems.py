@@ -148,8 +148,9 @@ class SpectralProblem:
     def y_clean(self) -> np.ndarray:
         """The clean data sigma * x_true, read-only and memoised.
 
-        Every observation drawn with `observe` holds this same array, so the
-        product is formed once per problem, not once per replicate.
+        The problem is the only owner of its clean data: every observation of it
+        reads this array, so the product is formed once per problem, not once
+        per replicate.
         """
         y = self.sigma * self.x_true
         y.flags.writeable = False
@@ -159,8 +160,9 @@ class SpectralProblem:
     def clean_tail(self) -> np.ndarray:
         """`suffix_sum(y_clean**2)`: the image-space bias of every level, read-only.
 
-        Handed to every observation drawn with `observe`. Built on first use and
-        memoised, which is valid because `y_clean` is read-only.
+        Shared by the weak oracle and the image-space error profile of every
+        observation. Built on first use and memoised, which is valid because
+        `y_clean` is read-only.
         """
         return suffix_sum(self.y_clean**2)
 

@@ -12,10 +12,11 @@ they need the unknown truth.
 
 Every defining inequality is inclusive, minimal elements are taken from the
 defining sets, and k = 0 is always admitted. All selectors are invariant under
-rescaling (y_obs, y_clean, delta) by a common positive factor. A threshold
+rescaling the truth, y_obs and delta by a common positive factor. A threshold
 factor whose square overflows a double gives an infinite threshold, which
 admits every level, so the level is the exact 0; data whose sums overflow
-raise ValueError (`NoisyObservation.prefix_sq`, `balancing`).
+raise ValueError (`NoisyObservation.prefix_sq`, `balancing`), and so do
+weights sigma^-2 that overflow (`balancing`, `det_strong`).
 
 Implementation note: every rule and error profile is one kernel that works
 along the last axis. It takes one observation row (D,) and returns an int, or
@@ -212,7 +213,7 @@ def dp_modified(obs: NoisyObservation, tau: float) -> int:
     return _max_level(obs.prefix_sq, _thresholds(obs, tau))
 
 
-def balancing(p: SpectralProblem, obs: NoisyObservation, kappa: float) -> int:
+def balancing(obs: NoisyObservation, kappa: float) -> int:
     """Comparison rule in solution space with the root-mean variance threshold.
 
     Smallest k in [0, D] with ||x_m - x_k|| <= kappa delta sqrt(w_m),
@@ -228,8 +229,8 @@ def balancing(p: SpectralProblem, obs: NoisyObservation, kappa: float) -> int:
     """
     _check_fudge("kappa", kappa)
     with np.errstate(over="ignore"):
-        P = _prefix_sq(obs.y_obs / p.sigma)
-    return _balancing_level(p, P, obs.delta, kappa)
+        P = _prefix_sq(obs.y_obs / obs.problem.sigma)
+    return _balancing_level(obs.problem, P, obs.delta, kappa)
 
 
 def _balancing_level(p: SpectralProblem, P: np.ndarray, delta: float, kappa: float):
@@ -272,19 +273,20 @@ def combined(obs: NoisyObservation, tau: float, tau_min: float = 1.0) -> int:
     return _max_level(obs.prefix_sq, T, where=m <= m_max[..., None])
 
 
-def oracle_opt(p: SpectralProblem, obs: NoisyObservation) -> int:
+def oracle_opt(obs: NoisyObservation) -> int:
     """Smallest minimizer of the realized solution-space error over all levels."""
-    return _level(strong_error_sq_profile(p, obs).argmin(axis=-1))
+    return _level(strong_error_sq_profile(obs).argmin(axis=-1))
 
 
-def oracle_weak(p: SpectralProblem, obs: NoisyObservation) -> int:
+def oracle_weak(obs: NoisyObservation) -> int:
     """Level where accumulated squared noise overtakes the remaining squared clean data."""
-    return _first_level(obs.noise_prefix_sq, obs.clean_tail)
+    return _first_level(obs.noise_prefix_sq, obs.problem.clean_tail)
 
 
-def oracle_strong(p: SpectralProblem, obs: NoisyObservation) -> int:
+def oracle_strong(obs: NoisyObservation) -> int:
     """Level where accumulated amplified noise overtakes the remaining squared truth."""
-    noise = ((obs.y_obs - obs.y_clean) / p.sigma) ** 2
+    p = obs.problem
+    noise = ((obs.y_obs - p.y_clean) / p.sigma) ** 2
     return _first_level(_cumsum0(noise), p.truth_tail)
 
 
@@ -295,9 +297,18 @@ def det_weak(p: SpectralProblem, delta: float) -> int:
 
 
 def det_strong(p: SpectralProblem, delta: float) -> int:
-    """Deterministic counterpart of the strong oracle: expected variance delta^2 sum sigma^(-2)."""
+    """Deterministic counterpart of the strong oracle: expected variance delta^2 sum sigma^(-2).
+
+    Raises ValueError when some sigma^(-2) overflows, or underflows to 0 while
+    delta^2 overflows: as in `balancing`, no level can then be told apart.
+    """
     _check_delta(delta)
-    return _first_level(_cumsum0(_square(delta) * p.sigma ** (-2.0)), p.truth_tail)
+    factor = _square(delta)
+    with np.errstate(over="ignore"):
+        w = p.sigma ** (-2.0)  # nondecreasing: its ends bound every weight
+        if w[-1] == math.inf or (factor == math.inf and w[0] == 0.0):
+            raise ValueError(f"det_strong weights overflow or underflow (delta={delta})")
+        return _first_level(_cumsum0(factor * w), p.truth_tail)
 
 
 def empirical_sup_deviation(z: np.ndarray, kappa_idx: int) -> float:
@@ -322,19 +333,17 @@ def empirical_sup_deviation(z: np.ndarray, kappa_idx: int) -> float:
 RULE_NAMES = ("dp", "bal", "es", "com", "opt", "pr", "st")
 
 
-def select_all(
-    p: SpectralProblem, obs: NoisyObservation, cfg: RuleConfig
-) -> dict[str, int | np.ndarray]:
+def select_all(obs: NoisyObservation, cfg: RuleConfig) -> dict[str, int | np.ndarray]:
     """Run every benchmark rule on one observation; keys follow RULE_NAMES.
 
     For a block of rows each value is the (R,) array of per-row levels.
     """
     return {
         "dp": dp_modified(obs, cfg.tau),
-        "bal": balancing(p, obs, cfg.kappa),
+        "bal": balancing(obs, cfg.kappa),
         "es": early_stop(obs),
         "com": combined(obs, cfg.tau, cfg.tau_min),
-        "opt": oracle_opt(p, obs),
-        "pr": oracle_weak(p, obs),
-        "st": oracle_strong(p, obs),
+        "opt": oracle_opt(obs),
+        "pr": oracle_weak(obs),
+        "st": oracle_strong(obs),
     }

@@ -8,19 +8,16 @@ grows with k and a bias part that shrinks with k. Sums beyond the problem
 resolution D are identically zero: the truth is represented exactly at
 resolution D.
 
-An observation holds only its data (y_obs, y_clean, delta), stores its vectors
-read-only and memoises the sums that several rules and error profiles read, so
-each is built once per observation: the prefix sums of y_obs^2 and of the
-squared noise (y_obs - y_clean)^2, and the strong error profile of the problem
-it was last evaluated against. The clean data and its tail sums depend only on
-the problem: `observe` hands every observation the problem's own memoised
-arrays (`SpectralProblem.y_clean`, `clean_tail`), and an observation built
-directly computes the tail of its own `y_clean`. An observation may hold one
-row (D,) or a block of R rows (R, D) that share the noise level and the clean
-data; every sum and profile works along the last axis, row by row, with the
-same floating-point operations as for one row. The prefix sums of y_obs^2
-raise ValueError when they overflow a double, so no residual rule returns a
-level past D.
+An observation is its problem's data: the problem, y_obs and delta. The
+problem owns the truth and the clean data y_clean = sigma * x_true with their
+tail sums; the observation stores y_obs read-only and memoises the sums that
+several rules and error profiles read, each built once per observation: the
+prefix sums of y_obs^2 and of the squared noise (y_obs - y_clean)^2, and the
+strong error profile. An observation holds one row (D,) or a block of R rows
+(R, D) of one problem and noise level; every sum and profile works along the
+last axis, row by row, with the same floating-point operations as for one
+row. The prefix sums of y_obs^2 raise ValueError when they overflow a
+double, so no residual rule returns a level past D.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .problems import SpectralProblem, readonly, suffix_sum
+from .problems import SpectralProblem, readonly
 
 
 @dataclass(frozen=True)
@@ -75,31 +72,28 @@ def _prefix_sq(y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoisyObservation:
-    """One realization y_obs = y_clean + delta * z of the clean data, at noise level delta.
+    """One realization y_obs = problem.y_clean + delta * z of a problem's clean data.
 
-    `y_obs` is one row (D,) or a block of R rows (R, D); a block's rows share
-    `delta` and the clean data `y_clean` (D,). Both vectors must be finite and
-    are stored read-only; a caller's array that is still writeable is copied,
-    so writing to it later cannot change the observation or the sums memoised
-    on it.
+    `y_obs` is one row (D,) or a block of R rows (R, D), with D = problem.size;
+    a block's rows share the problem and `delta`. It must be finite and is
+    stored read-only; a caller's array that is still writeable is copied, so
+    writing to it later cannot change the observation or the sums memoised on
+    it.
     """
 
+    problem: SpectralProblem
     y_obs: np.ndarray
-    y_clean: np.ndarray
     delta: float
 
     def __post_init__(self):
         _check_delta(self.delta)
-        for name in ("y_obs", "y_clean"):
-            a = readonly(getattr(self, name))
-            if not np.isfinite(a).all():
-                raise ValueError(f"{name} has non-finite entries")
-            object.__setattr__(self, name, a)
-        shape = self.y_obs.shape
-        if len(shape) not in (1, 2) or 0 in shape:
-            raise ValueError(f"y_obs must be one row (D,) or a block (R, D), got shape {shape}")
-        if self.y_clean.shape != shape[-1:]:
-            raise ValueError(f"y_clean must have shape {shape[-1:]}, got {self.y_clean.shape}")
+        y = readonly(self.y_obs)
+        if not np.isfinite(y).all():
+            raise ValueError("y_obs has non-finite entries")
+        object.__setattr__(self, "y_obs", y)
+        D = self.problem.size
+        if y.ndim not in (1, 2) or 0 in y.shape or y.shape[-1] != D:
+            raise ValueError(f"y_obs must be one row ({D},) or a block (R, {D}), got {y.shape}")
 
     @property
     def size(self) -> int:
@@ -123,29 +117,24 @@ class NoisyObservation:
         return S
 
     @cached_property
-    def clean_tail(self) -> np.ndarray:
-        """`suffix_sum(y_clean**2)`: the image-space bias of every level, read-only.
-
-        Shared by the weak oracle and the image-space error profile. Built on
-        first use and memoised, which is valid because `y_clean` is read-only.
-        """
-        return suffix_sum(self.y_clean**2)
-
-    @cached_property
     def noise_prefix_sq(self) -> np.ndarray:
-        """N with N[..., k] = sum of (y_obs_j - y_clean_j)^2 over j <= k; read-only.
+        """N with N[..., k] = sum of (y_obs_j - problem.y_clean_j)^2 over j <= k; read-only.
 
         The accumulated image-space variance, shared by the weak oracle and the
         image-space error profile. Memoised like `prefix_sq`.
         """
-        N = _cumsum0((self.y_obs - self.y_clean) ** 2)
+        N = _cumsum0((self.y_obs - self.problem.y_clean) ** 2)
         N.flags.writeable = False
         return N
 
     @cached_property
-    def _memo(self) -> dict:
-        """The strong profile of `strong_error_sq_profile`, kept as long as the observation."""
-        return {}
+    def strong_sq(self) -> np.ndarray:
+        """`strong_error_sq_profile`, built on first use and memoised like `prefix_sq`."""
+        p = self.problem
+        out = _cumsum0((self.y_obs / p.sigma - p.x_true) ** 2)
+        out += p.truth_tail
+        out.flags.writeable = False
+        return out
 
 
 def sample_noise(model: NoiseModel, D: int, seed: int | Sequence[int]) -> np.ndarray:
@@ -182,29 +171,18 @@ def observe(
     y_obs *= delta  # in place: y_clean + delta * z's bits, with no array for z kept
     y_obs += p.y_clean
     y_obs.flags.writeable = False  # nobody else holds it: freeze, do not copy
-    obs = NoisyObservation(y_obs, p.y_clean, float(delta))
-    # obs.y_clean is p.y_clean itself (read-only, so not copied): share its tail too
-    obs.__dict__["clean_tail"] = p.clean_tail
-    return obs
+    return NoisyObservation(p, y_obs, float(delta))
 
 
-def strong_error_sq_profile(p: SpectralProblem, obs: NoisyObservation) -> np.ndarray:
+def strong_error_sq_profile(obs: NoisyObservation) -> np.ndarray:
     """Squared solution-space error for every level: entry k is ||x_k - x_true||^2, per row.
 
-    Read-only, and memoised on the observation for the last problem it was
-    asked for (compared by identity), so the oracle and the error records of
-    one replicate share one profile.
+    Read-only and memoised on the observation (`NoisyObservation.strong_sq`), so
+    the oracle and the error records of one replicate share one profile.
     """
-    memo = obs._memo.get("strong")
-    if memo is not None and memo[0] is p:
-        return memo[1]
-    out = _cumsum0((obs.y_obs / p.sigma - p.x_true) ** 2)
-    out += p.truth_tail
-    out.flags.writeable = False
-    obs._memo["strong"] = (p, out)
-    return out
+    return obs.strong_sq
 
 
-def weak_error_sq_profile(p: SpectralProblem, obs: NoisyObservation) -> np.ndarray:
+def weak_error_sq_profile(obs: NoisyObservation) -> np.ndarray:
     """Squared image-space error for every level: entry k is ||K(x_k - x_true)||^2, per row."""
-    return obs.noise_prefix_sq + obs.clean_tail
+    return obs.noise_prefix_sq + obs.problem.clean_tail

@@ -2,18 +2,21 @@
 
 Each sums one row's squared terms exactly (`math.fsum`), independently of the
 cumulative-sum profiles in `speccut.sequence_model` that every rule and table reads.
+Both read the truth from the observation's own problem.
 """
 
 import math
 
 
-def strong_error_literal(p, obs, k):
+def strong_error_literal(obs, k):
     """||x_k - x_true|| of one row's level-k estimate."""
+    p = obs.problem
     var = (obs.y_obs[:k] / p.sigma[:k] - p.x_true[:k]) ** 2
     return math.sqrt(math.fsum(var.tolist() + (p.x_true[k:] ** 2).tolist()))
 
 
-def weak_error_literal(p, obs, k):
+def weak_error_literal(obs, k):
     """||K(x_k - x_true)|| of one row's level-k estimate."""
-    var = (obs.y_obs[:k] - obs.y_clean[:k]) ** 2
-    return math.sqrt(math.fsum(var.tolist() + (obs.y_clean[k:] ** 2).tolist()))
+    y_clean = obs.problem.y_clean
+    var = (obs.y_obs[:k] - y_clean[:k]) ** 2
+    return math.sqrt(math.fsum(var.tolist() + (y_clean[k:] ** 2).tolist()))

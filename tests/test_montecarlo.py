@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import os
@@ -76,7 +77,7 @@ def evaluated(p, pairs, cfg=SMALL):
     """Columns filled slot by slot from a per-replicate `observe` loop over (delta, seed) pairs."""
     cols = ReplicateColumns.empty(len(pairs))
     for i, (d, s) in enumerate(pairs):
-        evaluate_replicate(p, observe(p, d, cfg.noise, s), cfg.rules, cols, i)
+        evaluate_replicate(observe(p, d, cfg.noise, s), cfg.rules, cols, i)
         cols.seed[i] = s
     return cols
 
@@ -162,9 +163,9 @@ def test_columns_equal_a_per_replicate_loop(monkeypatch, small_records):
 def test_run_experiment_evaluates_each_slot_once_in_order(monkeypatch, small_records):
     blocks = []
 
-    def counted(p, obs, cfg, out, i):
+    def counted(obs, cfg, out, i):
         blocks.append(range(i, i + len(np.atleast_2d(obs.y_obs))))
-        evaluate_replicate(p, obs, cfg, out, i)
+        evaluate_replicate(obs, cfg, out, i)
 
     monkeypatch.setattr(montecarlo, "evaluate_replicate", counted)
     width = SMALL.problem.size + 1
@@ -253,7 +254,7 @@ def test_zero_truth_forces_zero_optimum():
     for i in range(10):
         obs = observe(p, 0.1, NoiseModel(), replicate_seed(5, 0, i))
         rec = ReplicateColumns.empty(1)
-        evaluate_replicate(p, obs, cfg.rules, rec, 0)
+        evaluate_replicate(obs, cfg.rules, rec, 0)
         assert per_rule(rec.k_by_rule)["opt"] == 0
 
 
@@ -359,10 +360,9 @@ def zero_noise_records(D=30, delta=1e-6, scale=10.0):
     # strong signal, vanishing noise: the residual rule runs to the full
     # resolution and every error is exactly zero, so each guarantee holds
     p = build_synthetic(D, "poly", q=2.0, truth=scale / np.arange(1.0, D + 1.0))
-    y = p.sigma * p.x_true
-    obs = NoisyObservation(y, y, delta)
+    obs = NoisyObservation(p, p.sigma * p.x_true, delta)
     records = ReplicateColumns.empty(1)
-    evaluate_replicate(p, obs, RuleConfig(), records, 0)
+    evaluate_replicate(obs, RuleConfig(), records, 0)
     return records
 
 
@@ -465,8 +465,8 @@ def example1_frequency_loop(kappa, delta, replicates, seed):
     z_all = np.random.default_rng(seed).standard_normal((replicates, D))
     hits = 0
     for z in z_all:
-        obs = NoisyObservation(delta * z, np.zeros(D), delta)
-        k = balancing(p, obs, kappa)
+        obs = NoisyObservation(p, delta * z, delta)
+        k = balancing(obs, kappa)
         hits += float(np.sum((obs.y_obs[:k] / p.sigma[:k]) ** 2)) >= 1.0
     return hits / replicates
 
@@ -651,8 +651,10 @@ def test_bench_row_blocks_do_not_churn_the_heap(tmp_path):
 
 
 def fresh(obs):
-    """The same data in a new observation that shares no memoised sum with `obs`."""
-    return NoisyObservation(obs.y_obs.copy(), obs.y_clean.copy(), obs.delta)
+    """The same data in a new observation of a new problem: it shares no memoised sum with `obs`."""
+    p = obs.problem
+    twin = SpectralProblem(p.name, p.sigma, p.x_true)
+    return NoisyObservation(twin, obs.y_obs.copy(), obs.delta)
 
 
 def accumulate(terms):
@@ -660,23 +662,25 @@ def accumulate(terms):
     return np.concatenate([np.zeros(terms.shape[:-1] + (1,)), np.cumsum(terms, axis=-1)], axis=-1)
 
 
-def literal_levels_and_profiles(p, obs, cfg):
+def literal_levels_and_profiles(obs, cfg):
     """Every rule's level and both error profiles, recomputed for one observation row.
 
     The data-driven rules each run on their own fresh observation; the oracles
     and profiles are written out from their definitions.
     """
+    p = obs.problem
+    y_clean = p.sigma * p.x_true
     strong = accumulate((obs.y_obs / p.sigma - p.x_true) ** 2) + suffix_sum(p.x_true**2)
-    noise = accumulate((obs.y_obs - obs.y_clean) ** 2)
-    weak = noise + suffix_sum(obs.y_clean**2)
-    amplified = accumulate(((obs.y_obs - obs.y_clean) / p.sigma) ** 2)
+    noise = accumulate((obs.y_obs - y_clean) ** 2)
+    weak = noise + suffix_sum(y_clean**2)
+    amplified = accumulate(((obs.y_obs - y_clean) / p.sigma) ** 2)
     ks = {
         "dp": dp_modified(fresh(obs), cfg.tau),
-        "bal": balancing(p, fresh(obs), cfg.kappa),
+        "bal": balancing(fresh(obs), cfg.kappa),
         "es": early_stop(fresh(obs)),
         "com": combined(fresh(obs), cfg.tau, cfg.tau_min),
         "opt": int(np.argmin(strong)),
-        "pr": int(np.argmax(noise >= suffix_sum(obs.y_clean**2))),
+        "pr": int(np.argmax(noise >= suffix_sum(y_clean**2))),
         "st": int(np.argmax(amplified >= suffix_sum(p.x_true**2))),
     }
     return ks, strong, weak
@@ -693,15 +697,11 @@ SHARED_SUM_CASES = [
 def test_shared_sums_equal_a_literal_recomputation(p, cfg):
     for delta in (1e-1, 1e-4, 1e-8):
         rows = observe(p, delta, NoiseModel(), [7, 8, 9])
-        # clean data that is not the problem's own: the observation sums its own tail
-        y_clean = 0.5 * p.y_clean + 1e-3
-        z = sample_noise(NoiseModel(), p.size, 7)
-        direct = NoisyObservation(y_clean + delta * z, y_clean, delta)
-        singles = [observe(p, delta, NoiseModel(), seed) for seed in (7, 8, 9)] + [direct]
+        singles = [observe(p, delta, NoiseModel(), seed) for seed in (7, 8, 9)]
         for obs in singles:
-            ks, strong, weak = literal_levels_and_profiles(p, obs, cfg)
+            ks, strong, weak = literal_levels_and_profiles(obs, cfg)
             record = ReplicateColumns.empty(1)
-            evaluate_replicate(p, obs, cfg, record, 0)
+            evaluate_replicate(obs, cfg, record, 0)
             assert per_rule(record.k_by_rule) == ks
             assert per_rule(record.e_strong_by_rule) == {
                 r: math.sqrt(strong[k]) for r, k in ks.items()
@@ -711,11 +711,11 @@ def test_shared_sums_equal_a_literal_recomputation(p, cfg):
             assert record.min_e_weak[0] == math.sqrt(weak.min())
             lo = max(ks["pr"], 1) - 1
             assert record.sat_term[0] == math.sqrt(float(np.sum(p.x_true[lo : ks["st"]] ** 2)))
-        block_ks = select_all(p, rows, cfg)
-        strong_block = strong_error_sq_profile(p, rows)
-        weak_block = weak_error_sq_profile(p, rows)
-        for r, obs in enumerate(singles[:3]):
-            ks, strong, weak = literal_levels_and_profiles(p, obs, cfg)
+        block_ks = select_all(rows, cfg)
+        strong_block = strong_error_sq_profile(rows)
+        weak_block = weak_error_sq_profile(rows)
+        for r, obs in enumerate(singles):
+            ks, strong, weak = literal_levels_and_profiles(obs, cfg)
             assert {rule: int(k[r]) for rule, k in block_ks.items()} == ks
             assert np.array_equal(strong_block[r], strong)
             assert np.array_equal(weak_block[r], weak)
@@ -743,7 +743,7 @@ def test_one_replicate_builds_each_shared_sum_once(monkeypatch):
     out = ReplicateColumns.empty(1)
     # builds the problems' own sums, so that only the replicates' are counted below
     for p, _ in cases:
-        evaluate_replicate(p, observe(p, 1e-2, NoiseModel(), 4), RuleConfig(), out, 0)
+        evaluate_replicate(observe(p, 1e-2, NoiseModel(), 4), RuleConfig(), out, 0)
     counts = {"cumsum": 0, "suffix_sum": 0, "maximum.accumulate": 0}
 
     def counted(tag, fn):
@@ -757,16 +757,16 @@ def test_one_replicate_builds_each_shared_sum_once(monkeypatch):
     suffix = counted("suffix_sum", problems.suffix_sum)
     for module in (sequence_model, rules):
         monkeypatch.setattr(module, "_cumsum0", cumsum0)
-    for module in (problems, sequence_model):
-        monkeypatch.setattr(module, "suffix_sum", suffix)
+    monkeypatch.setattr(problems, "suffix_sum", suffix)
     monkeypatch.setattr(rules, "np", CountingNumpy(counts))
     for p, cumsums in cases:
         counts.update(dict.fromkeys(counts, 0))
         obs = observe(p, 1e-2, NoiseModel(), 5)
-        evaluate_replicate(p, obs, RuleConfig(), out, 0)
+        evaluate_replicate(obs, RuleConfig(), out, 0)
         assert counts == {"cumsum": cumsums, "suffix_sum": 0, "maximum.accumulate": 0}, p.name
-        # the rules keep nothing on the observation: its memo holds only the strong profile
-        assert list(obs._memo) == ["strong"]
+        # beside its fields, the observation holds only the sums sequence_model memoises on it
+        memoised = set(vars(obs)) - {field.name for field in dataclasses.fields(obs)}
+        assert memoised == {"prefix_sq", "noise_prefix_sq", "strong_sq"}
     # c01 compares balancing with dp_modified on unit sigma: each builds one sum per block,
     # and y/1 is y, so both search the same bits; example1_frequency reads its levels and
     # norms from one sum per block
@@ -780,7 +780,7 @@ def test_one_replicate_builds_each_shared_sum_once(monkeypatch):
     assert counts["cumsum"] == len(montecarlo._row_blocks(50, 21)) == 8
 
 
-def test_memoised_sums_are_keyed_and_read_only():
+def test_memoised_sums_are_read_only():
     p = build_synthetic(120, "poly", q=2.0, truth_power=1.0)
     for seed in (3, [3, 4, 5]):
         obs = observe(p, 1e-2, NoiseModel(), seed)
@@ -789,15 +789,11 @@ def test_memoised_sums_are_keyed_and_read_only():
         assert np.array_equal(combined(obs, 2.0, 1.2), combined(fresh(obs), 2.0, 1.2))
         assert np.array_equal(early_stop(obs, tau=1.2), early_stop(fresh(obs), tau=1.2))
         assert np.array_equal(dp_modified(obs, 2.0), dp_modified(fresh(obs), 2.0))
-        strong = strong_error_sq_profile(p, obs)
-        assert strong_error_sq_profile(p, obs) is strong
-        # keyed by the problem's identity: an equal-shaped problem gets its own profile
-        scaled = SpectralProblem(p.name, p.sigma, 2.0 * p.x_true)
-        assert np.array_equal(
-            strong_error_sq_profile(scaled, obs), strong_error_sq_profile(scaled, fresh(obs))
-        )
+        strong = strong_error_sq_profile(obs)
+        assert strong_error_sq_profile(obs) is strong
+        assert np.array_equal(strong, strong_error_sq_profile(fresh(obs)))
         memoised = (
-            obs.prefix_sq, obs.noise_prefix_sq, obs.clean_tail, strong, p.y_clean,
+            obs.prefix_sq, obs.noise_prefix_sq, strong, p.y_clean, p.clean_tail, p.truth_tail,
         )
         for arr in memoised:
             with pytest.raises(ValueError):

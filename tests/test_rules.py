@@ -38,13 +38,19 @@ from error_oracles import strong_error_literal
 GAUSS = NoiseModel("gaussian")
 
 
-def direct_obs(y, delta=1.0):
-    y = np.asarray(y, dtype=float)
-    return NoisyObservation(y, np.zeros_like(y), delta)
-
-
 def unit_problem(D):
     return SpectralProblem("unit", np.ones(D), np.zeros(D))
+
+
+def direct_obs(y, delta=1.0):
+    """Data y of the unit-sigma, zero-truth problem: pure noise, as the residual rules see it."""
+    y = np.asarray(y, dtype=float)
+    return NoisyObservation(unit_problem(y.shape[-1]), y, delta)
+
+
+def on_problem(p, obs):
+    """The same data and noise level, as an observation of problem p."""
+    return NoisyObservation(p, obs.y_obs, obs.delta)
 
 
 def random_instance(rng, D, delta=0.1, s=1.0, q=2.0):
@@ -52,10 +58,11 @@ def random_instance(rng, D, delta=0.1, s=1.0, q=2.0):
     return p, observe(p, delta, GAUSS, int(rng.integers(0, 2**32)))
 
 
-def first_coefficients(p, obs, m):
-    """The problem and observation cut to their first m coefficients (a resolution m <= D)."""
-    cut = NoisyObservation(obs.y_obs[..., :m], obs.y_clean[:m], obs.delta)
-    return SpectralProblem(p.name, p.sigma[:m], p.x_true[:m]), cut
+def first_coefficients(obs, m):
+    """The observation and its problem cut to their first m coefficients (a resolution m <= D)."""
+    p = obs.problem
+    cut = SpectralProblem(p.name, p.sigma[:m], p.x_true[:m])
+    return NoisyObservation(cut, obs.y_obs[..., :m], obs.delta)
 
 
 # --------------------------------------------------------------------------
@@ -157,18 +164,17 @@ def test_dp_modified_examples():
 
 def test_lepski_examples():
     # Lepski's rule is the balancing rule with unit singular values
-    assert balancing(unit_problem(5), direct_obs(np.zeros(5)), 1.5) == 0
-    assert balancing(unit_problem(4), direct_obs([4.0, 0.0, 0.0, 0.0]), 1.5) == 1
+    assert balancing(direct_obs(np.zeros(5)), 1.5) == 0
+    assert balancing(direct_obs([4.0, 0.0, 0.0, 0.0]), 1.5) == 1
     with pytest.raises(ValueError):
-        balancing(unit_problem(1), direct_obs([1.0]), 1.0)
+        balancing(direct_obs([1.0]), 1.0)
 
 
 def test_balancing_examples():
-    p = unit_problem(2)
-    assert balancing(p, direct_obs([0.0, 0.0]), 1.5) == 0
-    assert balancing(p, direct_obs([4.0, 0.0]), 1.5) == 1
+    assert balancing(direct_obs([0.0, 0.0]), 1.5) == 0
+    assert balancing(direct_obs([4.0, 0.0]), 1.5) == 1
     with pytest.raises(ValueError):
-        balancing(p, direct_obs([1.0, 1.0]), 1.0)
+        balancing(direct_obs([1.0, 1.0]), 1.0)
 
 
 def test_balancing_exponential_spectrum_late_stop():
@@ -179,8 +185,8 @@ def test_balancing_exponential_spectrum_late_stop():
     p = build_synthetic(D, "exp")
     z = np.zeros(D)
     z[m_crit - 1] = 10.0
-    obs = NoisyObservation(delta * z, np.zeros(D), delta)
-    assert balancing(p, obs, 4.0) >= m_crit
+    obs = NoisyObservation(p, delta * z, delta)
+    assert balancing(obs, 4.0) >= m_crit
 
 
 def test_balancing_rejects_overflowing_sums():
@@ -191,9 +197,9 @@ def test_balancing_rejects_overflowing_sums():
         for seed in (1, [1, 2]):  # one row, then a 2-row block
             obs = observe(p, delta, GAUSS, seed)
             with pytest.raises(ValueError, match="overflow"):
-                balancing(p, obs, 4.0)
+                balancing(obs, 4.0)
             with pytest.raises(ValueError, match="overflow"):
-                select_all(p, obs, RuleConfig())
+                select_all(obs, RuleConfig())
 
 
 def test_balancing_threshold_overflow_admits_every_level():
@@ -202,13 +208,12 @@ def test_balancing_threshold_overflow_admits_every_level():
     p = build_synthetic(300, "exp", truth_power=1.0)
     obs = observe(p, 1e80, GAUSS, 1)
     assert math.isfinite(float(np.sum((obs.y_obs / p.sigma) ** 2)))
-    assert balancing(p, obs, 1e10) == 0
-    assert np.array_equal(balancing(p, observe(p, 1e80, GAUSS, [1, 2]), 1e10), [0, 0])
+    assert balancing(obs, 1e10) == 0
+    assert np.array_equal(balancing(observe(p, 1e80, GAUSS, [1, 2]), 1e10), [0, 0])
     # the same data scaled by an exact power of two, where nothing overflows
     c = 2.0**-500
     small = SpectralProblem(p.name, p.sigma, c * p.x_true)
-    scaled = NoisyObservation(c * obs.y_obs, c * obs.y_clean, c * obs.delta)
-    assert balancing(small, scaled, 1e10) == 0
+    assert balancing(NoisyObservation(small, c * obs.y_obs, c * obs.delta), 1e10) == 0
 
 
 def test_balancing_rejects_undetermined_thresholds():
@@ -221,9 +226,9 @@ def test_balancing_rejects_undetermined_thresholds():
     huge = SpectralProblem("flat", np.full(2, 1e200), np.zeros(2))
     for problem, rows, delta in ((p, y, 1e-170), (huge, np.ones(2), 1e160)):
         for block in (rows, np.stack([rows, 0.5 * rows])):  # one row, then a 2-row block
-            obs = NoisyObservation(block, np.zeros(block.shape[-1]), delta)
+            obs = NoisyObservation(problem, block, delta)
             with pytest.raises(ValueError, match="overflow"):
-                balancing(problem, obs, 1.5 if problem is p else 4.0)
+                balancing(obs, 1.5 if problem is p else 4.0)
 
 
 def test_overflowing_threshold_factors_give_level_zero():
@@ -232,7 +237,7 @@ def test_overflowing_threshold_factors_give_level_zero():
     for o in (obs, observe(p, 1e-2, GAUSS, [1, 2, 3])):
         for level in (
             dp_modified(o, 1e200), dp_at_m(o, 1e200, 16), combined(o, 1e200),
-            early_stop(o, tau=1e200), balancing(p, o, 1e200),
+            early_stop(o, tau=1e200), balancing(o, 1e200),
         ):
             assert np.all(level == 0)
     # delta^2 = 1e320 overflows too: one level of variance outweighs any bias
@@ -246,13 +251,13 @@ def test_residual_rules_reject_overflowing_data():
         obs = observe(p, 1e153, GAUSS, seed)
         for call in (
             lambda: dp_modified(obs, 1.5), lambda: early_stop(obs), lambda: combined(obs, 1.5),
-            lambda: dp_at_m(obs, 1.5, 5000), lambda: select_all(p, obs, RuleConfig()),
+            lambda: dp_at_m(obs, 1.5, 5000), lambda: select_all(obs, RuleConfig()),
         ):
             with pytest.raises(ValueError, match="overflow"):
                 call()
         # unit sigma: balancing reads S, and still reports its own sums
         with pytest.raises(ValueError, match="^balancing sums overflow"):
-            balancing(p, observe(p, 1e153, GAUSS, seed), 4.0)
+            balancing(observe(p, 1e153, GAUSS, seed), 4.0)
 
 
 def test_early_stop_examples():
@@ -285,49 +290,43 @@ def test_combined_examples():
 
 def test_oracle_opt_examples():
     p = build_synthetic(10, "poly", q=2.0, truth_power=1.0)
-    y = p.sigma * p.x_true
-    noiseless = NoisyObservation(y, y, 1e-12)
-    assert oracle_opt(p, noiseless) == 10  # bias strictly decreasing
+    noiseless = NoisyObservation(p, p.sigma * p.x_true, 1e-12)
+    assert oracle_opt(noiseless) == 10  # bias strictly decreasing
     p0 = build_synthetic(10, "poly", q=2.0)
-    obs = observe(p0, 0.1, GAUSS, 1)
-    assert oracle_opt(p0, obs) == 0  # zero truth: any k adds variance
+    assert oracle_opt(observe(p0, 0.1, GAUSS, 1)) == 0  # zero truth: any k adds variance
 
 
 def test_oracle_opt_matches_exhaustive_scan():
     rng = np.random.default_rng(17)
     for _ in range(40):
         p, obs = random_instance(rng, int(rng.integers(2, 40)))
-        errs = [strong_error_literal(p, obs, k) for k in range(p.size + 1)]
-        assert oracle_opt(p, obs) == int(np.argmin(errs))
+        errs = [strong_error_literal(obs, k) for k in range(p.size + 1)]
+        assert oracle_opt(obs) == int(np.argmin(errs))
 
 
 def test_oracle_weak_examples():
-    p = unit_problem(4)
-    y_clean = np.array([2.0, 1.0, 0.0, 0.0])
-    obs = NoisyObservation(y_clean + 1.0, y_clean, 1.0)
-    assert oracle_weak(p, obs) == 1
+    p = SpectralProblem("unit", np.ones(4), np.array([2.0, 1.0, 0.0, 0.0]))  # y_clean = x_true
+    assert oracle_weak(NoisyObservation(p, p.y_clean + 1.0, 1.0)) == 1
     zero = build_synthetic(4, "poly", q=2.0)
-    assert oracle_weak(zero, observe(zero, 1.0, GAUSS, 2)) == 0
-    full = np.array([2.0, 1.0, 0.5, 0.25])  # no trailing zeros: tail empties only at D
-    noiseless = NoisyObservation(full, full, 1.0)
-    assert oracle_weak(p, noiseless) == 4
+    assert oracle_weak(observe(zero, 1.0, GAUSS, 2)) == 0
+    # no trailing zeros: the tail empties only at D
+    full = SpectralProblem("unit", np.ones(4), np.array([2.0, 1.0, 0.5, 0.25]))
+    assert oracle_weak(NoisyObservation(full, full.y_clean, 1.0)) == 4
 
 
 def test_oracle_strong_examples():
-    p = unit_problem(4)
-    y_clean = np.array([2.0, 1.0, 0.0, 0.0])
-    x = SpectralProblem("unit", np.ones(4), y_clean)  # sigma 1: x = y_clean
-    obs = NoisyObservation(y_clean + 1.0, y_clean, 1.0)
-    assert oracle_strong(x, obs) == oracle_weak(p, obs) == 1
+    p = SpectralProblem("unit", np.ones(4), np.array([2.0, 1.0, 0.0, 0.0]))  # sigma 1: x = y_clean
+    obs = NoisyObservation(p, p.y_clean + 1.0, 1.0)
+    assert oracle_strong(obs) == oracle_weak(obs) == 1
     zero = build_synthetic(4, "poly", q=2.0)
-    assert oracle_strong(zero, observe(zero, 1.0, GAUSS, 3)) == 0
+    assert oracle_strong(observe(zero, 1.0, GAUSS, 3)) == 0
 
 
 def test_oracle_ordering_weak_before_strong():
     rng = np.random.default_rng(23)
     for _ in range(100):
         p, obs = random_instance(rng, 64, delta=10.0 ** rng.uniform(-3, 0))
-        assert oracle_weak(p, obs) <= oracle_strong(p, obs)
+        assert oracle_weak(obs) <= oracle_strong(obs)
 
 
 def test_near_optimality_of_balanced_levels():
@@ -336,9 +335,9 @@ def test_near_optimality_of_balanced_levels():
     rng = np.random.default_rng(29)
     for _ in range(100):
         p, obs = random_instance(rng, 64, delta=10.0 ** rng.uniform(-3, 0))
-        k_pr, k_st = oracle_weak(p, obs), oracle_strong(p, obs)
-        weak_sq = weak_error_sq_profile(p, obs)
-        strong_sq = strong_error_sq_profile(p, obs)
+        k_pr, k_st = oracle_weak(obs), oracle_strong(obs)
+        weak_sq = weak_error_sq_profile(obs)
+        strong_sq = strong_error_sq_profile(obs)
         if k_pr >= 1:
             assert 2.0 * weak_sq.min() >= min(weak_sq[k_pr], weak_sq[k_pr - 1])
         if k_st >= 1:
@@ -353,6 +352,19 @@ def test_det_weak_examples():
     assert det_weak(with_signal, 10.0) <= 1  # huge noise level
     with pytest.raises(ValueError):
         det_weak(p, 0.0)
+
+
+def test_det_strong_rejects_undetermined_variance_terms():
+    # sigma^-2 = 1e320 overflows while delta^2 = 1e-340 underflows to 0, and delta^2 = 1e320
+    # overflows while sigma^-2 = 1e-400 underflows to 0: a term 0 * inf is undetermined
+    # (it used to give level 0, where exact arithmetic gives 2 in both cases)
+    steep = SpectralProblem("x", [1.0, 1e-160], [1.0, 1.0])
+    flat = SpectralProblem("x", [1e200, 1e200], [1.0, 1.0])
+    for p, delta in ((steep, 1e-170), (flat, 1e160)):
+        with pytest.raises(ValueError, match="weights overflow or underflow"):
+            det_strong(p, delta)
+    with pytest.raises(ValueError, match="weights overflow"):  # and with a finite delta^2
+        det_strong(steep, 1e-3)
 
 
 def test_det_strong_examples():
@@ -502,7 +514,7 @@ def test_lepski_equals_scan():
         D = int(rng.integers(2, 25))
         delta = float(10.0 ** rng.uniform(-2, 0))
         y = rng.standard_normal(D)
-        assert balancing(unit_problem(D), direct_obs(y, delta), 1.5) == scan_lepski(y, delta, 1.5)
+        assert balancing(direct_obs(y, delta), 1.5) == scan_lepski(y, delta, 1.5)
 
 
 def test_lepski_coincides_with_dp_in_direct_case():
@@ -512,8 +524,8 @@ def test_lepski_coincides_with_dp_in_direct_case():
         delta = float(10.0 ** rng.uniform(-2, 0))
         fudge = float(rng.uniform(1.05, 3.0))
         y = rng.standard_normal(D)
-        obs = direct_obs(y, delta)
-        assert balancing(make_problem(ProblemSpec("direct", D)), obs, fudge) == dp_modified(obs, fudge)
+        obs = NoisyObservation(make_problem(ProblemSpec("direct", D)), y, delta)
+        assert balancing(obs, fudge) == dp_modified(obs, fudge)
 
 
 def test_balancing_equals_scan():
@@ -522,7 +534,7 @@ def test_balancing_equals_scan():
         D = int(rng.integers(2, 20))
         p = build_synthetic(D, "poly", q=float(rng.uniform(0.5, 2.5)), truth_power=1.0)
         obs = observe(p, float(10.0 ** rng.uniform(-2, 0)), GAUSS, int(rng.integers(1e6)))
-        assert balancing(p, obs, 2.0) == scan_balancing(p.sigma, obs.y_obs, obs.delta, 2.0, D)
+        assert balancing(obs, 2.0) == scan_balancing(p.sigma, obs.y_obs, obs.delta, 2.0, D)
 
 
 @settings(max_examples=300, deadline=None)
@@ -545,19 +557,18 @@ def test_balancing_equals_suffix_max_formulation(
     delta, kappa = 10.0**log_delta, 10.0**log_kappa
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(D if rows is None else (rows, D))
-    y_clean = 10.0**scale * sigma * rng.uniform(-1.0, 1.0, D)
-    obs = NoisyObservation(y_clean + delta * z, y_clean, delta)
-    p = SpectralProblem("steep", sigma, np.zeros(D))
+    p = SpectralProblem("steep", sigma, 10.0**scale * rng.uniform(-1.0, 1.0, D))
+    obs = NoisyObservation(p, p.y_clean + delta * z, delta)
     with np.errstate(over="ignore"):  # the rule's sequential sums, last entries
         weights = np.cumsum(sigma**-2.0)[-1]
         sums = np.cumsum((obs.y_obs / sigma) ** 2, axis=-1)[..., -1]
     # (kappa delta)^2 <= 1e6 is finite, so overflowing weights leave the thresholds undetermined
     if not (np.isfinite(sums).all() and math.isfinite(weights)):
         with pytest.raises(ValueError, match="overflow"):
-            balancing(p, obs, kappa)
+            balancing(obs, kappa)
     else:
         want = suffix_max_balancing(sigma, obs.y_obs, delta, kappa)
-        assert np.array_equal(balancing(p, obs, kappa), want)
+        assert np.array_equal(balancing(obs, kappa), want)
 
 
 def test_early_stop_equals_scan():
@@ -590,31 +601,23 @@ def test_selectors_scale_invariant():
         delta = float(10.0 ** rng.uniform(-3, -1))
         p = build_synthetic(48, "poly", q=2.0, truth_power=1.0)
         z = sample_noise(GAUSS, 48, int(rng.integers(0, 2**32)))
-        obs = NoisyObservation(p.y_clean + delta * z, p.y_clean, delta)
         unit = unit_problem(48)
-        base = (
-            dp_modified(obs, 1.5),
-            balancing(unit, obs, 1.5),
-            balancing(p, obs, 4.0),
-            early_stop(obs),
-            combined(obs, 1.5),
-            oracle_weak(p, obs),
-            oracle_strong(p, obs),
-        )
+
+        def levels(obs):
+            return (
+                dp_modified(obs, 1.5),
+                balancing(on_problem(unit, obs), 1.5),
+                balancing(obs, 4.0),
+                early_stop(obs),
+                combined(obs, 1.5),
+                oracle_weak(obs),
+                oracle_strong(obs),
+            )
+
+        base = levels(NoisyObservation(p, p.y_clean + delta * z, delta))
         for c in (1e-3, 1e3):
             p2 = SpectralProblem(p.name, p.sigma, c * p.x_true)
-            y_clean = c * obs.y_clean
-            obs2 = NoisyObservation(y_clean + (c * delta) * z, y_clean, c * delta)
-            scaled = (
-                dp_modified(obs2, 1.5),
-                balancing(unit, obs2, 1.5),
-                balancing(p2, obs2, 4.0),
-                early_stop(obs2),
-                combined(obs2, 1.5),
-                oracle_weak(p2, obs2),
-                oracle_strong(p2, obs2),
-            )
-            assert scaled == base
+            assert levels(NoisyObservation(p2, p2.y_clean + (c * delta) * z, c * delta)) == base
 
 
 def test_single_search_equals_max_of_per_m_trace():
@@ -639,21 +642,21 @@ def test_single_search_equals_max_of_per_m_trace():
         m_cap = int(rng.integers(1, D))
         seed = int(rng.integers(0, 2**32))
         rules = {
-            "dp": lambda q, o: dp_modified(o, tau),
-            "dp_at_m": lambda q, o: dp_at_m(o, tau, o.size),
-            "lepski": lambda q, o: balancing(unit_problem(o.size), o, kappa),
-            "bal": lambda q, o: balancing(q, o, kappa),
-            "es": lambda q, o: early_stop(o),
-            "m_max": lambda q, o: early_stop(o, tau=tau_min),
-            "com": lambda q, o: combined(o, tau, tau_min),
-            "opt": lambda q, o: oracle_opt(q, o),
-            "pr": lambda q, o: oracle_weak(q, o),
-            "st": lambda q, o: oracle_strong(q, o),
+            "dp": lambda o: dp_modified(o, tau),
+            "dp_at_m": lambda o: dp_at_m(o, tau, o.size),
+            "lepski": lambda o: balancing(on_problem(unit_problem(o.size), o), kappa),
+            "bal": lambda o: balancing(o, kappa),
+            "es": lambda o: early_stop(o),
+            "m_max": lambda o: early_stop(o, tau=tau_min),
+            "com": lambda o: combined(o, tau, tau_min),
+            "opt": oracle_opt,
+            "pr": oracle_weak,
+            "st": oracle_strong,
         }
         obs = observe(p, delta, GAUSS, seed)
         trace = [dp_at_m(obs, tau, m) for m in range(1, D + 1)]
         for n in (D, m_cap):
-            q, cut = first_coefficients(p, obs, n)
+            cut = first_coefficients(obs, n)
             # a shorter resolution's trace is the prefix of the full one
             assert [dp_at_m(cut, tau, m) for m in range(1, n + 1)] == trace[:n]
             assert dp_modified(cut, tau) == max(trace[:n])
@@ -661,8 +664,8 @@ def test_single_search_equals_max_of_per_m_trace():
             assert combined(cut, tau, tau_min) == max(trace[:m_max], default=0)
             for name, rule in rules.items():
                 # this rule builds the sums it reads
-                fresh = first_coefficients(p, observe(p, delta, GAUSS, seed), n)
-                assert rule(*fresh) == rule(q, cut), (i, n, name)
+                fresh = first_coefficients(observe(p, delta, GAUSS, seed), n)
+                assert rule(fresh) == rule(cut), (i, n, name)
 
 
 def test_rule_config_validation():
@@ -683,12 +686,12 @@ def test_rules_reject_non_finite_parameters():
         lambda x: dp_at_m(obs, x, 4),
         lambda x: dp_modified(obs, x),
         lambda x: early_stop(obs, tau=x),
-        lambda x: balancing(p, obs, x),
+        lambda x: balancing(obs, x),
         lambda x: combined(obs, x),
         lambda x: combined(obs, 1.5, x),
         lambda x: det_weak(p, x),
         lambda x: det_strong(p, x),
-        lambda x: NoisyObservation(obs.y_obs, obs.y_clean, x),
+        lambda x: NoisyObservation(p, obs.y_obs, x),
         lambda x: observe(p, x, GAUSS, 0),
     ):
         for x in (math.nan, math.inf):
@@ -699,14 +702,14 @@ def test_rules_reject_non_finite_parameters():
 def test_select_all_returns_every_rule():
     p = build_synthetic(32, "poly", q=2.0, truth_power=1.0)
     obs = observe(p, 0.05, GAUSS, 101)
-    ks = select_all(p, obs, RuleConfig())
+    ks = select_all(obs, RuleConfig())
     assert set(ks) == {"dp", "bal", "es", "com", "opt", "pr", "st"}
     assert all(0 <= k <= 32 for k in ks.values())
     assert ks["pr"] <= ks["st"]
     assert ks["com"] <= ks["dp"]
-    strong_sq = strong_error_sq_profile(p, obs)
+    strong_sq = strong_error_sq_profile(obs)
     assert strong_sq[ks["opt"]] <= min(strong_sq[ks[r]] for r in ("dp", "bal", "es"))
-    assert math.sqrt(weak_error_sq_profile(p, obs)[0]) == np.linalg.norm(obs.y_clean)
+    assert math.sqrt(weak_error_sq_profile(obs)[0]) == np.linalg.norm(p.y_clean)
 
 
 def test_row_block_equals_scalar_rule_per_row():
@@ -742,26 +745,26 @@ def test_row_block_equals_scalar_rule_per_row():
         assert block.y_obs.shape == (R, D)
         if i % 2:
             row_scale = rng.choice([1e-8, 1.0, 1e8], size=(R, 1))
-            block = NoisyObservation(row_scale * block.y_obs, block.y_clean, delta)
-            singles = [NoisyObservation(block.y_obs[r], block.y_clean, delta) for r in range(R)]
+            block = NoisyObservation(p, row_scale * block.y_obs, delta)
+            singles = [NoisyObservation(p, block.y_obs[r], delta) for r in range(R)]
         cfg = RuleConfig(tau=tau, kappa=kappa, tau_min=tau_min)
         unit = unit_problem(D)
         rules = {
-            "dp": lambda o: dp_modified(first_coefficients(p, o, m_cap)[1], tau),
+            "dp": lambda o: dp_modified(first_coefficients(o, m_cap), tau),
             "dp_at_m": lambda o: dp_at_m(o, tau, m),
-            "lepski": lambda o: balancing(unit, o, kappa),
-            "bal": lambda o: balancing(*first_coefficients(p, o, m_cap), kappa),
-            "es": lambda o: early_stop(first_coefficients(p, o, m_cap)[1]),
-            "com": lambda o: combined(first_coefficients(p, o, m_cap)[1], tau, tau_min),
-            "m_max": lambda o: early_stop(first_coefficients(p, o, m_cap)[1], tau=tau_min),
-            "opt": lambda o: oracle_opt(p, o),
-            "pr": lambda o: oracle_weak(p, o),
-            "st": lambda o: oracle_strong(p, o),
-            "strong_sq": lambda o: strong_error_sq_profile(p, o),
-            "weak_sq": lambda o: weak_error_sq_profile(p, o),
+            "lepski": lambda o: balancing(on_problem(unit, o), kappa),
+            "bal": lambda o: balancing(first_coefficients(o, m_cap), kappa),
+            "es": lambda o: early_stop(first_coefficients(o, m_cap)),
+            "com": lambda o: combined(first_coefficients(o, m_cap), tau, tau_min),
+            "m_max": lambda o: early_stop(first_coefficients(o, m_cap), tau=tau_min),
+            "opt": oracle_opt,
+            "pr": oracle_weak,
+            "st": oracle_strong,
+            "strong_sq": strong_error_sq_profile,
+            "weak_sq": weak_error_sq_profile,
             "prefix_sq": lambda o: o.prefix_sq,
-            "sup_dev": lambda o: empirical_sup_deviation((o.y_obs - o.y_clean) / delta, m),
-            **{f"select_all.{r}": (lambda o, r=r: select_all(p, o, cfg)[r]) for r in RULE_NAMES},
+            "sup_dev": lambda o: empirical_sup_deviation((o.y_obs - p.y_clean) / delta, m),
+            **{f"select_all.{r}": (lambda o, r=r: select_all(o, cfg)[r]) for r in RULE_NAMES},
         }
         for name, rule in rules.items():
             got = rule(block)
@@ -780,13 +783,12 @@ def test_row_block_equals_scalar_rule_per_row():
 def test_block_observation_shapes():
     p = build_synthetic(8, "poly", q=2.0, truth_power=1.0)
     block = observe(p, 0.1, GAUSS, range(3))
-    assert block.y_obs.shape == (3, 8) and block.y_clean.shape == (8,)
+    assert block.y_obs.shape == (3, 8) and block.problem is p
     assert block.size == 8 and block.prefix_sq.shape == (3, 9)
-    with pytest.raises(ValueError):  # y_clean must be one row
-        NoisyObservation(block.y_obs, block.y_obs, 0.1)
-    with pytest.raises(ValueError):
-        NoisyObservation(block.y_obs, block.y_clean[:7], 0.1)
-    with pytest.raises(ValueError):
-        NoisyObservation(np.zeros((0, 8)), block.y_clean, 0.1)
-    with pytest.raises(ValueError):
-        NoisyObservation(np.zeros((2, 2, 8)), block.y_clean, 0.1)
+    # rows and blocks whose width is not the problem's size, no rows, and three axes
+    for y_obs in (
+        np.ones(7), np.ones(9), block.y_obs[:, :7], np.ones((3, 9)), np.zeros((0, 8)),
+        np.zeros((2, 2, 8)), np.float64(1.0),
+    ):
+        with pytest.raises(ValueError, match="y_obs must be one row"):
+            NoisyObservation(p, y_obs, 0.1)

@@ -22,8 +22,7 @@ GAUSS = NoiseModel("gaussian")
 def two_by_two():
     # sigma=[1,1], x=[1,0], delta=1, z=[1,1] -> y_clean=[1,0], y_obs=[2,1]
     p = SpectralProblem("toy", np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-    obs = NoisyObservation(np.array([2.0, 1.0]), np.array([1.0, 0.0]), 1.0)
-    return p, obs
+    return p, NoisyObservation(p, np.array([2.0, 1.0]), 1.0)
 
 
 def test_unknown_noise_kind_rejected():
@@ -53,14 +52,14 @@ def test_block_rows_equal_single_draws(model):
         single = observe(p, 0.01, model, seed)
         assert np.array_equal(block.y_obs[r], single.y_obs)
         assert np.array_equal(block.prefix_sq[r], single.prefix_sq)
-    assert np.array_equal(block.y_clean, single.y_clean)
+    assert block.problem is single.problem is p
 
 
 def test_non_finite_noise_parameters_rejected():
-    y = np.ones(3)
+    p = SpectralProblem("unit", np.ones(3), np.ones(3))
     for delta in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            NoisyObservation(y, y, delta)
+            NoisyObservation(p, np.ones(3), delta)
 
 
 def test_rademacher_support():
@@ -90,8 +89,9 @@ def test_observe_composition():
     for model in (GAUSS, NoiseModel("rademacher")):
         for seed in (42, [42, 7, 2**63 + 5]):
             obs = observe(p, 0.1, model, seed)
-            assert np.array_equal(obs.y_clean, p.sigma * p.x_true)
-            assert np.array_equal(obs.y_obs, obs.y_clean + 0.1 * sample_noise(model, 32, seed))
+            assert obs.problem is p
+            z = sample_noise(model, 32, seed)
+            assert np.array_equal(obs.y_obs, p.sigma * p.x_true + 0.1 * z)
             assert obs.delta == 0.1
     with pytest.raises(ValueError):
         observe(p, 0.0, GAUSS, 42)
@@ -101,26 +101,26 @@ def test_observation_is_immune_to_later_writes():
     y = np.array([3.0, 1.0, 0.5, 0.0])
     view = y[:]
     view.flags.writeable = False  # read-only, but y can still write through it
-    obs = NoisyObservation(view, y, 1.0)
-    assert obs.prefix_sq[-1] == 10.25 and obs.clean_tail[0] == 10.25
+    p = SpectralProblem("unit", np.ones(4), y)
+    obs = NoisyObservation(p, view, 1.0)
+    assert obs.prefix_sq[-1] == 10.25 and p.clean_tail[0] == 10.25
     y[0] = 0.0
-    for got in (obs.y_obs, obs.y_clean):
+    for got in (obs.y_obs, p.y_clean):
         assert np.array_equal(got, [3.0, 1.0, 0.5, 0.0])
-    assert obs.prefix_sq[-1] == 10.25 and obs.clean_tail[0] == 10.25
-    for arr in (obs.y_obs, obs.y_clean, obs.prefix_sq, obs.clean_tail):
+    assert obs.prefix_sq[-1] == 10.25 and p.clean_tail[0] == 10.25
+    for arr in (obs.y_obs, obs.prefix_sq, obs.noise_prefix_sq, strong_error_sq_profile(obs)):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
 
 def test_observe_stores_its_own_arrays_uncopied():
     p = build_synthetic(16, "poly", q=2.0, truth_power=1.0)
-    obs = observe(p, 0.1, GAUSS, 3)
-    # every observation of a problem shares its clean data and their tail sums
-    assert obs.y_clean is p.y_clean and obs.clean_tail is p.clean_tail
-    block = observe(p, 0.1, GAUSS, [3, 4])
-    assert block.y_clean is p.y_clean and block.clean_tail is p.clean_tail
-    again = NoisyObservation(obs.y_obs, obs.y_clean, obs.delta)
-    assert again.y_obs is obs.y_obs and again.y_clean is obs.y_clean
+    for seed in (3, [3, 4]):
+        obs = observe(p, 0.1, GAUSS, seed)
+        # an observation holds its problem, the one owner of the clean data and its tail sums
+        assert obs.problem is p
+        again = NoisyObservation(p, obs.y_obs, obs.delta)
+        assert again.y_obs is obs.y_obs and again.problem is p
 
 
 def test_block_observation_holds_one_block_array():
@@ -139,17 +139,13 @@ def test_block_observation_holds_one_block_array():
 
 def test_observation_rejects_non_finite_data():
     # a NaN used to give level 2 as a row but 0 in each row of a block
-    y = np.array([1.0, np.nan, 0.5, 0.2])
-    for y_obs in (y, np.stack([y, y])):
-        with pytest.raises(ValueError, match="y_obs"):
-            NoisyObservation(y_obs, np.zeros(4), 0.1)
-    finite = np.array([1.0, 0.3, 0.5, 0.2])
+    p = SpectralProblem("unit", np.ones(4), np.zeros(4))
     for bad in (np.inf, -np.inf, np.nan):
-        broken = finite.copy()
-        broken[2] = bad
-        for y_obs in (finite, np.stack([finite, finite])):
-            with pytest.raises(ValueError, match="y_clean"):
-                NoisyObservation(y_obs, broken, 0.1)
+        y = np.array([1.0, 0.3, 0.5, 0.2])
+        y[1] = bad
+        for y_obs in (y, np.stack([y, y])):
+            with pytest.raises(ValueError, match="y_obs has non-finite"):
+                NoisyObservation(p, y_obs, 0.1)
 
 
 def test_observe_noise_scales_linearly():
@@ -157,14 +153,14 @@ def test_observe_noise_scales_linearly():
     lo = observe(p, 0.05, GAUSS, 11)
     hi = observe(p, 0.1, GAUSS, 11)
     z = sample_noise(GAUSS, 64, 11)  # one draw, scaled by each noise level
-    assert np.array_equal(lo.y_obs, lo.y_clean + 0.05 * z)
-    assert np.array_equal(hi.y_obs, hi.y_clean + (2.0 * 0.05) * z)
+    assert np.array_equal(lo.y_obs, p.y_clean + 0.05 * z)
+    assert np.array_equal(hi.y_obs, p.y_clean + (2.0 * 0.05) * z)
 
 
 def test_observe_zero_truth():
     p = build_synthetic(16, "exp")
     obs = observe(p, 0.3, GAUSS, 5)
-    assert np.all(obs.y_clean == 0.0)
+    assert np.all(p.y_clean == 0.0)
     assert np.array_equal(obs.y_obs, 0.3 * sample_noise(GAUSS, 16, 5))
 
 
@@ -178,7 +174,7 @@ def test_observe_reproducible_on_dense_problem():
 def test_observation_mean_smoke():
     p = build_synthetic(2048, "poly", q=1.0, truth_power=1.0)
     obs = observe(p, 1.0, GAUSS, 31)
-    assert abs(np.mean(obs.y_obs - obs.y_clean)) <= 5.0 / math.sqrt(2048)
+    assert abs(np.mean(obs.y_obs - p.y_clean)) <= 5.0 / math.sqrt(2048)
 
 
 def test_cutoff_recovers_truth_without_noise():
@@ -186,24 +182,23 @@ def test_cutoff_recovers_truth_without_noise():
     sigma = 2.0 ** -np.arange(1, 9)
     x = np.linspace(-1.0, 2.5, 8)
     p = SpectralProblem("dyadic", sigma, x)
-    obs = NoisyObservation(sigma * x, sigma * x, 1e-3)
-    assert strong_error_sq_profile(p, obs)[8] == 0.0
+    obs = NoisyObservation(p, sigma * x, 1e-3)
+    assert strong_error_sq_profile(obs)[8] == 0.0
 
 
 def test_error_examples():
     p, obs = two_by_two()
-    strong_sq, weak_sq = strong_error_sq_profile(p, obs), weak_error_sq_profile(p, obs)
+    strong_sq, weak_sq = strong_error_sq_profile(obs), weak_error_sq_profile(obs)
     assert math.sqrt(strong_sq[0]) == np.linalg.norm(p.x_true)
     assert math.sqrt(strong_sq[2]) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert math.sqrt(weak_sq[0]) == np.linalg.norm(obs.y_clean)
+    assert math.sqrt(weak_sq[0]) == np.linalg.norm(p.y_clean)
     assert math.sqrt(weak_sq[1]) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_pure_bias_without_noise():
     p = build_synthetic(12, "poly", q=2.0, truth_power=1.0)
-    y = p.sigma * p.x_true
-    obs = NoisyObservation(y, y, 1e-9)
-    errs = np.sqrt(strong_error_sq_profile(p, obs)).tolist()
+    obs = NoisyObservation(p, p.sigma * p.x_true, 1e-9)
+    errs = np.sqrt(strong_error_sq_profile(obs)).tolist()
     assert errs[0] == np.linalg.norm(p.x_true)
     assert all(a >= b for a, b in zip(errs, errs[1:]))
     assert errs[12] <= 1e-12 * errs[0]  # only multiply/divide round-off left
@@ -212,22 +207,22 @@ def test_pure_bias_without_noise():
 def test_profiles_match_pointwise_errors():
     p = build_synthetic(40, "poly", q=1.5, truth_power=1.0)
     obs = observe(p, 0.05, GAUSS, 77)
-    strong_sq = strong_error_sq_profile(p, obs)
-    weak_sq = weak_error_sq_profile(p, obs)
+    strong_sq = strong_error_sq_profile(obs)
+    weak_sq = weak_error_sq_profile(obs)
     for k in range(0, 41, 5):
-        assert math.sqrt(strong_sq[k]) == pytest.approx(strong_error_literal(p, obs, k), rel=1e-12)
-        assert math.sqrt(weak_sq[k]) == pytest.approx(weak_error_literal(p, obs, k), rel=1e-12)
+        assert math.sqrt(strong_sq[k]) == pytest.approx(strong_error_literal(obs, k), rel=1e-12)
+        assert math.sqrt(weak_sq[k]) == pytest.approx(weak_error_literal(obs, k), rel=1e-12)
 
 
 def test_variance_bias_decomposition():
     p = build_synthetic(64, "poly", q=2.0, truth_power=1.0)
     obs = observe(p, 0.01, GAUSS, 13)
     z = sample_noise(GAUSS, 64, 13)
-    strong_sq = strong_error_sq_profile(p, obs)
+    strong_sq = strong_error_sq_profile(obs)
     for k in (0, 7, 31, 64):
         var = np.sum((obs.delta * z[:k] / p.sigma[:k]) ** 2)
         bias = np.sum(p.x_true[k:] ** 2)
-        assert strong_error_literal(p, obs, k) ** 2 == pytest.approx(var + bias, rel=1e-10)
+        assert strong_error_literal(obs, k) ** 2 == pytest.approx(var + bias, rel=1e-10)
         assert strong_sq[k] == pytest.approx(var + bias, rel=1e-10)
 
 
@@ -243,9 +238,9 @@ def test_variance_monotone_bias_monotone():
 def test_error_scaling_in_delta():
     p = build_synthetic(30, "poly", q=2.0, truth_power=1.0)
     lo = observe(p, 0.01, GAUSS, 8)
-    y2 = lo.y_clean + (3 * 0.01) * sample_noise(GAUSS, 30, 8)
-    hi = NoisyObservation(y2, lo.y_clean, 3 * 0.01)
-    sq_lo, sq_hi = strong_error_sq_profile(p, lo), strong_error_sq_profile(p, hi)
+    y2 = p.y_clean + (3 * 0.01) * sample_noise(GAUSS, 30, 8)
+    hi = NoisyObservation(p, y2, 3 * 0.01)
+    sq_lo, sq_hi = strong_error_sq_profile(lo), strong_error_sq_profile(hi)
     assert sq_lo[0] == sq_hi[0]  # pure bias, unchanged
     for k in (5, 30):
         var_lo = sq_lo[k] - p.truth_tail[k]
@@ -256,6 +251,6 @@ def test_error_scaling_in_delta():
 def test_weak_summands_are_sigma_scaled_strong_summands():
     p = build_synthetic(20, "poly", q=2.0, truth_power=1.0)
     obs = observe(p, 0.1, GAUSS, 21)
-    weak_terms = (obs.y_obs - obs.y_clean) ** 2
+    weak_terms = (obs.y_obs - p.y_clean) ** 2
     strong_terms = (obs.y_obs / p.sigma - p.x_true) ** 2
     assert np.allclose(weak_terms, p.sigma**2 * strong_terms, rtol=1e-9, atol=1e-30)
