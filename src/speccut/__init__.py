@@ -21,6 +21,7 @@ from .montecarlo import (
     run_experiment,
     summarize,
     theorem_frequency,
+    theorem_max_ratio,
 )
 from .problems import (
     DecompositionError,

@@ -37,6 +37,7 @@ from .montecarlo import (
     run_experiment,
     summarize,
     theorem_frequency,
+    theorem_max_ratio,
 )
 from .problems import PROBLEM_NAMES, ProblemSpec, SpectralProblem, build_synthetic, make_problem
 from .rules import (
@@ -202,13 +203,23 @@ def _oracle_orderings_hold(obs: NoisyObservation, cfg: RuleConfig) -> np.ndarray
 
 
 def check_thm1_frequency(size: int = 1024, replicates: int = 200) -> CheckResult:
-    """Image-space guarantee should hold in essentially every replicate."""
+    """Image-space guarantee should hold in essentially every replicate. The
+    solution-space guarantee (thm2) is read from the same replicates and
+    reported beside it, each with its largest observed ratio to its constant."""
     cfg = ExperimentConfig(
         ProblemSpec("phillips", size), deltas=(1e-4,), rules=RuleConfig(tau=1.5),
         replicates=replicates, base_seed=31337,
     )
-    freq = theorem_frequency(run_experiment(cfg), "thm1", constants(1.5))
-    return CheckResult("thm1_frequency", freq >= 0.95, f"frequency {freq:.3f} (required >= 0.95)")
+    cols, consts = run_experiment(cfg), constants(1.5)
+    freq = {which: theorem_frequency(cols, which, consts) for which in ("thm1", "thm2")}
+    ratio = {which: theorem_max_ratio(cols, which, consts) for which in ("thm1", "thm2")}
+    return CheckResult(
+        "thm1_frequency",
+        freq["thm1"] >= 0.95,
+        f"thm1 frequency {freq['thm1']:.3f} (required >= 0.95), largest ratio {ratio['thm1']:.3f} "
+        f"(constant {consts.c_tau_weak:.2f}); thm2 frequency {freq['thm2']:.3f}, "
+        f"largest ratio {ratio['thm2']:.3f} (constant {consts.c_tau_strong:.2f})",
+    )
 
 
 def check_cor1_efficiency(D: int = 2048, replicates: int = 200) -> CheckResult:
@@ -491,6 +502,12 @@ def _apply_preset(args):
 
 
 def main(argv: list[str] | None = None) -> int:
+    # glibc gives the top of its heap back once more of it is free than its trim threshold,
+    # 128 KiB at first, so a row block freed there would be refaulted by the next. Freeing
+    # an mmapped chunk raises that threshold to twice the chunk's size (mallopt(3), NOTES),
+    # as every dense factorization does; this 4 MiB array, freed at once, does it for every
+    # command. Only `main` does it: importing speccut leaves a host program's allocator alone.
+    np.empty(1 << 19)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.subcommand != "verify":

@@ -34,6 +34,7 @@ from .rules import (
     RuleConfig,
     TheoremConstants,
     _balancing_level,
+    _check_fudge,
     empirical_sup_deviation,
     select_all,
 )
@@ -273,8 +274,10 @@ def summarize(cols: ReplicateColumns) -> ExperimentSummary:
     return ExperimentSummary(deltas, RULE_NAMES, mean_error, std_error, mean_k, std_k, boxes)
 
 
-def theorem_frequency(cols: ReplicateColumns, which: str, consts: TheoremConstants) -> float:
-    """Fraction of replicates satisfying the requested oracle-inequality event.
+def _theorem_sides(
+    cols: ReplicateColumns, which: str, consts: TheoremConstants
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """(lhs, c, rhs) of the requested oracle inequality lhs <= c * rhs, per replicate.
 
     thm1: weak error of the selected level within c_tau_weak of the best weak
     error; thm2: strong error within c_tau_strong of best strong error plus
@@ -287,16 +290,31 @@ def theorem_frequency(cols: ReplicateColumns, which: str, consts: TheoremConstan
     strong, weak = cols.e_strong_by_rule[dp], cols.e_weak_by_rule[dp]
     min_strong = cols.e_strong_by_rule[opt]  # the opt level attains the least strong error
     if which == "thm1":
-        hits = weak <= consts.c_tau_weak * cols.min_e_weak
-    elif which == "thm2":
-        hits = strong <= consts.c_tau_strong * (min_strong + cols.sat_term)
-    elif which == "cor1":
+        return weak, consts.c_tau_weak, cols.min_e_weak
+    if which == "thm2":
+        return strong, consts.c_tau_strong, min_strong + cols.sat_term
+    if which == "cor1":
         if consts.c_tau_cor is None:
             raise ValueError("cor1 frequency needs the polynomial-spectrum constant")
-        hits = strong <= consts.c_tau_cor * min_strong
-    else:
-        raise ValueError(f"unknown inequality tag {which!r}")
-    return float(np.mean(hits))
+        return strong, consts.c_tau_cor, min_strong
+    raise ValueError(f"unknown inequality tag {which!r}")
+
+
+def theorem_frequency(cols: ReplicateColumns, which: str, consts: TheoremConstants) -> float:
+    """Fraction of replicates satisfying the requested oracle inequality (`_theorem_sides`)."""
+    lhs, c, rhs = _theorem_sides(cols, which, consts)
+    return float(np.mean(lhs <= c * rhs))
+
+
+def theorem_max_ratio(cols: ReplicateColumns, which: str, consts: TheoremConstants) -> float:
+    """Largest lhs / rhs of the requested oracle inequality: at most c where it always holds.
+
+    A replicate with lhs = 0 holds for every constant and counts 0; one with
+    lhs > 0 = rhs holds for none and counts inf.
+    """
+    lhs, _, rhs = _theorem_sides(cols, which, consts)
+    with np.errstate(divide="ignore"):
+        return float(np.divide(lhs, rhs, out=np.zeros_like(lhs), where=lhs > 0).max())
 
 
 def counterexample_tail_prob(kappa: float) -> float:
@@ -316,8 +334,7 @@ def example1_frequency(kappa: float, delta: float, replicates: int, seed: int) -
     inside the horizon. The spectrum needs D <= EXP_MAX_SIZE, which bounds
     delta below by about e^(-349.5), or 1.6e-152.
     """
-    if not (math.isfinite(kappa) and kappa > 1):
-        raise ValueError(f"kappa must be finite and exceed 1, got {kappa}")
+    _check_fudge("kappa", kappa)
     # log(delta^-2) as -2 log(delta): delta^-2 itself overflows below about 1.5e-154
     D = math.ceil(-2.0 * math.log(delta)) + 10 if 0 < delta <= math.exp(-1.0) else 0
     if not 0 < D <= EXP_MAX_SIZE:

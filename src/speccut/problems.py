@@ -54,27 +54,42 @@ def suffix_sum(x: np.ndarray) -> np.ndarray:
     return tail
 
 
+def _square_tail(x: np.ndarray, name: str) -> np.ndarray:
+    """`suffix_sum(x**2)`; ValueError where it overflows: no level compared with it is exact."""
+    with np.errstate(over="ignore"):
+        tail = suffix_sum(x**2)
+    if not tail[0] < math.inf:  # the sum of every term bounds all the others
+        raise ValueError(f"sums of {name}^2 overflow (D={x.size})")
+    return tail
+
+
 @dataclass(frozen=True)
 class DenseProblem:
-    """A discretized forward operator with known solution and exact data.
+    """A discretized forward operator with known solution.
 
-    `g_true` is defined as `matrix @ f_true`; analytic data formulas, where
-    known, serve only as validation oracles for the quadrature.
+    Its exact data `g_true` is derived from the two; analytic data formulas,
+    where known, serve only as validation oracles for the quadrature.
     """
 
     name: str
     matrix: np.ndarray
     f_true: np.ndarray
-    g_true: np.ndarray
 
     def __post_init__(self):
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError(f"{self.name}: matrix must be square")
         if self.matrix.shape[0] < 2:
             raise ValueError(f"{self.name}: need dimension >= 2")
-        for arr in (self.matrix, self.f_true, self.g_true):
+        for arr in (self.matrix, self.f_true):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{self.name}: non-finite entries")
+
+    @cached_property
+    def g_true(self) -> np.ndarray:
+        """The exact data `matrix @ f_true`, read-only, formed on first use."""
+        g = self.matrix @ self.f_true
+        g.flags.writeable = False
+        return g
 
 
 @dataclass(frozen=True)
@@ -140,9 +155,9 @@ class SpectralProblem:
         """`suffix_sum(x_true**2)`: the bias of every truncation level, read-only.
 
         Built on first use and memoised, which is valid because `x_true` is
-        read-only.
+        read-only. Raises ValueError when the sum overflows.
         """
-        return suffix_sum(self.x_true**2)
+        return _square_tail(self.x_true, "x_true")
 
     @cached_property
     def y_clean(self) -> np.ndarray:
@@ -162,9 +177,9 @@ class SpectralProblem:
 
         Shared by the weak oracle and the image-space error profile of every
         observation. Built on first use and memoised, which is valid because
-        `y_clean` is read-only.
+        `y_clean` is read-only. Raises ValueError when the sum overflows.
         """
-        return suffix_sum(self.y_clean**2)
+        return _square_tail(self.y_clean, "y_clean")
 
 
 def _midpoints(a: float, b: float, n: int) -> tuple[np.ndarray, float]:
@@ -188,7 +203,7 @@ def _discretize(name: str, a: float, b: float, n: int, kernel, solution) -> Dens
     t, h = _midpoints(a, b, n)
     matrix = h * kernel(t[:, None], t[None, :])
     f_true = math.sqrt(h) * solution(t)
-    return DenseProblem(name, matrix, f_true, matrix @ f_true)
+    return DenseProblem(name, matrix, f_true)
 
 
 def _phillips_bump(x: np.ndarray) -> np.ndarray:
@@ -298,11 +313,7 @@ def build_synthetic(
     else:
         raise ValueError(f"unknown spectrum {spectrum!r}")
     if truth is not None:
-        x_true = np.asarray(truth, dtype=float)
-        if x_true.shape != (D,):
-            raise ValueError(f"truth must have length {D}")
-        if not np.all(np.isfinite(x_true)):
-            raise ValueError("truth has non-finite entries")
+        x_true = truth  # `SpectralProblem` checks its length and entries
     elif truth_power is not None:
         _check_parameter("truth_power", truth_power)
         x_true = j ** (-truth_power)
@@ -366,6 +377,8 @@ class ProblemSpec:
     truth_power: float = 1.0
 
     def __post_init__(self):  # what the builders reject is rejected here, before any work
+        if self.name not in PROBLEM_NAMES:
+            raise ValueError(f"unknown problem {self.name!r}; known: {', '.join(PROBLEM_NAMES)}")
         least = 2 if self.name in DENSE_BUILDERS else 1
         if self.size < least:
             raise ValueError(f"{self.name} needs size >= {least}, got {self.size}")
@@ -404,7 +417,5 @@ def make_problem(spec: ProblemSpec) -> SpectralProblem:
         return build_synthetic(spec.size, "poly", q=spec.q, truth_power=spec.truth_power)
     if spec.name == "synthetic-exp":
         return build_synthetic(spec.size, "exp", truth_power=spec.truth_power)
-    if spec.name == "direct":
-        j = np.arange(1, spec.size + 1, dtype=float)
-        return SpectralProblem("direct", np.ones(spec.size), j ** (-spec.truth_power))
-    raise ValueError(f"unknown problem {spec.name!r}; known: {', '.join(PROBLEM_NAMES)}")
+    j = np.arange(1, spec.size + 1, dtype=float)  # "direct": `ProblemSpec` admits no other name
+    return SpectralProblem("direct", np.ones(spec.size), j ** (-spec.truth_power))

@@ -12,11 +12,15 @@ they need the unknown truth.
 
 Every defining inequality is inclusive, minimal elements are taken from the
 defining sets, and k = 0 is always admitted. All selectors are invariant under
-rescaling the truth, y_obs and delta by a common positive factor. A threshold
-factor whose square overflows a double gives an infinite threshold, which
-admits every level, so the level is the exact 0; data whose sums overflow
-raise ValueError (`NoisyObservation.prefix_sq`, `balancing`), and so do
-weights sigma^-2 that overflow (`balancing`, `det_strong`).
+rescaling the truth, y_obs and delta by a common positive factor. Overflow
+follows one rule: an infinite value stands for a finite one only where it
+exceeds everything it is compared with. So a threshold factor whose square
+overflows admits every level (the exact level 0), and a variance term that
+overflows outweighs every finite bias (`det_strong`, the oracles' noise sums
+and the error profiles); sums of data or of the bias that overflow raise
+ValueError instead (`NoisyObservation.prefix_sq`, `balancing`,
+`SpectralProblem.truth_tail` and `clean_tail`), and so does `balancing` where
+its weights leave a threshold undetermined.
 
 Implementation note: every rule and error profile is one kernel that works
 along the last axis. It takes one observation row (D,) and returns an int, or
@@ -286,8 +290,9 @@ def oracle_weak(obs: NoisyObservation) -> int:
 def oracle_strong(obs: NoisyObservation) -> int:
     """Level where accumulated amplified noise overtakes the remaining squared truth."""
     p = obs.problem
-    noise = ((obs.y_obs - p.y_clean) / p.sigma) ** 2
-    return _first_level(_cumsum0(noise), p.truth_tail)
+    with np.errstate(over="ignore"):  # an infinite variance outweighs every finite bias
+        noise = ((obs.y_obs - p.y_clean) / p.sigma) ** 2
+        return _first_level(_cumsum0(noise), p.truth_tail)
 
 
 def det_weak(p: SpectralProblem, delta: float) -> int:
@@ -297,18 +302,10 @@ def det_weak(p: SpectralProblem, delta: float) -> int:
 
 
 def det_strong(p: SpectralProblem, delta: float) -> int:
-    """Deterministic counterpart of the strong oracle: expected variance delta^2 sum sigma^(-2).
-
-    Raises ValueError when some sigma^(-2) overflows, or underflows to 0 while
-    delta^2 overflows: as in `balancing`, no level can then be told apart.
-    """
+    """Deterministic counterpart of the strong oracle: expected variance delta^2 sum sigma^(-2)."""
     _check_delta(delta)
-    factor = _square(delta)
-    with np.errstate(over="ignore"):
-        w = p.sigma ** (-2.0)  # nondecreasing: its ends bound every weight
-        if w[-1] == math.inf or (factor == math.inf and w[0] == 0.0):
-            raise ValueError(f"det_strong weights overflow or underflow (delta={delta})")
-        return _first_level(_cumsum0(factor * w), p.truth_tail)
+    with np.errstate(over="ignore"):  # an infinite variance term exceeds every finite bias
+        return _first_level(_cumsum0((delta / p.sigma) ** 2), p.truth_tail)
 
 
 def empirical_sup_deviation(z: np.ndarray, kappa_idx: int) -> float:
@@ -321,8 +318,8 @@ def empirical_sup_deviation(z: np.ndarray, kappa_idx: int) -> float:
     D = z.shape[-1]
     if not 1 <= kappa_idx <= D:
         raise ValueError(f"kappa_idx={kappa_idx} outside [1, {D}]")
-    means = z * z  # in place: one row (D = 10^4 in verify) can be wider than a row block
-    means -= 1.0
+    means = np.multiply(z, z, dtype=float)  # float also for integer z
+    means -= 1.0  # in place: one row (D = 10^4 in verify) can be wider than a row block
     np.cumsum(means, axis=-1, out=means)
     means /= np.arange(1, D + 1)
     tail = means[..., kappa_idx - 1 :]

@@ -123,7 +123,8 @@ class NoisyObservation:
         The accumulated image-space variance, shared by the weak oracle and the
         image-space error profile. Memoised like `prefix_sq`.
         """
-        N = _cumsum0((self.y_obs - self.problem.y_clean) ** 2)
+        with np.errstate(over="ignore"):  # an infinite variance outweighs every finite bias
+            N = _cumsum0((self.y_obs - self.problem.y_clean) ** 2)
         N.flags.writeable = False
         return N
 
@@ -131,8 +132,9 @@ class NoisyObservation:
     def strong_sq(self) -> np.ndarray:
         """`strong_error_sq_profile`, built on first use and memoised like `prefix_sq`."""
         p = self.problem
-        out = _cumsum0((self.y_obs / p.sigma - p.x_true) ** 2)
-        out += p.truth_tail
+        with np.errstate(over="ignore"):  # as in `noise_prefix_sq`
+            out = _cumsum0((self.y_obs / p.sigma - p.x_true) ** 2)
+            out += p.truth_tail
         out.flags.writeable = False
         return out
 

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The paper-scale criterion
-(c09) factors a 5000 x 5000 operator and takes a few minutes; everything else
+(c09) factors a 5000 x 5000 operator and takes about a minute; everything else
 finishes in seconds.
 """
 
@@ -36,7 +36,8 @@ FULL_VERIFY_DETAILS = {
     "dp_bruteforce_equivalence": "500/500 exact agreements",
     "scaling_invariance": "0/200 instances changed under rescaling by 1e-3 or 1e3",
     "oracle_orderings": "0/10000 replicates violated an exact inequality",
-    "thm1_frequency": "frequency 1.000 (required >= 0.95)",
+    "thm1_frequency": "thm1 frequency 1.000 (required >= 0.95), largest ratio 1.253 "
+    "(constant 16.71); thm2 frequency 1.000, largest ratio 0.661 (constant 8.49)",
     "cor1_efficiency": "median ratio 1.207 (<= 3), 95th pct 1.272 (<= 375.5)",
     "example1_counterexample": "empirical 0.94470 vs tail bound 0.00431 "
     "(required >= half the bound)",

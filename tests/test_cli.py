@@ -320,14 +320,15 @@ QUICK_VERIFY_LINES = [
     "PASS  dp_bruteforce_equivalence: 20/20 exact agreements",
     "PASS  scaling_invariance: 0/10 instances changed under rescaling by 1e-3 or 1e3",
     "PASS  oracle_orderings: 0/200 replicates violated an exact inequality",
-    "PASS  thm1_frequency: frequency 1.000 (required >= 0.95)",
+    "PASS  thm1_frequency: thm1 frequency 1.000 (required >= 0.95), largest ratio 1.184 "
+    "(constant 16.71); thm2 frequency 1.000, largest ratio 0.661 (constant 8.49)",
     "PASS  cor1_efficiency: median ratio 1.268 (<= 3), 95th pct 1.371 (<= 375.5)",
     "PASS  example1_counterexample: empirical 0.94250 vs tail bound 0.00431 "
     "(required >= half the bound)",
     "PASS  moment_bounds: kappa=10: 0.3425 <= 0.8944; kappa=100: 0.1150 <= 0.2828; "
     "kappa=1000: 0.0380 <= 0.0894; sup-deviation: P=0.039 <= bound 0.344",
 ]
-QUICK_VERIFY_SHA256 = "14e011d4ceccb7c6698b0bb92503f43e35fa1a5a6d4cf835f5c7623f79dbd719"
+QUICK_VERIFY_SHA256 = "4763fea0155c48a722b63c26a7d083c95832bd84e0d0ce9eb504cb2d3e36a3fd"
 
 
 def test_verify_quick_report_is_byte_identical(capsys):

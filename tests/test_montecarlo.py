@@ -27,6 +27,7 @@ from speccut.montecarlo import (
     run_experiment,
     summarize,
     theorem_frequency,
+    theorem_max_ratio,
 )
 from speccut.problems import ProblemSpec, SpectralProblem, build_synthetic, make_problem, suffix_sum
 from speccut.rules import (
@@ -201,6 +202,7 @@ def test_reductions_agree_on_columns_and_lists(small_records):
         assert summarize(cols) == summarize_literal(rows)
         for which in ("thm1", "thm2", "cor1"):
             assert theorem_frequency(cols, which, consts) == frequency_literal(rows, which, consts)
+            assert theorem_max_ratio(cols, which, consts) == max_ratio_literal(rows, which, consts)
 
 
 def summarize_literal(records):
@@ -223,15 +225,26 @@ def mean_std(values):
     return float(np.mean(values)), float(np.std(values, ddof=1)) if values.size > 1 else 0.0
 
 
+def sides_literal(records, which, consts):
+    """(lhs, c, rhs) of each replicate's guarantee event lhs <= c * rhs, one at a time."""
+    error = "e_weak_by_rule" if which == "thm1" else "e_strong_by_rule"
+    for r in records:
+        c, rhs = {
+            "thm1": (consts.c_tau_weak, r.min_e_weak),
+            "thm2": (consts.c_tau_strong, r.e_strong_by_rule["opt"] + r.sat_term),
+            "cor1": (consts.c_tau_cor, r.e_strong_by_rule["opt"]),
+        }[which]
+        yield getattr(r, error)["dp"], c, rhs
+
+
 def frequency_literal(records, which, consts):
     """The guarantee events of `theorem_frequency`, one replicate at a time."""
-    bound = {
-        "thm1": lambda r: consts.c_tau_weak * r.min_e_weak,
-        "thm2": lambda r: consts.c_tau_strong * (r.e_strong_by_rule["opt"] + r.sat_term),
-        "cor1": lambda r: consts.c_tau_cor * r.e_strong_by_rule["opt"],
-    }[which]
-    error = "e_weak_by_rule" if which == "thm1" else "e_strong_by_rule"
-    return float(np.mean([getattr(r, error)["dp"] <= bound(r) for r in records]))
+    return float(np.mean([lhs <= c * rhs for lhs, c, rhs in sides_literal(records, which, consts)]))
+
+
+def max_ratio_literal(records, which, consts):
+    """The largest ratio of `theorem_max_ratio`, one replicate at a time."""
+    return max(lhs / rhs for lhs, _, rhs in sides_literal(records, which, consts))
 
 
 def test_records_respect_exact_inequalities(small_records):
@@ -373,6 +386,9 @@ def test_theorem_frequency_zero_noise_fixture():
     assert theorem_frequency(records, "thm1", consts) == 1.0
     assert theorem_frequency(records, "thm2", consts) == 1.0
     assert theorem_frequency(records, "cor1", consts) == 1.0
+    # every error is 0, so the largest ratio is 0 for each, also where the best error is 0
+    for which in ("thm1", "thm2", "cor1"):
+        assert theorem_max_ratio(records, which, consts) == 0.0
 
 
 def test_theorem_frequency_errors(small_records):
@@ -383,6 +399,8 @@ def test_theorem_frequency_errors(small_records):
         theorem_frequency(small_records, "cor1", consts)  # needs c_tau_cor
     with pytest.raises(ValueError):
         theorem_frequency(small_records, "thm9", consts)
+    with pytest.raises(ValueError):
+        theorem_max_ratio(small_records, "cor1", consts)
 
 
 def test_mean_optimal_error_improves_with_noise_level():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,17 +81,6 @@ def scan_dp_modified(y, delta, tau, m_cap):
     return max(scan_dp_at_m(y, delta, tau, m) for m in range(1, m_cap + 1))
 
 
-def scan_lepski(y, delta, kappa):
-    D = len(y)
-    for k in range(0, D + 1):
-        if all(
-            math.sqrt(sum(float(v) ** 2 for v in y[k:m])) <= kappa * math.sqrt(m) * delta
-            for m in range(k + 1, D + 1)
-        ):
-            return k
-    raise AssertionError("unreachable")
-
-
 def scan_balancing(sigma, y, delta, kappa, m_cap):
     coeff = [float(v) / float(s) for v, s in zip(y, sigma)]
     for k in range(0, m_cap + 1):
@@ -126,14 +116,6 @@ def suffix_max_balancing(sigma, y, delta, kappa):
     suffix[..., :-1] = np.maximum.accumulate(gaps[..., ::-1], axis=-1)[..., ::-1]
     k = (suffix <= P).argmax(axis=-1)
     return k if k.ndim else int(k)
-
-
-def scan_early_stop(y, delta, tau=1.0):
-    D = len(y)
-    for k in range(0, D + 1):
-        if math.sqrt(sum(float(v) ** 2 for v in y[k:])) <= tau * math.sqrt(D) * delta:
-            return k
-    raise AssertionError("unreachable")
 
 
 # --------------------------------------------------------------------------
@@ -354,17 +336,53 @@ def test_det_weak_examples():
         det_weak(p, 0.0)
 
 
-def test_det_strong_rejects_undetermined_variance_terms():
-    # sigma^-2 = 1e320 overflows while delta^2 = 1e-340 underflows to 0, and delta^2 = 1e320
-    # overflows while sigma^-2 = 1e-400 underflows to 0: a term 0 * inf is undetermined
-    # (it used to give level 0, where exact arithmetic gives 2 in both cases)
-    steep = SpectralProblem("x", [1.0, 1e-160], [1.0, 1.0])
-    flat = SpectralProblem("x", [1e200, 1e200], [1.0, 1.0])
-    for p, delta in ((steep, 1e-170), (flat, 1e160)):
-        with pytest.raises(ValueError, match="weights overflow or underflow"):
-            det_strong(p, delta)
-    with pytest.raises(ValueError, match="weights overflow"):  # and with a finite delta^2
-        det_strong(steep, 1e-3)
+def exact_det_strong(p, delta):
+    """`det_strong` in exact rational arithmetic: the first k whose variance
+    delta^2 sum_{j<=k} sigma_j^-2 reaches the bias sum_{j>k} x_true_j^2."""
+    terms = [Fraction(delta) ** 2 / Fraction(float(s)) ** 2 for s in p.sigma]
+    bias = [Fraction(float(x)) ** 2 for x in p.x_true]
+    return next(k for k in range(p.size + 1) if sum(terms[:k]) >= sum(bias[k:]))
+
+
+def test_det_strong_equals_exact_arithmetic():
+    # delta^2 and sigma^-2 formed apart would give 0 * inf in the first two (1e-340 * 1e320,
+    # 1e320 * 1e-400) and an infinite weight in the third; each level is exact
+    steep = SpectralProblem("steep", [1.0, 1e-160], [1.0, 1.0])
+    flat = SpectralProblem("flat", [1e200, 1e200], [1.0, 1.0])
+    for p, delta in ((steep, 1e-170), (flat, 1e160), (steep, 1e-3)):
+        assert det_strong(p, delta) == exact_det_strong(p, delta) == 2
+    # spectra down to 1e-170 and at 1e200, over 400 decades of delta, where no tail overflows
+    steep6 = [1.0, 1e-3, 1e-100, 1e-150, 1e-160, 1e-170]
+    for p in (
+        steep, flat, SpectralProblem("steep", steep6, np.ones(6)),
+        SpectralProblem("steep", steep6, [1e100, 1e-50, 3e21, 1.0, 1e-100, 3.0]),
+        SpectralProblem("flat", np.full(4, 1e200), [3.0, 1e-150, 2e-5, 1e-20]),
+    ):
+        for e in range(-200, 201, 10):
+            assert det_strong(p, 10.0**e) == exact_det_strong(p, 10.0**e), (p.sigma, e)
+
+
+def test_overflowing_bias_tails_raise():
+    # the squared truth (1e200)^2 overflows a double, so no level compared with the bias
+    # is exact (exact arithmetic gives 3 for each); they raise instead of warning
+    p = SpectralProblem("unit", np.ones(3), np.full(3, 1e200))
+    obs = NoisyObservation(p, p.y_clean + np.array([3e199, -1e199, 5e198]), 1e199)
+    for call in (
+        lambda: oracle_opt(obs), lambda: oracle_weak(obs), lambda: oracle_strong(obs),
+        lambda: det_weak(p, 1e199), lambda: det_strong(p, 1e199),
+        lambda: strong_error_sq_profile(obs), lambda: weak_error_sq_profile(obs),
+    ):
+        with pytest.raises(ValueError, match="overflow"):
+            call()
+
+
+def test_overflowing_noise_sums_give_exact_levels():
+    # the squared noise (1e200 - 1)^2 overflows, the bias stays finite: an infinite
+    # variance outweighs it, so the levels are exact, without an overflow warning
+    p = SpectralProblem("unit", np.ones(3), np.ones(3))
+    obs = NoisyObservation(p, np.array([1e200, 1.0, 1.0]), 1e199)
+    assert (oracle_opt(obs), oracle_weak(obs), oracle_strong(obs)) == (0, 1, 1)
+    assert np.isinf(weak_error_sq_profile(obs)[1:]).all()
 
 
 def test_det_strong_examples():
@@ -410,6 +428,10 @@ def test_empirical_sup_deviation_examples():
     assert empirical_sup_deviation(np.ones(5), 1) == 0.0
     assert empirical_sup_deviation(np.array([2.0, 0.0]), 1) == 3.0
     assert empirical_sup_deviation(np.zeros(7), 3) == 1.0
+    # integer noise, such as +-1 draws, gives the float result
+    signs = empirical_sup_deviation(np.array([1, -1, 1]), 1)
+    assert type(signs) is float and signs == empirical_sup_deviation(np.array([1.0, -1.0, 1.0]), 1)
+    assert empirical_sup_deviation(np.array([2, 0]), 1) == 3.0
     with pytest.raises(ValueError):
         empirical_sup_deviation(np.ones(5), 6)
 
@@ -514,7 +536,8 @@ def test_lepski_equals_scan():
         D = int(rng.integers(2, 25))
         delta = float(10.0 ** rng.uniform(-2, 0))
         y = rng.standard_normal(D)
-        assert balancing(direct_obs(y, delta), 1.5) == scan_lepski(y, delta, 1.5)
+        # Lepski's rule: balancing with unit singular values
+        assert balancing(direct_obs(y, delta), 1.5) == scan_balancing(np.ones(D), y, delta, 1.5, D)
 
 
 def test_lepski_coincides_with_dp_in_direct_case():
@@ -578,9 +601,10 @@ def test_early_stop_equals_scan():
         D_used = int(rng.integers(1, D + 1))
         delta = float(10.0 ** rng.uniform(-1.5, 0))
         y = rng.standard_normal(D)[:D_used]  # a resolution D_used <= D
-        assert early_stop(direct_obs(y, delta)) == scan_early_stop(y, delta)
+        # early stopping: the discrepancy choice at m = D
+        assert early_stop(direct_obs(y, delta)) == scan_dp_at_m(y, delta, 1.0, D_used)
         tau = float(rng.uniform(1.0, 3.0))
-        assert early_stop(direct_obs(y, delta), tau=tau) == scan_early_stop(y, delta, tau)
+        assert early_stop(direct_obs(y, delta), tau=tau) == scan_dp_at_m(y, delta, tau, D_used)
 
 
 def test_dp_at_m_never_exceeds_m_and_modified_dominates():
