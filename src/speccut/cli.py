@@ -30,6 +30,7 @@ from .montecarlo import (
     ExperimentSummary,
     ReplicateColumns,
     _row_blocks,
+    _theorem_sides,
     counterexample_tail_prob,
     evaluate_replicate,
     example1_frequency,
@@ -230,9 +231,9 @@ def check_cor1_efficiency(D: int = 2048, replicates: int = 200) -> CheckResult:
         ProblemSpec("synthetic-poly", D, q=2.0, truth_power=1.0), deltas=(1e-4,),
         rules=RuleConfig(tau=1.5), replicates=replicates, base_seed=271828,
     )
-    e_strong = run_experiment(cfg).e_strong_by_rule
-    ratios = e_strong[RULE_NAMES.index("dp")] / e_strong[RULE_NAMES.index("opt")]
-    c_cor = constants(1.5, q=2.0, c_q=1.0, C_q=1.0).c_tau_cor
+    consts = constants(1.5, q=2.0, c_q=1.0, C_q=1.0)
+    strong, c_cor, min_strong = _theorem_sides(run_experiment(cfg), "cor1", consts)
+    ratios = strong / min_strong
     med = float(np.median(ratios))
     p95 = float(np.percentile(ratios, 95.0))
     return CheckResult(

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .problems import EXP_MAX_SIZE, ProblemSpec, build_synthetic, make_problem
+from .problems import EXP_MAX_SIZE, ProblemSpec, _check_count, build_synthetic, make_problem
 from .rules import (
     RULE_NAMES,
     RuleConfig,
@@ -41,7 +41,6 @@ from .rules import (
 from .sequence_model import (
     NoiseModel,
     NoisyObservation,
-    _prefix_sq,
     observe,
     sample_noise,
     strong_error_sq_profile,
@@ -85,10 +84,9 @@ class ExperimentConfig:
         if len(set(deltas)) != len(deltas):
             # summarize groups replicates by delta, so a repeat would merge two rows
             raise ValueError(f"deltas must be distinct, got {deltas}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if self.base_seed < 0:  # SeedSequence would reject it only after the problem is built
-            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        _check_count("replicates", self.replicates, 1)
+        # SeedSequence would reject a bad seed only after the problem is built
+        _check_count("base_seed", self.base_seed, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,8 +319,9 @@ def counterexample_tail_prob(kappa: float) -> float:
     """Two-sided standard Gaussian tail beyond e * kappa.
 
     Lower-bounds the failure probability of the solution-space comparison rule
-    on the exponential spectrum with zero truth, for any fixed kappa.
+    on the exponential spectrum with zero truth, for any fixed kappa > 1.
     """
+    _check_fudge("kappa", kappa)
     return math.erfc(math.e * kappa / math.sqrt(2.0))
 
 
@@ -351,10 +350,8 @@ def example1_frequency(kappa: float, delta: float, replicates: int, seed: int) -
     for lo, hi in _row_blocks(replicates, D + 1):
         y = rng.standard_normal((hi - lo, D))
         y *= delta  # the truth is zero: y is the observation
-        # one prefix sum of (y/sigma)^2 per block gives both the level and the norm
-        with np.errstate(over="ignore"):  # overflowing sums raise in `_balancing_level`
-            P = _prefix_sq(y / p.sigma)
-        k = _balancing_level(p, P, delta, kappa)
+        # one prefix sum P of (y/sigma)^2 per block gives both the level and the norm
+        k, P = _balancing_level(p, y, delta, kappa)
         # squared norm of each row's estimate: its prefix sum of (y/sigma)^2 at its level
         hits += int(np.count_nonzero(np.take_along_axis(P, k[:, None], axis=-1) >= 1.0))
         del y, P  # release this block before drawing the next

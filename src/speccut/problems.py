@@ -32,18 +32,14 @@ class DecompositionError(RuntimeError):
 def readonly(a) -> np.ndarray:
     """`a` as a read-only float array that no other reference can write through.
 
-    An array that is read-only down to the array owning its memory is returned
-    as is; anything else is copied first, so later writes to the caller's array
-    cannot reach the result.
+    A read-only array that owns its memory is returned as is; anything else (a
+    writeable array, or a view of memory that another array owns) is copied
+    once, so later writes to the caller's array cannot reach the result.
     """
     a = np.asarray(a, dtype=float)
-    owner = a
-    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
-        if owner.base is None:
-            return a
-        owner = owner.base
-    a = a.copy()
-    a.flags.writeable = False
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy()
+        a.flags.writeable = False
     return a
 
 
@@ -112,8 +108,8 @@ class SpectralProblem:
     `sigma[j]` is the j-th singular value and `x_true[j]` the coefficient of
     the true solution against the j-th right singular vector. Everything the
     selection rules need is contained in these two vectors. Both are stored
-    read-only (copied when the caller's array is still writeable), which is
-    what keeps the memoised sums below valid.
+    read-only (`readonly`: copied unless the caller's array is read-only and
+    owns its memory), which is what keeps the memoised sums below valid.
     """
 
     name: str
@@ -191,6 +187,12 @@ def _midpoints(a: float, b: float, n: int) -> tuple[np.ndarray, float]:
 _LOWER_BOUNDS = {"depth": 0.0, "kappa_heat": 0.0, "q": 0.0, "truth_power": 0.5}
 
 
+def _check_count(name: str, value, least: int):
+    """ValueError unless value is an integer (Python's or numpy's) of at least `least`."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"need an integer {name} >= {least}, got {value!r}")
+
+
 def _check_parameter(name: str, value: float):
     if value <= _LOWER_BOUNDS[name]:
         raise ValueError(f"{name} must exceed {_LOWER_BOUNDS[name]}, got {value}")
@@ -198,8 +200,7 @@ def _check_parameter(name: str, value: float):
 
 def _discretize(name: str, a: float, b: float, n: int, kernel, solution) -> DenseProblem:
     """Midpoint quadrature of kernel(s, t) and solution(t) on n cells of [a, b]."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _check_count("n", n, 2)
     t, h = _midpoints(a, b, n)
     matrix = h * kernel(t[:, None], t[None, :])
     f_true = math.sqrt(h) * solution(t)
@@ -301,8 +302,7 @@ def build_synthetic(
     The truth is either an explicit coefficient vector, a power sequence
     j^(-truth_power) (requires truth_power > 1/2), or all zeros.
     """
-    if D < 1:
-        raise ValueError(f"need D >= 1, got {D}")
+    _check_count("D", D, 1)
     j = np.arange(1, D + 1, dtype=float)
     if spectrum == "poly":
         _check_parameter("q", q)
@@ -355,14 +355,11 @@ def spectralize(p: DenseProblem) -> SpectralProblem:
     """
     factors = decompose(p)
     s = factors.s
-    if s.size == 0 or s[0] <= 0.0:
-        raise DecompositionError(f"{p.name!r} is numerically a zero operator")
-    keep = s > RANK_TOL * s[0]
-    if not np.any(keep):
-        raise DecompositionError(f"{p.name!r} has no singular values above threshold")
-    r = int(np.max(np.nonzero(keep)[0])) + 1
+    if s.size == 0 or not 0.0 < s[0] < math.inf:  # NaN fails too
+        raise DecompositionError(f"{p.name!r} is numerically a zero operator or overflows")
+    r = int(np.count_nonzero(s > RANK_TOL * s[0]))  # s is nonincreasing: a leading run
     x_true = factors.v[:, :r].T @ p.f_true
-    return SpectralProblem(p.name, s[:r].copy(), x_true)
+    return SpectralProblem(p.name, s[:r], x_true)
 
 
 @dataclass(frozen=True)
@@ -379,9 +376,7 @@ class ProblemSpec:
     def __post_init__(self):  # what the builders reject is rejected here, before any work
         if self.name not in PROBLEM_NAMES:
             raise ValueError(f"unknown problem {self.name!r}; known: {', '.join(PROBLEM_NAMES)}")
-        least = 2 if self.name in DENSE_BUILDERS else 1
-        if self.size < least:
-            raise ValueError(f"{self.name} needs size >= {least}, got {self.size}")
+        _check_count("size", self.size, 2 if self.name in DENSE_BUILDERS else 1)
         if self.name == "synthetic-exp":
             _check_exp_size(self.size)
         for param in _BOUNDED_PARAMETERS.get(self.name, ()):

@@ -39,10 +39,10 @@ the maximum threshold and search once, O(D). So does `balancing`, on the
 prefix sums P of (y_obs/sigma)^2: the last m whose threshold g_m is the
 largest has P_m >= g_m, so every level below the search fails at that m.
 Problems and observations memoise the sums the rules share
-(`SpectralProblem`, `NoisyObservation`), so one replicate builds five
+(`SpectralProblem`, `NoisyObservation`), so one replicate builds four
 cumulative sums for every problem (S, the prefix sum of (y_obs/sigma)^2 in
-`balancing`, the noise sum, the strong profile, and the amplified-noise sum
-in `oracle_strong`) and no suffix maximum; `dp_modified` and `combined` each
+`balancing`, the noise sum, and the amplified-noise sum of `oracle_strong`
+and the strong profile) and no suffix maximum; `dp_modified` and `combined` each
 compute the thresholds they compare, both for every m in [1, D], so no array
 a rule allocates has a size that depends on the data. Callers that evaluate
 many replicates, `bench`'s replicate loop and the verify loops, pass row
@@ -232,26 +232,25 @@ def balancing(obs: NoisyObservation, kappa: float) -> int:
     thresholds, which is exact.
     """
     _check_fudge("kappa", kappa)
-    with np.errstate(over="ignore"):
-        P = _prefix_sq(obs.y_obs / obs.problem.sigma)
-    return _balancing_level(obs.problem, P, obs.delta, kappa)
+    return _balancing_level(obs.problem, obs.y_obs, obs.delta, kappa)[0]
 
 
-def _balancing_level(p: SpectralProblem, P: np.ndarray, delta: float, kappa: float):
-    """`balancing` at noise level delta, searched on the prefix sums P of (y_obs/sigma)^2.
+def _balancing_level(p: SpectralProblem, y: np.ndarray, delta: float, kappa: float):
+    """`balancing`'s level for data y of p, and the prefix sums P of (y/sigma)^2 it searched.
 
-    For callers that read P themselves; it raises what `balancing` raises.
+    It raises what `balancing` raises.
     """
     factor = _square(kappa * delta)
     w = p.inv_sigma_sq_cumsum  # nondecreasing: its ends bound every weight
     if (factor < math.inf and w[-1] == math.inf) or (factor == math.inf and w[0] == 0.0):
         raise ValueError(f"balancing weights overflow or underflow (delta={delta})")
+    with np.errstate(over="ignore"):
+        P = _prefix_sq(y / p.sigma)
+        thresh = factor * w
     # P is nondecreasing, so its last entry bounds every compared sum
     if not np.isfinite(P[..., -1]).all():
-        raise ValueError(f"balancing sums overflow (D={P.shape[-1] - 1}, delta={delta})")
-    with np.errstate(over="ignore"):
-        thresh = factor * w
-    return _max_level(P, P[..., 1:] - thresh)
+        raise ValueError(f"balancing sums overflow (D={p.size}, delta={delta})")
+    return _max_level(P, P[..., 1:] - thresh), P
 
 
 def early_stop(obs: NoisyObservation, *, tau: float = 1.0) -> int:
@@ -289,10 +288,7 @@ def oracle_weak(obs: NoisyObservation) -> int:
 
 def oracle_strong(obs: NoisyObservation) -> int:
     """Level where accumulated amplified noise overtakes the remaining squared truth."""
-    p = obs.problem
-    with np.errstate(over="ignore"):  # an infinite variance outweighs every finite bias
-        noise = ((obs.y_obs - p.y_clean) / p.sigma) ** 2
-        return _first_level(_cumsum0(noise), p.truth_tail)
+    return _first_level(obs.amplified_noise_sq, obs.problem.truth_tail)
 
 
 def det_weak(p: SpectralProblem, delta: float) -> int:

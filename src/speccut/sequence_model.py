@@ -12,12 +12,13 @@ An observation is its problem's data: the problem, y_obs and delta. The
 problem owns the truth and the clean data y_clean = sigma * x_true with their
 tail sums; the observation stores y_obs read-only and memoises the sums that
 several rules and error profiles read, each built once per observation: the
-prefix sums of y_obs^2 and of the squared noise (y_obs - y_clean)^2, and the
-strong error profile. An observation holds one row (D,) or a block of R rows
-(R, D) of one problem and noise level; every sum and profile works along the
-last axis, row by row, with the same floating-point operations as for one
-row. The prefix sums of y_obs^2 raise ValueError when they overflow a
-double, so no residual rule returns a level past D.
+prefix sums of y_obs^2, of the noise (y_obs - y_clean)^2 and of the amplified
+noise (y_obs / sigma - x_true)^2, and the strong error profile, which adds
+the truth's tail sums to the last. An observation holds one row (D,) or a
+block of R rows (R, D) of one problem and noise level; every sum and profile
+works along the last axis, row by row, with the same floating-point
+operations as for one row. The prefix sums of y_obs^2 raise ValueError when
+they overflow a double, so no residual rule returns a level past D.
 """
 
 from __future__ import annotations
@@ -63,9 +64,8 @@ def _cumsum0(x: np.ndarray) -> np.ndarray:
 def _prefix_sq(y: np.ndarray) -> np.ndarray:
     """S with S[..., k] = sum of the first k squared entries of each row, S[..., 0] = 0.
 
-    Callers reach it by its module-level name (here, as `rules._prefix_sq` and as
-    `montecarlo._prefix_sq`), which is how `perfbench` counts prefix-sum builds
-    per replicate.
+    Callers reach it by its module-level name (here, and as `rules._prefix_sq` in
+    `balancing`), which is how `perfbench` counts prefix-sum builds per replicate.
     """
     return _cumsum0(y * y)
 
@@ -76,9 +76,9 @@ class NoisyObservation:
 
     `y_obs` is one row (D,) or a block of R rows (R, D), with D = problem.size;
     a block's rows share the problem and `delta`. It must be finite and is
-    stored read-only; a caller's array that is still writeable is copied, so
-    writing to it later cannot change the observation or the sums memoised on
-    it.
+    stored read-only: a caller's array is copied once unless it is read-only
+    and owns its memory (`problems.readonly`), so writing to it later cannot
+    change the observation or the sums memoised on it.
     """
 
     problem: SpectralProblem
@@ -129,12 +129,23 @@ class NoisyObservation:
         return N
 
     @cached_property
-    def strong_sq(self) -> np.ndarray:
-        """`strong_error_sq_profile`, built on first use and memoised like `prefix_sq`."""
+    def amplified_noise_sq(self) -> np.ndarray:
+        """A with A[..., k] = sum of (y_obs_j / sigma_j - x_true_j)^2 over j <= k; read-only.
+
+        The realized solution-space variance of the strong oracle and the strong
+        error profile, memoised like `prefix_sq`.
+        """
         p = self.problem
         with np.errstate(over="ignore"):  # as in `noise_prefix_sq`
-            out = _cumsum0((self.y_obs / p.sigma - p.x_true) ** 2)
-            out += p.truth_tail
+            A = _cumsum0((self.y_obs / p.sigma - p.x_true) ** 2)
+        A.flags.writeable = False
+        return A
+
+    @cached_property
+    def strong_sq(self) -> np.ndarray:
+        """`strong_error_sq_profile`: `amplified_noise_sq` plus the bias, memoised like it."""
+        with np.errstate(over="ignore"):
+            out = self.amplified_noise_sq + self.problem.truth_tail
         out.flags.writeable = False
         return out
 

@@ -289,6 +289,13 @@ def test_experiment_config_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             ExperimentConfig(ProblemSpec("direct", 8), deltas=(1e-2, bad))
+    # counts that are not integers are rejected before the problem is built
+    for field_name, bad in (("replicates", 2.5), ("replicates", 2.0), ("base_seed", 1.5),
+                            ("base_seed", -1)):
+        with pytest.raises(ValueError, match=f"^need an integer {field_name} >= "):
+            ExperimentConfig(ProblemSpec("direct", 8), **{field_name: bad})
+    cfg = ExperimentConfig(ProblemSpec("direct", 8), replicates=np.int64(2), base_seed=np.uint64(7))
+    assert len(run_experiment(cfg)) == 2 * len(cfg.deltas)
 
 
 def test_summarize_statistics(small_records):
@@ -448,6 +455,10 @@ def test_example1_counterexample_frequency():
 def test_counterexample_tail_value():
     # erfc(e * 1.05 / sqrt(2)) ~ 4.3e-3
     assert counterexample_tail_prob(1.05) == pytest.approx(4.3e-3, rel=0.05)
+    # a kappa the rule rejects has no tail bound: not 1.993 at -1, 1.0 at 0, or nan
+    for kappa in (-1.0, 0.0, 1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="kappa must be finite and exceed 1"):
+            counterexample_tail_prob(kappa)
 
 
 def test_prop2_check_gaussian():
@@ -754,10 +765,11 @@ class CountingNumpy:
 
 
 def test_one_replicate_builds_each_shared_sum_once(monkeypatch):
-    # S, balancing's (y/sigma)^2 sum, the noise sum, the strong profile, oracle_strong's sum,
-    # on every problem: balancing builds its own sum also where every sigma is 1
-    cases = [(build_synthetic(300, "poly", q=2.0, truth_power=1.0), 5),
-             (make_problem(ProblemSpec("direct", 300)), 5)]
+    # S, balancing's (y/sigma)^2 sum, the noise sum and the amplified-noise sum, which the
+    # strong oracle and the strong profile share, on every problem: balancing builds its
+    # own sum also where every sigma is 1
+    cases = [(build_synthetic(300, "poly", q=2.0, truth_power=1.0), 4),
+             (make_problem(ProblemSpec("direct", 300)), 4)]
     out = ReplicateColumns.empty(1)
     # builds the problems' own sums, so that only the replicates' are counted below
     for p, _ in cases:
@@ -784,7 +796,7 @@ def test_one_replicate_builds_each_shared_sum_once(monkeypatch):
         assert counts == {"cumsum": cumsums, "suffix_sum": 0, "maximum.accumulate": 0}, p.name
         # beside its fields, the observation holds only the sums sequence_model memoises on it
         memoised = set(vars(obs)) - {field.name for field in dataclasses.fields(obs)}
-        assert memoised == {"prefix_sq", "noise_prefix_sq", "strong_sq"}
+        assert memoised == {"prefix_sq", "noise_prefix_sq", "amplified_noise_sq", "strong_sq"}
     # c01 compares balancing with dp_modified on unit sigma: each builds one sum per block,
     # and y/1 is y, so both search the same bits; example1_frequency reads its levels and
     # norms from one sum per block
@@ -811,7 +823,8 @@ def test_memoised_sums_are_read_only():
         assert strong_error_sq_profile(obs) is strong
         assert np.array_equal(strong, strong_error_sq_profile(fresh(obs)))
         memoised = (
-            obs.prefix_sq, obs.noise_prefix_sq, strong, p.y_clean, p.clean_tail, p.truth_tail,
+            obs.prefix_sq, obs.noise_prefix_sq, obs.amplified_noise_sq, strong, p.y_clean,
+            p.clean_tail, p.truth_tail,
         )
         for arr in memoised:
             with pytest.raises(ValueError):

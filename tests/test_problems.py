@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from speccut import problems
 from speccut.problems import (
     DecompositionError,
     DenseProblem,
     ProblemSpec,
     SpectralProblem,
+    SVDFactors,
     build_deriv2,
     build_gravity,
     build_heat,
@@ -106,8 +108,11 @@ def test_heat_kernel_vanishes_at_origin():
 
 @pytest.mark.parametrize("builder", ALL_BUILDERS)
 def test_builder_rejects_tiny_dimension(builder):
-    with pytest.raises(ValueError):
-        builder(1)
+    # a count that is not an integer would silently build another grid, or fail in numpy
+    for bad in (1, 10.5, 2.0, "8"):
+        with pytest.raises(ValueError, match="^need an integer n >= 2, got "):
+            builder(bad)
+    assert builder(np.int64(4)).matrix.shape == (4, 4)
 
 
 def test_gravity_heat_reject_bad_parameters():
@@ -190,8 +195,10 @@ def test_synthetic_rejects_bad_arguments():
         build_synthetic(4, "poly", q=1.0, truth_power=0.5)
     with pytest.raises(ValueError):
         build_synthetic(4, "poly", q=1.0, truth=np.array([1.0, np.inf, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        build_synthetic(0, "poly", q=1.0)
+    for bad in (0, 3.5, 3.0):
+        with pytest.raises(ValueError, match="^need an integer D >= 1, got "):
+            build_synthetic(bad, "poly", q=1.0)
+    assert build_synthetic(np.int32(3), "poly", q=1.0).size == 3
     with pytest.raises(ValueError):
         build_synthetic(4, "wavelet")
 
@@ -267,10 +274,25 @@ def test_spectralize_deterministic():
     assert np.array_equal(a.x_true, b.x_true)
 
 
-def test_spectralize_rejects_zero_operator():
+def test_spectralize_rejects_zero_operator(monkeypatch):
     z = np.zeros((3, 3))
     with pytest.raises(DecompositionError):
         spectralize(DenseProblem("zero", z, np.ones(3)))
+    # finite entries whose largest singular value overflows to inf, and a NaN one, fail it too
+    with pytest.raises(DecompositionError, match="zero operator or overflows"):
+        spectralize(DenseProblem("big", np.full((2, 2), 1e308), np.ones(2)))
+    eye = np.eye(3)
+    factors = SVDFactors(eye, np.array([np.nan, 1.0, 1.0]), eye)
+    monkeypatch.setattr(problems, "decompose", lambda p: factors)
+    with pytest.raises(DecompositionError, match="zero operator or overflows"):
+        spectralize(DenseProblem("eye", eye, np.ones(3)))
+
+
+def test_spectralize_keeps_the_singular_values_above_rank_tol():
+    # 3e-15 lies below RANK_TOL * s_max = 3e-14, and so does the exact zero
+    d = np.diag([3.0, 2.0, 3e-15, 0.0])
+    sp = spectralize(DenseProblem("diag", d, np.array([1.0, 2.0, 3.0, 4.0])))
+    assert np.array_equal(sp.sigma, [3.0, 2.0]) and np.array_equal(sp.x_true, [1.0, 2.0])
 
 
 def test_make_problem_dispatch():
@@ -284,3 +306,9 @@ def test_make_problem_dispatch():
     for name in ("laplace", "foo", ""):
         with pytest.raises(ValueError, match=f"^unknown problem {name!r}; known: phillips, "):
             ProblemSpec(name, 16)
+    # a size that is not an integer is rejected before it builds another problem
+    for name, size in (("synthetic-poly", 3.5), ("phillips", 10.5), ("direct", 4.5),
+                       ("heat", 1), ("direct", 0)):
+        with pytest.raises(ValueError, match="^need an integer size >= "):
+            ProblemSpec(name, size)
+    assert make_problem(ProblemSpec("direct", np.int64(5))).size == 5
