@@ -341,8 +341,8 @@ def example1_frequency(kappa: float, delta: float, replicates: int, seed: int) -
             f"delta must lie in (0, e^-1] with ceil(log delta^-2) + 10 <= {EXP_MAX_SIZE}, "
             f"got {delta}"
         )
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
+    _check_count("replicates", replicates, 1)
+    _check_count("seed", seed, 0)
     p = build_synthetic(D, "exp")
     rng = np.random.default_rng(seed)
     hits = 0
@@ -369,10 +369,12 @@ def prop2_check(
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if not 1 <= kappa_idx <= D:
+    _check_count("D", D, 1)
+    _check_count("kappa_idx", kappa_idx, 1)
+    _check_count("replicates", replicates, 1)
+    _check_count("seed", seed, 0)
+    if kappa_idx > D:
         raise ValueError(f"kappa_idx={kappa_idx} outside [1, {D}]")
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
     ss = np.random.SeedSequence(seed)
     seeds = ss.generate_state(replicates, dtype=np.uint64)
     exceed = 0

@@ -14,13 +14,17 @@ comparable across grid sizes. Exact data in the same coordinates is
 sqrt(h) * g(s_i), which is what `matrix @ f_true` converges to. The four
 kernel builders pass their kernel and solution to `_discretize`, which holds
 this convention.
+
+Problems store their arrays read-only (`readonly`); every array derived from
+them, here and on observations, is `memoised`: formed once with overflow
+warnings off, so each reader decides what an inf means, and stored read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -43,17 +47,32 @@ def readonly(a) -> np.ndarray:
     return a
 
 
+def memoised(method) -> cached_property:
+    """A `cached_property` whose array, `method(self)`, is formed once and stored read-only.
+
+    `method` runs on first access with overflow warnings off: an overflowing
+    term is inf, and each reader decides what inf means. The memo is valid
+    because every array it is formed from is read-only.
+    """
+
+    @wraps(method)
+    def form(self) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            a = method(self)
+        a.flags.writeable = False
+        return a
+
+    return cached_property(form)
+
+
 def suffix_sum(x: np.ndarray) -> np.ndarray:
-    """Read-only T with T[k] = sum of x[k:], T[x.size] = 0, summed from the back."""
-    tail = np.concatenate([np.cumsum(x[::-1])[::-1], [0.0]])
-    tail.flags.writeable = False
-    return tail
+    """T with T[k] = sum of x[k:], T[x.size] = 0, summed from the back."""
+    return np.concatenate([np.cumsum(x[::-1])[::-1], [0.0]])
 
 
 def _square_tail(x: np.ndarray, name: str) -> np.ndarray:
     """`suffix_sum(x**2)`; ValueError where it overflows: no level compared with it is exact."""
-    with np.errstate(over="ignore"):
-        tail = suffix_sum(x**2)
+    tail = suffix_sum(x**2)
     if not tail[0] < math.inf:  # the sum of every term bounds all the others
         raise ValueError(f"sums of {name}^2 overflow (D={x.size})")
     return tail
@@ -63,6 +82,7 @@ def _square_tail(x: np.ndarray, name: str) -> np.ndarray:
 class DenseProblem:
     """A discretized forward operator with known solution.
 
+    Both are stored read-only (`readonly`), like `SpectralProblem`'s vectors.
     Its exact data `g_true` is derived from the two; analytic data formulas,
     where known, serve only as validation oracles for the quadrature.
     """
@@ -72,6 +92,8 @@ class DenseProblem:
     f_true: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "matrix", readonly(self.matrix))
+        object.__setattr__(self, "f_true", readonly(self.f_true))
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError(f"{self.name}: matrix must be square")
         if self.matrix.shape[0] < 2:
@@ -80,12 +102,10 @@ class DenseProblem:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{self.name}: non-finite entries")
 
-    @cached_property
+    @memoised
     def g_true(self) -> np.ndarray:
-        """The exact data `matrix @ f_true`, read-only, formed on first use."""
-        g = self.matrix @ self.f_true
-        g.flags.writeable = False
-        return g
+        """The exact data `matrix @ f_true`."""
+        return self.matrix @ self.f_true
 
 
 @dataclass(frozen=True)
@@ -132,48 +152,37 @@ class SpectralProblem:
     def size(self) -> int:
         return int(self.sigma.size)
 
-    @cached_property
+    @memoised
     def inv_sigma_sq_cumsum(self) -> np.ndarray:
-        """w with w[j] = sum of sigma_i^(-2) over i <= j (zero-based), read-only.
+        """w with w[j] = sum of sigma_i^(-2) over i <= j (zero-based).
 
-        Built on first use and memoised, which is valid because `sigma` is
-        read-only. A sequential cumulative sum of a prefix equals the prefix
-        of this one, so a problem cut to its first m coefficients gets the
-        same bits. Entries past the largest double are inf.
+        A sequential cumulative sum of a prefix equals the prefix of this one,
+        so a problem cut to its first m coefficients gets the same bits.
+        Entries past the largest double are inf.
         """
-        with np.errstate(over="ignore"):
-            w = np.cumsum(self.sigma ** (-2.0))
-        w.flags.writeable = False
-        return w
+        return np.cumsum(self.sigma ** (-2.0))
 
-    @cached_property
+    @memoised
     def truth_tail(self) -> np.ndarray:
-        """`suffix_sum(x_true**2)`: the bias of every truncation level, read-only.
-
-        Built on first use and memoised, which is valid because `x_true` is
-        read-only. Raises ValueError when the sum overflows.
-        """
+        """`suffix_sum(x_true**2)`: the bias of every level; ValueError when it overflows."""
         return _square_tail(self.x_true, "x_true")
 
-    @cached_property
+    @memoised
     def y_clean(self) -> np.ndarray:
-        """The clean data sigma * x_true, read-only and memoised.
+        """The clean data sigma * x_true.
 
         The problem is the only owner of its clean data: every observation of it
         reads this array, so the product is formed once per problem, not once
         per replicate.
         """
-        y = self.sigma * self.x_true
-        y.flags.writeable = False
-        return y
+        return self.sigma * self.x_true
 
-    @cached_property
+    @memoised
     def clean_tail(self) -> np.ndarray:
-        """`suffix_sum(y_clean**2)`: the image-space bias of every level, read-only.
+        """`suffix_sum(y_clean**2)`: the image-space bias of every level.
 
         Shared by the weak oracle and the image-space error profile of every
-        observation. Built on first use and memoised, which is valid because
-        `y_clean` is read-only. Raises ValueError when the sum overflows.
+        observation. Raises ValueError when the sum overflows.
         """
         return _square_tail(self.y_clean, "y_clean")
 
@@ -188,8 +197,8 @@ _LOWER_BOUNDS = {"depth": 0.0, "kappa_heat": 0.0, "q": 0.0, "truth_power": 0.5}
 
 
 def _check_count(name: str, value, least: int):
-    """ValueError unless value is an integer (Python's or numpy's) of at least `least`."""
-    if not isinstance(value, (int, np.integer)) or value < least:
+    """ValueError unless value is an integer (Python's or numpy's, not a bool) >= `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"need an integer {name} >= {least}, got {value!r}")
 
 
@@ -204,6 +213,8 @@ def _discretize(name: str, a: float, b: float, n: int, kernel, solution) -> Dens
     t, h = _midpoints(a, b, n)
     matrix = h * kernel(t[:, None], t[None, :])
     f_true = math.sqrt(h) * solution(t)
+    for a in (matrix, f_true):  # nobody else holds them: freeze, so `readonly` keeps them
+        a.flags.writeable = False
     return DenseProblem(name, matrix, f_true)
 
 

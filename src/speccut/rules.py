@@ -14,7 +14,9 @@ Every defining inequality is inclusive, minimal elements are taken from the
 defining sets, and k = 0 is always admitted. All selectors are invariant under
 rescaling the truth, y_obs and delta by a common positive factor. Overflow
 follows one rule: an infinite value stands for a finite one only where it
-exceeds everything it is compared with. So a threshold factor whose square
+exceeds everything it is compared with. The memoised sums the rules read are
+formed with overflow warnings off (`problems.memoised`), and each reader
+decides what an inf in them means. So a threshold factor whose square
 overflows admits every level (the exact level 0), and a variance term that
 overflows outweighs every finite bias (`det_strong`, the oracles' noise sums
 and the error profiles); sums of data or of the bias that overflow raise
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import SpectralProblem
+from .problems import SpectralProblem, _check_count
 from .sequence_model import (
     NoisyObservation,
     _check_delta,
@@ -202,7 +204,8 @@ def dp_at_m(obs: NoisyObservation, tau: float, m: int) -> int:
     sqrt(sum_{j=k+1..m} y_obs_j^2), is at most tau sqrt(m) delta.
     """
     _check_fudge("tau", tau)
-    if not 1 <= m <= obs.size:
+    _check_count("m", m, 1)
+    if m > obs.size:
         raise ValueError(f"m={m} outside [1, {obs.size}]")
     return _residual_level(obs, tau, m)
 
@@ -312,7 +315,8 @@ def empirical_sup_deviation(z: np.ndarray, kappa_idx: int) -> float:
     rows (R, D) gives one deviation per row.
     """
     D = z.shape[-1]
-    if not 1 <= kappa_idx <= D:
+    _check_count("kappa_idx", kappa_idx, 1)
+    if kappa_idx > D:
         raise ValueError(f"kappa_idx={kappa_idx} outside [1, {D}]")
     means = np.multiply(z, z, dtype=float)  # float also for integer z
     means -= 1.0  # in place: one row (D = 10^4 in verify) can be wider than a row block

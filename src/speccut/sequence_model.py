@@ -14,7 +14,9 @@ tail sums; the observation stores y_obs read-only and memoises the sums that
 several rules and error profiles read, each built once per observation: the
 prefix sums of y_obs^2, of the noise (y_obs - y_clean)^2 and of the amplified
 noise (y_obs / sigma - x_true)^2, and the strong error profile, which adds
-the truth's tail sums to the last. An observation holds one row (D,) or a
+the truth's tail sums to the last. Like the problem's sums they are
+`problems.memoised`: formed with overflow warnings off, and each reader
+decides what an inf in them means. An observation holds one row (D,) or a
 block of R rows (R, D) of one problem and noise level; every sum and profile
 works along the last axis, row by row, with the same floating-point
 operations as for one row. The prefix sums of y_obs^2 raise ValueError when
@@ -26,11 +28,10 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .problems import SpectralProblem, readonly
+from .problems import SpectralProblem, _check_count, memoised, readonly
 
 
 @dataclass(frozen=True)
@@ -100,54 +101,42 @@ class NoisyObservation:
         """The resolution D, the length of each row."""
         return int(self.y_obs.shape[-1])
 
-    @cached_property
+    @memoised
     def prefix_sq(self) -> np.ndarray:
-        """S with S[..., k] = sum of y_obs_j^2 over j <= k, S[..., 0] = 0; read-only.
+        """S with S[..., k] = sum of y_obs_j^2 over j <= k, S[..., 0] = 0.
 
         Each row is nondecreasing, so its last entry bounds all others: the
         sums raise ValueError when that entry overflows, instead of giving
-        levels past D. Shared by every residual rule. Built on first use and
-        memoised, which is valid because `y_obs` is read-only.
+        levels past D. Shared by every residual rule.
         """
-        with np.errstate(over="ignore"):
-            S = _prefix_sq(self.y_obs)
+        S = _prefix_sq(self.y_obs)
         if not (S[..., -1] < math.inf).all():  # a sum of squares is finite when below inf
             raise ValueError(f"sums of y_obs^2 overflow (D={self.size}, delta={self.delta})")
-        S.flags.writeable = False
         return S
 
-    @cached_property
+    @memoised
     def noise_prefix_sq(self) -> np.ndarray:
-        """N with N[..., k] = sum of (y_obs_j - problem.y_clean_j)^2 over j <= k; read-only.
+        """N with N[..., k] = sum of (y_obs_j - problem.y_clean_j)^2 over j <= k.
 
         The accumulated image-space variance, shared by the weak oracle and the
-        image-space error profile. Memoised like `prefix_sq`.
+        image-space error profile; an infinite variance outweighs every finite bias.
         """
-        with np.errstate(over="ignore"):  # an infinite variance outweighs every finite bias
-            N = _cumsum0((self.y_obs - self.problem.y_clean) ** 2)
-        N.flags.writeable = False
-        return N
+        return _cumsum0((self.y_obs - self.problem.y_clean) ** 2)
 
-    @cached_property
+    @memoised
     def amplified_noise_sq(self) -> np.ndarray:
-        """A with A[..., k] = sum of (y_obs_j / sigma_j - x_true_j)^2 over j <= k; read-only.
+        """A with A[..., k] = sum of (y_obs_j / sigma_j - x_true_j)^2 over j <= k.
 
         The realized solution-space variance of the strong oracle and the strong
-        error profile, memoised like `prefix_sq`.
+        error profile; inf as in `noise_prefix_sq`.
         """
         p = self.problem
-        with np.errstate(over="ignore"):  # as in `noise_prefix_sq`
-            A = _cumsum0((self.y_obs / p.sigma - p.x_true) ** 2)
-        A.flags.writeable = False
-        return A
+        return _cumsum0((self.y_obs / p.sigma - p.x_true) ** 2)
 
-    @cached_property
+    @memoised
     def strong_sq(self) -> np.ndarray:
-        """`strong_error_sq_profile`: `amplified_noise_sq` plus the bias, memoised like it."""
-        with np.errstate(over="ignore"):
-            out = self.amplified_noise_sq + self.problem.truth_tail
-        out.flags.writeable = False
-        return out
+        """`strong_error_sq_profile`: `amplified_noise_sq` plus the bias."""
+        return self.amplified_noise_sq + self.problem.truth_tail
 
 
 def sample_noise(model: NoiseModel, D: int, seed: int | Sequence[int]) -> np.ndarray:
@@ -156,11 +145,13 @@ def sample_noise(model: NoiseModel, D: int, seed: int | Sequence[int]) -> np.nda
     A sequence of seeds gives an (R, D) block with one row per seed, in order;
     each row is drawn from its own seed alone, straight into its place.
     """
-    if D < 1:
-        raise ValueError(f"need D >= 1, got {D}")
-    one = isinstance(seed, (int, np.integer))
-    rows = np.empty(D if one else (len(seed), D))
-    for row, s in zip(rows.reshape(-1, D), [seed] if one else seed):
+    _check_count("D", D, 1)
+    one = np.ndim(seed) == 0
+    seeds = [seed] if one else seed
+    for s in seeds:
+        _check_count("seed", s, 0)
+    rows = np.empty(D if one else (len(seeds), D))
+    for row, s in zip(rows.reshape(-1, D), seeds):
         rng = np.random.default_rng(int(s))
         if model.kind == "gaussian":
             rng.standard_normal(out=row)

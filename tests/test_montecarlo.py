@@ -450,6 +450,10 @@ def test_example1_counterexample_frequency():
     for delta in (1e-153, 1e-160, 5e-324):
         with pytest.raises(ValueError, match=f"^delta must lie .* got {delta}$"):
             example1_frequency(1.2, delta, 100, seed=1)
+    for name, replicates, seed in (("replicates", 2.5, 1), ("replicates", 0, 1),
+                                   ("seed", 2, 1.5), ("seed", 2, -1)):
+        with pytest.raises(ValueError, match=f"^need an integer {name} >= "):
+            example1_frequency(1.2, 1e-2, replicates, seed)
 
 
 def test_counterexample_tail_value():
@@ -480,8 +484,15 @@ def test_prop2_check_edge_cases():
         with pytest.raises(ValueError):
             prop2_check(NoiseModel(), 100, 10, epsilon, 10, seed=5)
     for replicates in (0, -3):  # not a division by zero or a negative dimension
-        with pytest.raises(ValueError, match="replicates must be >= 1"):
+        with pytest.raises(ValueError, match="^need an integer replicates >= 1, got "):
             prop2_check(NoiseModel(), 100, 10, 0.1, replicates, seed=1)
+    # counts and seeds that are not integers are rejected before numpy sees them
+    for name, D, kappa_idx, replicates, seed in (
+        ("replicates", 50, 10, 5.5, 1), ("D", 50.5, 10, 5, 1), ("kappa_idx", 50, 10.5, 5, 1),
+        ("seed", 50, 10, 5, 1.5), ("replicates", 50, 10, True, 1),
+    ):
+        with pytest.raises(ValueError, match=f"^need an integer {name} >= "):
+            prop2_check(NoiseModel(), D, kappa_idx, 0.3, replicates, seed)
 
 
 # --------------------------------------------------------------------------
@@ -812,20 +823,26 @@ def test_one_replicate_builds_each_shared_sum_once(monkeypatch):
 
 def test_memoised_sums_are_read_only():
     p = build_synthetic(120, "poly", q=2.0, truth_power=1.0)
-    for seed in (3, [3, 4, 5]):
+    holders = [problems.build_phillips(16), p]
+    for seed in (3, [3, 4, 5]):  # a row and a block
         obs = observe(p, 1e-2, NoiseModel(), seed)
         dp_modified(obs, 1.5)
         # the sums built for tau = 1.5 give the same levels for tau = 2.0 as fresh ones
         assert np.array_equal(combined(obs, 2.0, 1.2), combined(fresh(obs), 2.0, 1.2))
         assert np.array_equal(early_stop(obs, tau=1.2), early_stop(fresh(obs), tau=1.2))
         assert np.array_equal(dp_modified(obs, 2.0), dp_modified(fresh(obs), 2.0))
-        strong = strong_error_sq_profile(obs)
-        assert strong_error_sq_profile(obs) is strong
-        assert np.array_equal(strong, strong_error_sq_profile(fresh(obs)))
-        memoised = (
-            obs.prefix_sq, obs.noise_prefix_sq, obs.amplified_noise_sq, strong, p.y_clean,
-            p.clean_tail, p.truth_tail,
-        )
-        for arr in memoised:
+        assert np.array_equal(strong_error_sq_profile(obs), strong_error_sq_profile(fresh(obs)))
+        holders.append(obs)
+    # every memo of every holder, found by its type, so a memo added later is checked too
+    for holder in holders:
+        names = [name for name, attr in vars(type(holder)).items()
+                 if isinstance(attr, functools.cached_property)]
+        assert names, type(holder)
+        for name in names:
+            arr = getattr(holder, name)
+            assert getattr(holder, name) is arr and not arr.flags.writeable, name
             with pytest.raises(ValueError):
                 arr[..., 0] = 1.0
+    # and every memo is made by `problems.memoised`, which states the one memo rule
+    for path in Path(problems.__file__).parent.glob("*.py"):
+        assert "@cached_property" not in path.read_text(), path

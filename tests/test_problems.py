@@ -109,7 +109,7 @@ def test_heat_kernel_vanishes_at_origin():
 @pytest.mark.parametrize("builder", ALL_BUILDERS)
 def test_builder_rejects_tiny_dimension(builder):
     # a count that is not an integer would silently build another grid, or fail in numpy
-    for bad in (1, 10.5, 2.0, "8"):
+    for bad in (1, 10.5, 2.0, "8", True):
         with pytest.raises(ValueError, match="^need an integer n >= 2, got "):
             builder(bad)
     assert builder(np.int64(4)).matrix.shape == (4, 4)
@@ -120,6 +120,22 @@ def test_gravity_heat_reject_bad_parameters():
         build_gravity(8, depth=0.0)
     with pytest.raises(ValueError):
         build_heat(8, kappa_heat=-1.0)
+
+
+@pytest.mark.parametrize("builder", ALL_BUILDERS)
+def test_builders_store_their_arrays_uncopied(builder, monkeypatch):
+    readonly, kept = problems.readonly, []
+
+    def spy(a):
+        out = readonly(a)
+        kept.append(out is a)
+        return out
+
+    monkeypatch.setattr(problems, "readonly", spy)
+    p = builder(16)
+    assert kept == [True, True]  # matrix and f_true: no n x n copy raises the build's peak
+    again = DenseProblem(p.name, p.matrix, p.f_true)
+    assert again.matrix is p.matrix and again.f_true is p.f_true
 
 
 @pytest.mark.parametrize("builder", ALL_BUILDERS)
@@ -165,6 +181,19 @@ def test_problem_is_immune_to_later_writes():
     for arr in (p.sigma, p.x_true, p.truth_tail, q.inv_sigma_sq_cumsum):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+    # a dense problem guards its arrays alike, so its exact data cannot go stale
+    d = build_phillips(8)
+    g = d.g_true.copy()
+    for arr in (d.matrix, d.f_true):
+        with pytest.raises(ValueError):
+            arr[4, ...] += 1.0
+    assert np.array_equal(d.g_true, g) and np.array_equal(d.g_true, d.matrix @ d.f_true)
+    writeable = np.diag([2.0, 1.0])
+    e = DenseProblem("x", writeable, np.ones(2))
+    writeable[0, 0] = 5.0
+    assert np.array_equal(e.matrix, np.diag([2.0, 1.0])) and np.array_equal(e.g_true, [2.0, 1.0])
+    lists = DenseProblem("x", [[2.0, 0.0], [0.0, 1.0]], [1.0, 1.0])  # taken, as by `SpectralProblem`
+    assert np.array_equal(spectralize(lists).sigma, [2.0, 1.0])
 
 
 def test_exp_spectrum_stops_where_sigma_inverse_square_overflows():
@@ -308,7 +337,7 @@ def test_make_problem_dispatch():
             ProblemSpec(name, 16)
     # a size that is not an integer is rejected before it builds another problem
     for name, size in (("synthetic-poly", 3.5), ("phillips", 10.5), ("direct", 4.5),
-                       ("heat", 1), ("direct", 0)):
+                       ("heat", 1), ("direct", 0), ("synthetic-poly", True), ("direct", True)):
         with pytest.raises(ValueError, match="^need an integer size >= "):
             ProblemSpec(name, size)
     assert make_problem(ProblemSpec("direct", np.int64(5))).size == 5

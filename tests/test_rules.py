@@ -130,6 +130,9 @@ def test_dp_at_m_examples():
         dp_at_m(direct_obs([1.0, 2.0]), 1.5, 3)
     with pytest.raises(ValueError):
         dp_at_m(direct_obs([1.0, 2.0]), 1.0, 2)
+    for m in (1.5, 2.0, 0):
+        with pytest.raises(ValueError, match="^need an integer m >= 1, got "):
+            dp_at_m(direct_obs([1.0, 2.0]), 1.5, m)
 
 
 def test_dp_modified_examples():
@@ -434,6 +437,9 @@ def test_empirical_sup_deviation_examples():
     assert empirical_sup_deviation(np.array([2, 0]), 1) == 3.0
     with pytest.raises(ValueError):
         empirical_sup_deviation(np.ones(5), 6)
+    for kappa_idx in (2.0, 0, True):
+        with pytest.raises(ValueError, match="^need an integer kappa_idx >= 1, got "):
+            empirical_sup_deviation(np.ones(5), kappa_idx)
 
 
 # --------------------------------------------------------------------------

@@ -60,6 +60,12 @@ def test_non_finite_noise_parameters_rejected():
     for delta in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             NoisyObservation(p, np.ones(3), delta)
+    # counts and seeds that are not integers fail here, not in numpy
+    for name, D, seed in (("D", 2.5, 1), ("D", 0, 1), ("D", True, 1), ("seed", 3, 1.5),
+                          ("seed", 3, -1), ("seed", 3, [1, 2.5]), ("seed", 3, False),
+                          ("seed", 3, np.array(5))):
+        with pytest.raises(ValueError, match=f"^need an integer {name} >= "):
+            sample_noise(GAUSS, D, seed)
 
 
 def test_rademacher_support():
