@@ -29,8 +29,12 @@ from functools import cached_property, wraps
 import numpy as np
 
 
-class DecompositionError(RuntimeError):
-    """Dense SVD failed to converge or the operator is numerically zero."""
+class DecompositionError(ValueError):
+    """Dense SVD failed to converge or the operator is numerically zero.
+
+    A ValueError, as numpy's `LinAlgError` is: the operator built from these
+    parameters has no usable factorization.
+    """
 
 
 def readonly(a) -> np.ndarray:
@@ -65,6 +69,18 @@ def memoised(method) -> cached_property:
     return cached_property(form)
 
 
+def _square(x: float) -> float:
+    """x ** 2, or inf where the square of the float overflows a double.
+
+    Python's float power raises OverflowError there. The power is kept because
+    `x * x` rounds differently from `x ** 2` for some doubles.
+    """
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def suffix_sum(x: np.ndarray) -> np.ndarray:
     """T with T[k] = sum of x[k:], T[x.size] = 0, summed from the back."""
     return np.concatenate([np.cumsum(x[::-1])[::-1], [0.0]])
@@ -96,8 +112,11 @@ class DenseProblem:
         object.__setattr__(self, "f_true", readonly(self.f_true))
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError(f"{self.name}: matrix must be square")
-        if self.matrix.shape[0] < 2:
+        n = self.matrix.shape[0]
+        if n < 2:
             raise ValueError(f"{self.name}: need dimension >= 2")
+        if self.f_true.shape != (n,):
+            raise ValueError(f"{self.name}: f_true must be a vector of length {n}")
         for arr in (self.matrix, self.f_true):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{self.name}: non-finite entries")
@@ -203,15 +222,23 @@ def _check_count(name: str, value, least: int):
 
 
 def _check_parameter(name: str, value: float):
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
     if value <= _LOWER_BOUNDS[name]:
         raise ValueError(f"{name} must exceed {_LOWER_BOUNDS[name]}, got {value}")
 
 
 def _discretize(name: str, a: float, b: float, n: int, kernel, solution) -> DenseProblem:
-    """Midpoint quadrature of kernel(s, t) and solution(t) on n cells of [a, b]."""
+    """Midpoint quadrature of kernel(s, t) and solution(t) on n cells of [a, b].
+
+    The kernel is evaluated with floating-point warnings off: an entry no double
+    holds is inf or NaN, which `DenseProblem` rejects, and a kernel that
+    vanishes everywhere is a zero operator, which `spectralize` rejects.
+    """
     _check_count("n", n, 2)
     t, h = _midpoints(a, b, n)
-    matrix = h * kernel(t[:, None], t[None, :])
+    with np.errstate(all="ignore"):
+        matrix = h * kernel(t[:, None], t[None, :])
     f_true = math.sqrt(h) * solution(t)
     for a in (matrix, f_true):  # nobody else holds them: freeze, so `readonly` keeps them
         a.flags.writeable = False
@@ -259,7 +286,7 @@ def build_gravity(n: int, depth: float = 0.25) -> DenseProblem:
     """
     _check_parameter("depth", depth)
     return _discretize(
-        "gravity", 0.0, 1.0, n, lambda s, t: depth * (depth**2 + (s - t) ** 2) ** (-1.5),
+        "gravity", 0.0, 1.0, n, lambda s, t: depth * (_square(depth) + (s - t) ** 2) ** (-1.5),
         lambda t: np.sin(np.pi * t) + 0.5 * np.sin(2.0 * np.pi * t),
     )
 
@@ -270,7 +297,7 @@ def _heat_kernel(u: np.ndarray, kappa_heat: float) -> np.ndarray:
     pos = u > 0.0
     up = u[pos]
     out[pos] = up ** (-1.5) / (2.0 * kappa_heat * math.sqrt(math.pi)) * np.exp(
-        -1.0 / (4.0 * kappa_heat**2 * up)
+        -1.0 / (4.0 * _square(kappa_heat) * up)
     )
     return out
 
@@ -393,6 +420,8 @@ class ProblemSpec:
         for param in _BOUNDED_PARAMETERS.get(self.name, ()):
             _check_parameter(param, getattr(self, param))
         if self.name == "direct":  # its largest truth entry is 1 or size ** -truth_power
+            if not math.isfinite(self.truth_power):
+                raise ValueError(f"truth_power must be finite, got {self.truth_power}")
             try:
                 float(self.size) ** -self.truth_power
             except OverflowError:

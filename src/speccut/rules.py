@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import SpectralProblem, _check_count
+from .problems import SpectralProblem, _check_count, _check_parameter, _square
 from .sequence_model import (
     NoisyObservation,
     _check_delta,
@@ -128,29 +128,18 @@ def constants(
     )
     c_cor = None
     if q is not None:
-        if not math.isfinite(q):
-            raise ValueError(f"decay exponent q must be finite, got {q}")
+        _check_parameter("q", q)  # the bound `build_synthetic` applies
         if c_q is None or C_q is None or not (0 < c_q <= C_q and math.isfinite(C_q)):
             raise ValueError("polynomial-spectrum constant needs finite 0 < c_q <= C_q")
+        try:
+            growth = 9.0 ** (1.0 + q)
+        except OverflowError:
+            raise ValueError(f"9^(1+q) overflows for decay exponent q={q}") from None
         c_cor = max(
             math.sqrt(2.0) * ((tau + 1.0) / (tau - 1.0) + 1.0),
-            math.sqrt(2.0)
-            + (2.0 * tau + 1.0) * math.sqrt(9.0 ** (1.0 + q) * (1.0 + q) * C_q / c_q * 4.0),
+            math.sqrt(2.0) + (2.0 * tau + 1.0) * math.sqrt(growth * (1.0 + q) * C_q / c_q * 4.0),
         )
     return TheoremConstants(tau, a_tau, b_tau, c_weak, c_strong, c_cor)
-
-
-def _square(x: float) -> float:
-    """x ** 2, or inf where the square of the float overflows a double.
-
-    Python's float power raises OverflowError there. As a threshold factor, inf
-    admits every level, which is the exact answer. The power is kept because
-    `x * x` rounds differently from `x ** 2` for some doubles.
-    """
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
 
 
 def _level(k):

@@ -195,6 +195,23 @@ def test_overflowing_balancing_sums_fail_without_tables(tmp_path, capsys):
     assert json.loads((out / "single.json").read_text())["k_by_rule"]["bal"] == 0
 
 
+def test_unbuildable_problems_end_on_one_error_line(tmp_path, capsys):
+    # parameters the parser accepts whose kernel or factorization no double can carry
+    out = tmp_path / "never"
+    small = ["bench", "--size", "8", "--replicates", "2", "--out", str(out)]
+    for problem in (
+        ["--problem", "gravity", "--depth", "1e200"],
+        ["--problem", "heat", "--kappa-heat", "1e300"],
+        ["--problem", "heat", "--kappa-heat", "1e-200"],
+    ):
+        capsys.readouterr()
+        assert cli.main(small + problem) == 1, problem
+        captured = capsys.readouterr()
+        # one error line: no traceback, and no numpy warning before it
+        assert captured.err.startswith("error: bench: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+
+
 def test_overflowing_factors_and_data(tmp_path, capsys):
     small = ["bench", "--problem", "synthetic-poly", "--size", "16", "--replicates", "2"]
     # a threshold factor whose square overflows gives the exact level 0
@@ -416,19 +433,55 @@ def test_oracle_check_rows_equal_scalar_rules(monkeypatch):
     assert result.passed and result.detail == "0/300 replicates violated an exact inequality"
 
 
+# Each check of the battery and the name it reports, in report order.
+VERIFY_CHECKS = {
+    "check_lepski_dp_identity": "lepski_dp_identity",
+    "check_dp_bruteforce": "dp_bruteforce_equivalence",
+    "check_scaling_invariance": "scaling_invariance",
+    "check_oracle_inequalities": "oracle_orderings",
+    "check_thm1_frequency": "thm1_frequency",
+    "check_cor1_efficiency": "cor1_efficiency",
+    "check_example1": "example1_counterexample",
+    "check_moment_bounds": "moment_bounds",
+}
+
+
 def test_verify_report_names():
     results = cli.verification_battery(quick=True)
-    names = [r.name for r in results]
-    assert names == [
-        "lepski_dp_identity",
-        "dp_bruteforce_equivalence",
-        "scaling_invariance",
-        "oracle_orderings",
-        "thm1_frequency",
-        "cor1_efficiency",
-        "example1_counterexample",
-        "moment_bounds",
-    ]
+    assert [r.name for r in results] == list(VERIFY_CHECKS.values())
+
+
+def test_verify_factors_first_and_reports_in_order(monkeypatch):
+    # the one dense factorization runs before the replicate loops have used the heap
+    calls = []
+    for func, name in VERIFY_CHECKS.items():
+        def stub(*args, name=name, **kwargs):
+            calls.append(name)
+            return cli.CheckResult(name, True, "")
+
+        monkeypatch.setattr(cli, func, stub)
+    results = cli.verification_battery(quick=True)
+    assert calls[0] == "thm1_frequency" and sorted(calls) == sorted(VERIFY_CHECKS.values())
+    assert [r.name for r in results] == list(VERIFY_CHECKS.values())
+
+
+@pytest.mark.parametrize(
+    "check, count",
+    [
+        ("check_lepski_dp_identity", "instances"),
+        ("check_dp_bruteforce", "instances"),
+        ("check_scaling_invariance", "instances"),
+        ("check_oracle_inequalities", "replicates"),
+        ("check_thm1_frequency", "replicates"),
+        ("check_cor1_efficiency", "replicates"),
+        ("check_example1", "replicates"),
+        ("check_moment_bounds", "replicates"),
+    ],
+)
+def test_verify_checks_reject_an_empty_run(check, count):
+    # "0/0 agreements" would read as a pass
+    with pytest.raises(ValueError, match=f"^need an integer {count} >= 1, got 0$"):
+        getattr(cli, check)(**{count: 0})
 
 
 def test_preset_fills_size_and_replicates():

@@ -194,6 +194,9 @@ def test_problem_is_immune_to_later_writes():
     assert np.array_equal(e.matrix, np.diag([2.0, 1.0])) and np.array_equal(e.g_true, [2.0, 1.0])
     lists = DenseProblem("x", [[2.0, 0.0], [0.0, 1.0]], [1.0, 1.0])  # taken, as by `SpectralProblem`
     assert np.array_equal(spectralize(lists).sigma, [2.0, 1.0])
+    for f_true in (np.ones(3), np.ones((2, 1))):  # checked up front, as `SpectralProblem`'s vectors
+        with pytest.raises(ValueError, match="^x: f_true must be a vector of length 2$"):
+            DenseProblem("x", np.eye(2), f_true)
 
 
 def test_exp_spectrum_stops_where_sigma_inverse_square_overflows():
@@ -230,6 +233,25 @@ def test_synthetic_rejects_bad_arguments():
     assert build_synthetic(np.int32(3), "poly", q=1.0).size == 3
     with pytest.raises(ValueError):
         build_synthetic(4, "wavelet")
+
+
+def test_problem_parameters_must_be_finite():
+    # rejected by name up front, not by what building or factoring then trips over
+    for name, param, bad in (
+        ("gravity", "depth", math.nan), ("heat", "kappa_heat", math.inf),
+        ("synthetic-poly", "q", math.inf), ("synthetic-poly", "truth_power", math.nan),
+        ("synthetic-exp", "truth_power", math.inf), ("direct", "truth_power", -math.inf),
+    ):
+        with pytest.raises(ValueError, match=f"^{param} must be finite, got "):
+            ProblemSpec(name, 8, **{param: bad})
+    for build, param in (
+        (lambda: build_gravity(8, depth=math.nan), "depth"),
+        (lambda: build_heat(8, kappa_heat=math.inf), "kappa_heat"),
+        (lambda: build_synthetic(8, "poly", q=math.inf), "q"),
+        (lambda: build_synthetic(8, "poly", q=1.0, truth_power=math.nan), "truth_power"),
+    ):
+        with pytest.raises(ValueError, match=f"^{param} must be finite, got "):
+            build()
 
 
 def test_decompose_identity():

@@ -427,6 +427,16 @@ def test_constants_arithmetic():
             constants(**bad)
 
 
+def test_constants_reject_decay_exponents_they_cannot_evaluate():
+    # q <= 0 is the bound `build_synthetic` applies; 9^(1+q) overflows a double past q ~ 322
+    for q, message in ((0.0, "exceed 0.0"), (-2.0, "exceed 0.0"), (math.inf, "be finite")):
+        with pytest.raises(ValueError, match=f"^q must {message}, got "):
+            constants(1.5, q=q, c_q=1.0, C_q=1.0)
+    with pytest.raises(ValueError, match="q=1000000.0"):
+        constants(1.5, q=1e6, c_q=1.0, C_q=1.0)
+    assert math.isfinite(constants(1.5, q=300.0, c_q=1.0, C_q=1.0).c_tau_cor)
+
+
 def test_empirical_sup_deviation_examples():
     assert empirical_sup_deviation(np.ones(5), 1) == 0.0
     assert empirical_sup_deviation(np.array([2.0, 0.0]), 1) == 3.0
