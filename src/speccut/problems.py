@@ -211,7 +211,8 @@ def _midpoints(a: float, b: float, n: int) -> tuple[np.ndarray, float]:
     return a + h * (np.arange(n) + 0.5), h
 
 
-# The value each problem parameter must exceed; builders and `ProblemSpec` check it.
+# The value each problem parameter must exceed; builders and `ProblemSpec` check it, and
+# that the parameter is finite.
 _LOWER_BOUNDS = {"depth": 0.0, "kappa_heat": 0.0, "q": 0.0, "truth_power": 0.5}
 
 
