@@ -61,6 +61,7 @@ from .rules import (
     select_all,
 )
 from .sequence_model import (
+    NOISE_KINDS,
     NoiseModel,
     NoisyObservation,
     observe,
@@ -481,16 +482,21 @@ def _finite(text: str) -> float:
 def _add_common(sub):
     sub.add_argument("--problem", choices=PROBLEM_NAMES, default="phillips")
     sub.add_argument("--size", type=int, default=None, help="discretization dimension D")
-    sub.add_argument("--depth", type=_finite, default=0.25, help="gravity source depth")
-    sub.add_argument("--kappa-heat", dest="kappa_heat", type=_finite, default=1.0)
-    sub.add_argument("--q", type=_finite, default=2.0, help="polynomial spectrum decay exponent")
-    sub.add_argument("--truth-power", dest="truth_power", type=_finite, default=1.0)
-    sub.add_argument("--deltas", type=_parse_deltas, default=[1e0, 1e-2, 1e-4, 1e-6])
-    sub.add_argument("--tau", type=_finite, default=1.5)
-    sub.add_argument("--kappa", type=_finite, default=4.0)
-    sub.add_argument("--tau-min", dest="tau_min", type=_finite, default=1.0)
-    sub.add_argument("--seed", type=int, default=20240717)
-    sub.add_argument("--noise", choices=("gaussian", "rademacher"), default="gaussian")
+    sub.add_argument(
+        "--depth", type=_finite, default=ProblemSpec.depth, help="gravity source depth"
+    )
+    sub.add_argument("--kappa-heat", type=_finite, default=ProblemSpec.kappa_heat)
+    sub.add_argument(
+        "--q", type=_finite, default=ProblemSpec.q, help="polynomial spectrum decay exponent"
+    )
+    sub.add_argument("--truth-power", type=_finite, default=ProblemSpec.truth_power)
+    # a list, as a parsed --deltas is: `_metadata` writes lists comma-joined
+    sub.add_argument("--deltas", type=_parse_deltas, default=list(ExperimentConfig.deltas))
+    sub.add_argument("--tau", type=_finite, default=RuleConfig.tau)
+    sub.add_argument("--kappa", type=_finite, default=RuleConfig.kappa)
+    sub.add_argument("--tau-min", type=_finite, default=RuleConfig.tau_min)
+    sub.add_argument("--seed", type=int, default=ExperimentConfig.base_seed)
+    sub.add_argument("--noise", choices=NOISE_KINDS, default=NoiseModel.kind)
     sub.add_argument("--out", default="results")
     sub.add_argument("--preset", choices=tuple(PRESETS), default="paper")
 
@@ -543,8 +549,9 @@ def main(argv: list[str] | None = None) -> int:
     run = {"bench": run_bench, "verify": run_verify, "single": run_single}[args.subcommand]
     try:
         return run(args)
-    except (ValueError, OSError) as exc:  # data the rules cannot evaluate, an unwritable --out
-        print(f"error: {args.subcommand}: {exc}", file=sys.stderr)
+    # data the rules cannot evaluate, an unwritable --out, a problem too large for memory
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {args.subcommand}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

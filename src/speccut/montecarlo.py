@@ -29,13 +29,19 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .problems import EXP_MAX_SIZE, ProblemSpec, _check_count, build_synthetic, make_problem
+from .problems import (
+    EXP_MAX_SIZE,
+    ProblemSpec,
+    _check_count,
+    _check_parameter,
+    build_synthetic,
+    make_problem,
+)
 from .rules import (
     RULE_NAMES,
     RuleConfig,
     TheoremConstants,
     _balancing_level,
-    _check_fudge,
     empirical_sup_deviation,
     select_all,
 )
@@ -49,13 +55,16 @@ from .sequence_model import (
 )
 
 
-# Entries per (R, width) array of a row block: 16,381 doubles, 131,048 bytes, the largest
-# request glibc's malloc serves from its heap under the default 128 KiB M_MMAP_THRESHOLD
-# (mallopt(3)). Every array a block allocates has a size fixed by (R, D), never by the data,
-# so each block reuses the heap the one before it freed. With larger arrays (2^15 entries),
-# or with `combined`'s thresholds sized by the data, glibc gave that memory back after a
-# block and refaulted it in the next, on some inputs or on all: up to 26 minor page faults
-# per replicate more than one-row blocks, against about 1 here.
+# Entries per (R, width) array of a row block: 16,381 doubles, 131,048 bytes. In a program
+# that imports speccut, that is the largest request glibc's malloc serves from its heap under
+# the default 128 KiB M_MMAP_THRESHOLD (mallopt(3)). `cli.main` frees a 4 MiB array first,
+# which raises that threshold to 4 MiB, so under the command line the size rests on timing:
+# perfbench's `mc-synthetic` ran faster with blocks of 24,576 to 49,152 entries in only 5 to
+# 8 of 10 paired runs. Every array a block allocates has a size fixed by (R, D), never by the
+# data, so each block reuses the heap the one before it freed. Under the default thresholds,
+# with larger arrays (2^15 entries) or with `combined`'s thresholds sized by the data, glibc
+# gave that memory back after a block and refaulted it in the next, on some inputs or on
+# all: up to 26 minor page faults per replicate more than one-row blocks, against about 1 here.
 _BLOCK_ELEMENTS = 16381
 
 
@@ -80,11 +89,11 @@ class ExperimentConfig:
     def __post_init__(self):
         deltas = tuple(float(d) for d in self.deltas)
         object.__setattr__(self, "deltas", deltas)
-        if not deltas or not all(math.isfinite(d) and d > 0 for d in deltas):
-            raise ValueError("deltas must be nonempty, positive and finite")
-        if len(set(deltas)) != len(deltas):
-            # summarize groups replicates by delta, so a repeat would merge two rows
-            raise ValueError(f"deltas must be distinct, got {deltas}")
+        for delta in deltas:
+            _check_parameter("delta", delta)
+        # summarize groups replicates by delta, so a repeat would merge two rows
+        if not deltas or len(set(deltas)) != len(deltas):
+            raise ValueError(f"deltas must be nonempty and distinct, got {deltas}")
         _check_count("replicates", self.replicates, 1)
         # SeedSequence would reject a bad seed only after the problem is built
         _check_count("base_seed", self.base_seed, 0)
@@ -239,8 +248,8 @@ def boxplot_stats(samples: np.ndarray) -> BoxplotStats:
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ValueError("no samples")
-    if np.isnan(x).any():
-        raise ValueError("samples contain NaN")
+    if not np.isfinite(x).all():
+        raise ValueError("samples must be finite")
     q25, median, q75 = _quartiles(x)
     iqr = q75 - q25
     lo_fence, hi_fence = q25 - 1.5 * iqr, q75 + 1.5 * iqr
@@ -322,7 +331,7 @@ def counterexample_tail_prob(kappa: float) -> float:
     Lower-bounds the failure probability of the solution-space comparison rule
     on the exponential spectrum with zero truth, for any fixed kappa > 1.
     """
-    _check_fudge("kappa", kappa)
+    _check_parameter("kappa", kappa)
     return math.erfc(math.e * kappa / math.sqrt(2.0))
 
 
@@ -334,7 +343,7 @@ def example1_frequency(kappa: float, delta: float, replicates: int, seed: int) -
     inside the horizon. The spectrum needs D <= EXP_MAX_SIZE, which bounds
     delta below by about e^(-349.5), or 1.6e-152.
     """
-    _check_fudge("kappa", kappa)
+    _check_parameter("kappa", kappa)
     # log(delta^-2) as -2 log(delta): delta^-2 itself overflows below about 1.5e-154
     D = math.ceil(-2.0 * math.log(delta)) + 10 if 0 < delta <= math.exp(-1.0) else 0
     if not 0 < D <= EXP_MAX_SIZE:
@@ -368,14 +377,11 @@ def prop2_check(
     kappa_idx exceeds epsilon, mean absolute deviation at kappa_idx divided by
     epsilon). The first should not exceed the second beyond sampling noise.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    _check_parameter("epsilon", epsilon)
     _check_count("D", D, 1)
-    _check_count("kappa_idx", kappa_idx, 1)
+    _check_count("kappa_idx", kappa_idx, 1, D)
     _check_count("replicates", replicates, 1)
     _check_count("seed", seed, 0)
-    if kappa_idx > D:
-        raise ValueError(f"kappa_idx={kappa_idx} outside [1, {D}]")
     ss = np.random.SeedSequence(seed)
     seeds = ss.generate_state(replicates, dtype=np.uint64)
     exceed = 0

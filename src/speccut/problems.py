@@ -211,15 +211,20 @@ def _midpoints(a: float, b: float, n: int) -> tuple[np.ndarray, float]:
     return a + h * (np.arange(n) + 0.5), h
 
 
-# The value each problem parameter must exceed; builders and `ProblemSpec` check it, and
-# that the parameter is finite.
-_LOWER_BOUNDS = {"depth": 0.0, "kappa_heat": 0.0, "q": 0.0, "truth_power": 0.5}
+# The value each real parameter must exceed, checked with its finiteness by `_check_parameter`:
+# the problems' parameters, the rules' tau and kappa, the noise level and `prop2_check`'s epsilon.
+_LOWER_BOUNDS = {
+    "depth": 0.0, "kappa_heat": 0.0, "q": 0.0, "truth_power": 0.5,
+    "tau": 1.0, "kappa": 1.0, "delta": 0.0, "epsilon": 0.0,
+}
 
 
-def _check_count(name: str, value, least: int):
-    """ValueError unless value is an integer (Python's or numpy's, not a bool) >= `least`."""
+def _check_count(name: str, value, least: int, most: int | None = None):
+    """ValueError unless value is an integer (Python's or numpy's, not a bool) in [least, most]."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"need an integer {name} >= {least}, got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"{name}={value} outside [{least}, {most}]")
 
 
 def _check_parameter(name: str, value: float):
@@ -227,6 +232,34 @@ def _check_parameter(name: str, value: float):
         raise ValueError(f"{name} must be finite, got {value}")
     if value <= _LOWER_BOUNDS[name]:
         raise ValueError(f"{name} must exceed {_LOWER_BOUNDS[name]}, got {value}")
+
+
+@dataclass(frozen=True)
+class ProblemSpec:
+    """Named recipe for a problem; its defaults are the builders', the harness's and the CLI's."""
+
+    name: str
+    size: int
+    depth: float = 0.25
+    kappa_heat: float = 1.0
+    q: float = 2.0
+    truth_power: float = 1.0
+
+    def __post_init__(self):  # what the builders reject is rejected here, before any work
+        if self.name not in PROBLEM_NAMES:
+            raise ValueError(f"unknown problem {self.name!r}; known: {', '.join(PROBLEM_NAMES)}")
+        _check_count("size", self.size, 2 if self.name in DENSE_BUILDERS else 1)
+        if self.name == "synthetic-exp":
+            _check_exp_size(self.size)
+        for param in _BOUNDED_PARAMETERS.get(self.name, ()):
+            _check_parameter(param, getattr(self, param))
+        if self.name == "direct":  # its largest truth entry is 1 or size ** -truth_power
+            if not math.isfinite(self.truth_power):
+                raise ValueError(f"truth_power must be finite, got {self.truth_power}")
+            try:
+                float(self.size) ** -self.truth_power
+            except OverflowError:
+                raise ValueError(f"truth_power {self.truth_power} overflows at size {self.size}")
 
 
 def _discretize(name: str, a: float, b: float, n: int, kernel, solution) -> DenseProblem:
@@ -279,7 +312,7 @@ def deriv2_exact_data(n: int) -> np.ndarray:
     return math.sqrt(h) * (s**3 - s) / 6.0
 
 
-def build_gravity(n: int, depth: float = 0.25) -> DenseProblem:
+def build_gravity(n: int, depth: float = ProblemSpec.depth) -> DenseProblem:
     """Gravity surveying problem on [0, 1]: k(s, t) = depth (depth^2 + (s-t)^2)^(-3/2).
 
     f(t) = sin(pi t) + 0.5 sin(2 pi t). Larger depth smooths the kernel and
@@ -303,7 +336,7 @@ def _heat_kernel(u: np.ndarray, kappa_heat: float) -> np.ndarray:
     return out
 
 
-def build_heat(n: int, kappa_heat: float = 1.0) -> DenseProblem:
+def build_heat(n: int, kappa_heat: float = ProblemSpec.kappa_heat) -> DenseProblem:
     """Inverse heat (Volterra convolution) problem on [0, 1].
 
     Lower-triangular matrix from the causal kernel; the solution is a smooth
@@ -330,7 +363,7 @@ def _check_exp_size(D: int):
 def build_synthetic(
     D: int,
     spectrum: str = "poly",
-    q: float = 1.0,
+    q: float = ProblemSpec.q,
     truth: np.ndarray | None = None,
     truth_power: float | None = None,
 ) -> SpectralProblem:
@@ -399,34 +432,6 @@ def spectralize(p: DenseProblem) -> SpectralProblem:
     r = int(np.count_nonzero(s > RANK_TOL * s[0]))  # s is nonincreasing: a leading run
     x_true = factors.v[:, :r].T @ p.f_true
     return SpectralProblem(p.name, s[:r], x_true)
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Named recipe for a problem, used by the experiment harness and CLI."""
-
-    name: str
-    size: int
-    depth: float = 0.25
-    kappa_heat: float = 1.0
-    q: float = 2.0
-    truth_power: float = 1.0
-
-    def __post_init__(self):  # what the builders reject is rejected here, before any work
-        if self.name not in PROBLEM_NAMES:
-            raise ValueError(f"unknown problem {self.name!r}; known: {', '.join(PROBLEM_NAMES)}")
-        _check_count("size", self.size, 2 if self.name in DENSE_BUILDERS else 1)
-        if self.name == "synthetic-exp":
-            _check_exp_size(self.size)
-        for param in _BOUNDED_PARAMETERS.get(self.name, ()):
-            _check_parameter(param, getattr(self, param))
-        if self.name == "direct":  # its largest truth entry is 1 or size ** -truth_power
-            if not math.isfinite(self.truth_power):
-                raise ValueError(f"truth_power must be finite, got {self.truth_power}")
-            try:
-                float(self.size) ** -self.truth_power
-            except OverflowError:
-                raise ValueError(f"truth_power {self.truth_power} overflows at size {self.size}")
 
 
 DENSE_BUILDERS = {

@@ -60,18 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import SpectralProblem, _check_count, _check_parameter, _square
-from .sequence_model import (
-    NoisyObservation,
-    _check_delta,
-    _cumsum0,
-    _prefix_sq,
-    strong_error_sq_profile,
-)
-
-
-def _check_fudge(name: str, value: float):
-    if not (math.isfinite(value) and value > 1):
-        raise ValueError(f"{name} must be finite and exceed 1, got {value}")
+from .sequence_model import NoisyObservation, _cumsum0, _prefix_sq, strong_error_sq_profile
 
 
 @dataclass(frozen=True)
@@ -83,8 +72,8 @@ class RuleConfig:
     tau_min: float = 1.0
 
     def __post_init__(self):
-        _check_fudge("tau", self.tau)
-        _check_fudge("kappa", self.kappa)
+        _check_parameter("tau", self.tau)
+        _check_parameter("kappa", self.kappa)
         if not 1 <= self.tau_min < self.tau:
             raise ValueError(f"need 1 <= tau_min < tau, got tau_min={self.tau_min}")
 
@@ -119,7 +108,7 @@ def constants(
     The polynomial-spectrum constant c_tau_cor needs the decay exponent q and
     the spectrum envelope constants 0 < c_q <= C_q; it is left None otherwise.
     """
-    _check_fudge("tau", tau)
+    _check_parameter("tau", tau)
     a_tau = ((tau + 1.0) / (tau - 1.0)) ** 2
     b_tau = (3.0 * tau + 1.0) ** 2 / 4.0
     c_weak = math.sqrt(6.0) * math.sqrt(1.5 * (a_tau + 1.0) + b_tau)
@@ -192,10 +181,8 @@ def dp_at_m(obs: NoisyObservation, tau: float, m: int) -> int:
     Smallest k in [0, m] whose residual over the first m coefficients,
     sqrt(sum_{j=k+1..m} y_obs_j^2), is at most tau sqrt(m) delta.
     """
-    _check_fudge("tau", tau)
-    _check_count("m", m, 1)
-    if m > obs.size:
-        raise ValueError(f"m={m} outside [1, {obs.size}]")
+    _check_parameter("tau", tau)
+    _check_count("m", m, 1, obs.size)
     return _residual_level(obs, tau, m)
 
 
@@ -205,7 +192,7 @@ def dp_modified(obs: NoisyObservation, tau: float) -> int:
     Returns the largest per-m discrepancy choice over m in [1, D], found with
     one search.
     """
-    _check_fudge("tau", tau)
+    _check_parameter("tau", tau)
     return _max_level(obs.prefix_sq, _thresholds(obs, tau))
 
 
@@ -223,7 +210,7 @@ def balancing(obs: NoisyObservation, kappa: float) -> int:
     overflowing (kappa delta)^2 with nonzero weights gives infinite
     thresholds, which is exact.
     """
-    _check_fudge("kappa", kappa)
+    _check_parameter("kappa", kappa)
     return _balancing_level(obs.problem, obs.y_obs, obs.delta, kappa)[0]
 
 
@@ -252,7 +239,7 @@ def early_stop(obs: NoisyObservation, *, tau: float = 1.0) -> int:
     return _residual_level(obs, tau, obs.size)
 
 
-def combined(obs: NoisyObservation, tau: float, tau_min: float = 1.0) -> int:
+def combined(obs: NoisyObservation, tau: float, tau_min: float = RuleConfig.tau_min) -> int:
     """Maximize the per-m discrepancy choice only up to a sequential stopping level.
 
     The stopping level m_max is `early_stop` with threshold factor tau_min;
@@ -285,13 +272,13 @@ def oracle_strong(obs: NoisyObservation) -> int:
 
 def det_weak(p: SpectralProblem, delta: float) -> int:
     """Deterministic counterpart of the weak oracle: expected variance delta^2 k."""
-    _check_delta(delta)
+    _check_parameter("delta", delta)
     return _first_level(_cumsum0(np.full(p.size, _square(delta))), p.clean_tail)
 
 
 def det_strong(p: SpectralProblem, delta: float) -> int:
     """Deterministic counterpart of the strong oracle: expected variance delta^2 sum sigma^(-2)."""
-    _check_delta(delta)
+    _check_parameter("delta", delta)
     with np.errstate(over="ignore"):  # an infinite variance term exceeds every finite bias
         return _first_level(_cumsum0((delta / p.sigma) ** 2), p.truth_tail)
 
@@ -301,18 +288,22 @@ def empirical_sup_deviation(z: np.ndarray, kappa_idx: int) -> float:
 
     This is the quantity whose reverse-martingale maximal bound controls how
     far squared residual sums can drift from their expectation. A block of
-    rows (R, D) gives one deviation per row.
+    rows (R, D) gives one deviation per row. Raises ValueError where a
+    deviation is not finite.
     """
+    z = np.asarray(z)
+    if z.ndim not in (1, 2):
+        raise ValueError(f"z must be one row (D,) or a block (R, D), got shape {z.shape}")
     D = z.shape[-1]
-    _check_count("kappa_idx", kappa_idx, 1)
-    if kappa_idx > D:
-        raise ValueError(f"kappa_idx={kappa_idx} outside [1, {D}]")
+    _check_count("kappa_idx", kappa_idx, 1, D)
     means = np.multiply(z, z, dtype=float)  # float also for integer z
     means -= 1.0  # in place: one row (D = 10^4 in verify) can be wider than a row block
     np.cumsum(means, axis=-1, out=means)
     means /= np.arange(1, D + 1)
     tail = means[..., kappa_idx - 1 :]
     dev = np.max(np.abs(tail, out=tail), axis=-1)
+    if not np.isfinite(dev).all():  # a NaN or inf entry reaches its row's deviation
+        raise ValueError("running-mean deviation is not finite: z has NaN or huge entries")
     return dev if dev.ndim else float(dev)
 
 

@@ -31,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import SpectralProblem, _check_count, memoised, readonly
+from .problems import SpectralProblem, _check_count, _check_parameter, memoised, readonly
+
+NOISE_KINDS = ("gaussian", "rademacher")
 
 
 @dataclass(frozen=True)
@@ -41,13 +43,8 @@ class NoiseModel:
     kind: str = "gaussian"
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "rademacher"):
+        if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-
-
-def _check_delta(delta: float):
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be positive and finite, got {delta}")
 
 
 def _cumsum0(x: np.ndarray) -> np.ndarray:
@@ -87,7 +84,7 @@ class NoisyObservation:
     delta: float
 
     def __post_init__(self):
-        _check_delta(self.delta)
+        _check_parameter("delta", self.delta)
         y = readonly(self.y_obs)
         if not np.isfinite(y).all():
             raise ValueError("y_obs has non-finite entries")
@@ -143,11 +140,14 @@ def sample_noise(model: NoiseModel, D: int, seed: int | Sequence[int]) -> np.nda
     """Draw D independent unit-variance noise coordinates, reproducibly.
 
     A sequence of seeds gives an (R, D) block with one row per seed, in order;
-    each row is drawn from its own seed alone, straight into its place.
+    each row is drawn from its own seed alone, straight into its place. An
+    empty sequence is rejected.
     """
     _check_count("D", D, 1)
     one = np.ndim(seed) == 0
     seeds = [seed] if one else seed
+    if not len(seeds):
+        raise ValueError("need at least one seed, got an empty sequence of seeds")
     for s in seeds:
         _check_count("seed", s, 0)
     rows = np.empty(D if one else (len(seeds), D))
@@ -170,7 +170,7 @@ def observe(
     bit-identical to `observe(p, delta, model, seed[i]).y_obs`. The noise is
     `sample_noise(model, p.size, seed)`, scaled and shifted in place.
     """
-    _check_delta(delta)
+    _check_parameter("delta", delta)
     y_obs = sample_noise(model, p.size, seed)
     y_obs *= delta  # in place: y_clean + delta * z's bits, with no array for z kept
     y_obs += p.y_clean

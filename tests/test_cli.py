@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from speccut import cli
-from speccut.montecarlo import run_experiment
-from speccut.problems import build_synthetic
+from speccut import cli, problems
+from speccut.montecarlo import ExperimentConfig, run_experiment
+from speccut.problems import ProblemSpec, build_synthetic
 from speccut.rules import RULE_NAMES, RuleConfig, select_all
 from speccut.sequence_model import (
     NoiseModel,
@@ -209,6 +209,23 @@ def test_unbuildable_problems_end_on_one_error_line(tmp_path, capsys):
         captured = capsys.readouterr()
         # one error line: no traceback, and no numpy warning before it
         assert captured.err.startswith("error: bench: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+
+
+def test_problem_too_large_for_memory_ends_on_one_error_line(tmp_path, capsys, monkeypatch):
+    # numpy's message where the dense grid's matrix does not fit; nothing is allocated here
+    message = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+    out = tmp_path / "never"
+    argv = ["bench", "--problem", "phillips", "--size", "100000", "--replicates", "1",
+            "--out", str(out)]
+    for error, shown in ((MemoryError(message), message), (MemoryError(), "MemoryError")):
+        def build_phillips(n):
+            raise error
+
+        monkeypatch.setattr(problems, "build_phillips", build_phillips)
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bench: {shown}\n"
         assert captured.out == "" and not out.exists()
 
 
@@ -492,3 +509,14 @@ def test_preset_fills_size_and_replicates():
     args = parser.parse_args(["bench", "--preset", "desk", "--size", "64"])
     cli._apply_preset(args)
     assert args.size == 64 and args.replicates == 200
+
+
+def test_flag_defaults_are_the_configuration_defaults():
+    # each default is read from the configuration class that checks it
+    parser = cli.build_parser()
+    args = parser.parse_args(["bench"])
+    cli._apply_preset(args)
+    size, replicates = cli.PRESETS["paper"]
+    expected = ExperimentConfig(ProblemSpec("phillips", size), replicates=replicates)
+    assert cli._experiment_config(args) == expected
+    assert isinstance(args.deltas, list)  # as a parsed --deltas is: `_metadata` joins lists

@@ -342,8 +342,10 @@ def test_boxplot_convention():
     assert b.q25 == 2.0 and b.median == 3.0 and b.q75 == 4.0
     assert b.whisker_lo == 1.0 and b.whisker_hi == 4.0
     assert b.outliers == (100.0,)
-    for bad in ([], [1.0, math.nan]):
-        with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^no samples$"):
+        boxplot_stats(np.array([]))
+    for bad in ([1.0, math.nan], [1.0, math.inf], [-math.inf, 2.0, 3.0]):
+        with pytest.raises(ValueError, match="^samples must be finite$"):
             boxplot_stats(np.array(bad))
 
 
@@ -461,8 +463,40 @@ def test_counterexample_tail_value():
     assert counterexample_tail_prob(1.05) == pytest.approx(4.3e-3, rel=0.05)
     # a kappa the rule rejects has no tail bound: not 1.993 at -1, 1.0 at 0, or nan
     for kappa in (-1.0, 0.0, 1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="kappa must be finite and exceed 1"):
+        with pytest.raises(ValueError, match="^kappa must (be finite|exceed 1.0), got "):
             counterexample_tail_prob(kappa)
+
+
+def test_bounded_reals_are_checked_by_one_rule():
+    # tau and kappa must exceed 1, delta and epsilon 0, and each be finite: one check, one
+    # message for every function that takes them
+    p = build_synthetic(8, "poly", q=2.0, truth_power=1.0)
+    obs = observe(p, 0.1, NoiseModel(), 1)
+    takers = {
+        "tau": (
+            lambda x: RuleConfig(tau=x), constants, lambda x: rules.dp_at_m(obs, x, 4),
+            lambda x: dp_modified(obs, x),
+        ),
+        "kappa": (
+            lambda x: RuleConfig(kappa=x), lambda x: balancing(obs, x), counterexample_tail_prob,
+            lambda x: example1_frequency(x, 1e-2, 10, 1),
+        ),
+        "delta": (
+            lambda x: NoisyObservation(p, obs.y_obs, x), lambda x: observe(p, x, NoiseModel(), 1),
+            lambda x: rules.det_weak(p, x), lambda x: rules.det_strong(p, x),
+            lambda x: ExperimentConfig(ProblemSpec("direct", 4), deltas=(1e-2, x)),
+        ),
+        "epsilon": (lambda x: prop2_check(NoiseModel(), 8, 2, x, 10, 1),),
+    }
+    for name, calls in takers.items():
+        bound = problems._LOWER_BOUNDS[name]
+        for call in calls:
+            for bad in (bound, bound - 0.5):
+                with pytest.raises(ValueError, match=f"^{name} must exceed {bound}, got {bad}$"):
+                    call(bad)
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
+                    call(bad)
 
 
 def test_prop2_check_gaussian():

@@ -115,6 +115,19 @@ def test_builder_rejects_tiny_dimension(builder):
     assert builder(np.int64(4)).matrix.shape == (4, 4)
 
 
+def test_builders_default_to_the_problem_spec():
+    # each builder's parameter defaults to `ProblemSpec`'s, so both build the same problem
+    for name, build in (
+        ("gravity", build_gravity), ("heat", build_heat),
+        ("synthetic-poly", lambda n: build_synthetic(n, truth_power=ProblemSpec.truth_power)),
+    ):
+        direct, via_spec = build(16), make_problem(ProblemSpec(name, 16))
+        if name != "synthetic-poly":
+            direct = spectralize(direct)
+        assert np.array_equal(direct.sigma, via_spec.sigma)
+        assert np.array_equal(direct.x_true, via_spec.x_true)
+
+
 def test_gravity_heat_reject_bad_parameters():
     with pytest.raises(ValueError):
         build_gravity(8, depth=0.0)
@@ -266,6 +279,26 @@ def test_decompose_sorted_diagonal():
     d = np.diag([3.0, 2.0, 1.0])
     p = DenseProblem("diag", d, np.ones(3))
     assert np.array_equal(decompose(p).s, [3.0, 2.0, 1.0])
+
+
+def test_decompose_falls_back_to_gesvd(monkeypatch):
+    import scipy.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    p = build_heat(32)  # not symmetric: the left and right factors differ
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    f = decompose(p)
+    scale = np.linalg.norm(p.matrix)
+    assert np.linalg.norm(p.matrix - f.u @ np.diag(f.s) @ f.v.T) <= 1e-10 * scale
+    assert np.all(np.diff(f.s) <= 0.0)
+    lead = np.argmax(np.abs(f.u), axis=0)
+    assert np.all(f.u[lead, np.arange(f.u.shape[1])] > 0.0)
+    # when gesvd fails too, the problem has no usable factorization
+    monkeypatch.setattr(scipy.linalg, "svd", no_convergence)
+    with pytest.raises(DecompositionError, match="^SVD of 'heat' did not converge$"):
+        decompose(p)
 
 
 @pytest.mark.parametrize("builder", ALL_BUILDERS)

@@ -452,6 +452,21 @@ def test_empirical_sup_deviation_examples():
             empirical_sup_deviation(np.ones(5), kappa_idx)
 
 
+def test_empirical_sup_deviation_rejects_what_it_cannot_evaluate():
+    # a list is converted, as an array is
+    assert empirical_sup_deviation([2.0, 0.0], 1) == 3.0
+    assert empirical_sup_deviation([[2.0, 0.0], [1.0, 1.0]], 1).tolist() == [3.0, 0.0]
+    for z in (np.float64(2.0), np.ones((2, 2, 3))):
+        with pytest.raises(ValueError, match=r"^z must be one row \(D,\) or a block \(R, D\)"):
+            empirical_sup_deviation(z, 1)
+    # a non-finite entry reaches every later running mean, so also the deviation past kappa_idx
+    for bad in (math.nan, math.inf, -math.inf):
+        row = np.array([1.0, bad, 1.0, 1.0])
+        for z, kappa_idx in ((row, 1), (row, 4), (np.stack([np.ones(4), row]), 3)):
+            with pytest.raises(ValueError, match="^running-mean deviation is not finite"):
+                empirical_sup_deviation(z, kappa_idx)
+
+
 # --------------------------------------------------------------------------
 # the one level search of every rule and oracle
 

@@ -68,6 +68,16 @@ def test_non_finite_noise_parameters_rejected():
             sample_noise(GAUSS, D, seed)
 
 
+def test_empty_seed_sequence_rejected():
+    # blamed on the seeds where they enter, not on the (0, D) block they would give
+    p = build_synthetic(8, "poly", q=2.0, truth_power=1.0)
+    for seeds in ([], (), range(0), np.array([], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="^need at least one seed, got an empty sequence"):
+            sample_noise(GAUSS, 4, seeds)
+        with pytest.raises(ValueError, match="^need at least one seed, got an empty sequence"):
+            observe(p, 0.1, GAUSS, seeds)
+
+
 def test_rademacher_support():
     z = sample_noise(NoiseModel("rademacher"), 1000, 7)
     assert set(np.unique(z)) == {-1.0, 1.0}
