@@ -65,7 +65,6 @@ from .sequence_model import (
     NoiseModel,
     NoisyObservation,
     observe,
-    sample_noise,
     strong_error_sq_profile,
     weak_error_sq_profile,
 )
@@ -158,12 +157,11 @@ def check_scaling_invariance(instances: int = 200) -> CheckResult:
         s = float(rng.uniform(0.6, 2.0))
         delta = float(10.0 ** rng.uniform(-3, -0.5))
         p = build_synthetic(D, "poly", q=q, truth_power=s)
-        z = sample_noise(model, D, seed + i)
-        base = _all_levels(NoisyObservation(p, p.y_clean + delta * z, delta))
+        base = _all_levels(observe(p, delta, model, seed + i))
         for c in (1e-3, 1e3):
             p2 = SpectralProblem(p.name, p.sigma, c * p.x_true)
-            obs2 = NoisyObservation(p2, p2.y_clean + (c * delta) * z, c * delta)
-            if _all_levels(obs2) != base:
+            # the same noise draw as the base observation, scaled by c * delta
+            if _all_levels(observe(p2, c * delta, model, seed + i)) != base:
                 violations += 1
                 break
     return CheckResult(
@@ -243,7 +241,7 @@ def check_cor1_efficiency(D: int = 2048, replicates: int = 200) -> CheckResult:
         ProblemSpec("synthetic-poly", D, q=2.0, truth_power=1.0), deltas=(1e-4,),
         rules=RuleConfig(tau=1.5), replicates=replicates, base_seed=271828,
     )
-    consts = constants(1.5, q=2.0, c_q=1.0, C_q=1.0)
+    consts = constants(1.5, q=2.0)
     strong, c_cor, min_strong = _theorem_sides(run_experiment(cfg), "cor1", consts)
     ratios = strong / min_strong
     med = float(np.median(ratios))

@@ -41,7 +41,7 @@ from .rules import (
     RULE_NAMES,
     RuleConfig,
     TheoremConstants,
-    _balancing_level,
+    balancing,
     empirical_sup_deviation,
     select_all,
 )
@@ -360,11 +360,12 @@ def example1_frequency(kappa: float, delta: float, replicates: int, seed: int) -
     for lo, hi in _row_blocks(replicates, D + 1):
         y = rng.standard_normal((hi - lo, D))
         y *= delta  # the truth is zero: y is the observation
-        # one prefix sum P of (y/sigma)^2 per block gives both the level and the norm
-        k, P = _balancing_level(p, y, delta, kappa)
-        # squared norm of each row's estimate: its prefix sum of (y/sigma)^2 at its level
-        hits += int(np.count_nonzero(np.take_along_axis(P, k[:, None], axis=-1) >= 1.0))
-        del y, P  # release this block before drawing the next
+        y.flags.writeable = False  # nobody else holds it: freeze, do not copy
+        obs = NoisyObservation(p, y, delta)
+        # the level and each row's squared estimate norm at it read one memoised sum
+        k = balancing(obs, kappa)
+        hits += int(np.count_nonzero(np.take_along_axis(obs.estimate_sq, k[:, None], -1) >= 1.0))
+        del y, obs  # release this block before drawing the next
     return hits / replicates
 
 

@@ -361,18 +361,14 @@ def _check_exp_size(D: int):
 
 
 def build_synthetic(
-    D: int,
-    spectrum: str = "poly",
-    q: float = ProblemSpec.q,
-    truth: np.ndarray | None = None,
-    truth_power: float | None = None,
+    D: int, spectrum: str = "poly", q: float = ProblemSpec.q, truth_power: float | None = None
 ) -> SpectralProblem:
     """Synthetic problem given directly in singular coordinates.
 
     spectrum "poly" sets sigma_j^2 = j^(-q); "exp" sets sigma_j^2 = e^(-j),
     which needs D <= EXP_MAX_SIZE so that every sigma_j^(-2) is finite.
-    The truth is either an explicit coefficient vector, a power sequence
-    j^(-truth_power) (requires truth_power > 1/2), or all zeros.
+    The truth is the power sequence j^(-truth_power) (requires truth_power >
+    1/2), or all zeros; any other truth is a `SpectralProblem` of its own.
     """
     _check_count("D", D, 1)
     j = np.arange(1, D + 1, dtype=float)
@@ -384,9 +380,7 @@ def build_synthetic(
         sigma = np.exp(-j / 2.0)
     else:
         raise ValueError(f"unknown spectrum {spectrum!r}")
-    if truth is not None:
-        x_true = truth  # `SpectralProblem` checks its length and entries
-    elif truth_power is not None:
+    if truth_power is not None:
         _check_parameter("truth_power", truth_power)
         x_true = j ** (-truth_power)
     else:

@@ -20,7 +20,7 @@ decides what an inf in them means. So a threshold factor whose square
 overflows admits every level (the exact level 0), and a variance term that
 overflows outweighs every finite bias (`det_strong`, the oracles' noise sums
 and the error profiles); sums of data or of the bias that overflow raise
-ValueError instead (`NoisyObservation.prefix_sq`, `balancing`,
+ValueError instead (`NoisyObservation.prefix_sq` and `estimate_sq`,
 `SpectralProblem.truth_tail` and `clean_tail`), and so does `balancing` where
 its weights leave a threshold undetermined.
 
@@ -42,9 +42,10 @@ prefix sums P of (y_obs/sigma)^2: the last m whose threshold g_m is the
 largest has P_m >= g_m, so every level below the search fails at that m.
 Problems and observations memoise the sums the rules share
 (`SpectralProblem`, `NoisyObservation`), so one replicate builds four
-cumulative sums for every problem (S, the prefix sum of (y_obs/sigma)^2 in
-`balancing`, the noise sum, and the amplified-noise sum of `oracle_strong`
-and the strong profile) and no suffix maximum; `dp_modified` and `combined` each
+cumulative sums for every problem, each memoised on its observation (S in
+`prefix_sq`; P, the estimates' squared norms, in `estimate_sq`; the noise
+sum; and the amplified-noise sum of `oracle_strong` and the strong profile)
+and no suffix maximum; `dp_modified` and `combined` each
 compute the thresholds they compare, both for every m in [1, D], so no array
 a rule allocates has a size that depends on the data. Callers that evaluate
 many replicates, `bench`'s replicate loop and the verify loops, pass row
@@ -97,16 +98,12 @@ class TheoremConstants:
     c_tau_cor: float | None = None
 
 
-def constants(
-    tau: float,
-    q: float | None = None,
-    c_q: float | None = None,
-    C_q: float | None = None,
-) -> TheoremConstants:
+def constants(tau: float, q: float | None = None) -> TheoremConstants:
     """Evaluate the guarantee constants for fudge parameter tau.
 
-    The polynomial-spectrum constant c_tau_cor needs the decay exponent q and
-    the spectrum envelope constants 0 < c_q <= C_q; it is left None otherwise.
+    The polynomial-spectrum constant c_tau_cor needs the decay exponent q of
+    sigma_j^2 = j^(-q), whose spectrum envelope constants are c_q = C_q = 1;
+    it is left None otherwise.
     """
     _check_parameter("tau", tau)
     a_tau = ((tau + 1.0) / (tau - 1.0)) ** 2
@@ -118,15 +115,13 @@ def constants(
     c_cor = None
     if q is not None:
         _check_parameter("q", q)  # the bound `build_synthetic` applies
-        if c_q is None or C_q is None or not (0 < c_q <= C_q and math.isfinite(C_q)):
-            raise ValueError("polynomial-spectrum constant needs finite 0 < c_q <= C_q")
         try:
             growth = 9.0 ** (1.0 + q)
         except OverflowError:
             raise ValueError(f"9^(1+q) overflows for decay exponent q={q}") from None
         c_cor = max(
             math.sqrt(2.0) * ((tau + 1.0) / (tau - 1.0) + 1.0),
-            math.sqrt(2.0) + (2.0 * tau + 1.0) * math.sqrt(growth * (1.0 + q) * C_q / c_q * 4.0),
+            math.sqrt(2.0) + (2.0 * tau + 1.0) * math.sqrt(growth * (1.0 + q) * 4.0),
         )
     return TheoremConstants(tau, a_tau, b_tau, c_weak, c_strong, c_cor)
 
@@ -204,32 +199,22 @@ def balancing(obs: NoisyObservation, kappa: float) -> int:
     values this is Lepski's rule. With P the prefix sums of (y_obs/sigma)^2
     that is the smallest k with P_k >= g_m = P_m - (kappa delta)^2 w_m for all
     m > k: one search at M = max_m g_m, since the last m with g_m = M has
-    P_m >= M, so every k below the search fails at that m. Raises ValueError
-    when P overflows, or when w overflows while (kappa delta)^2 is finite or
-    underflows while it overflows: no level can then be told apart. An
-    overflowing (kappa delta)^2 with nonzero weights gives infinite
+    P_m >= M, so every k below the search fails at that m. P, the squared
+    norms ||x_k||^2, is memoised on the observation (`estimate_sq`). Raises
+    ValueError when P overflows, or when w overflows while (kappa delta)^2 is
+    finite or underflows while it overflows: no level can then be told apart.
+    An overflowing (kappa delta)^2 with nonzero weights gives infinite
     thresholds, which is exact.
     """
     _check_parameter("kappa", kappa)
-    return _balancing_level(obs.problem, obs.y_obs, obs.delta, kappa)[0]
-
-
-def _balancing_level(p: SpectralProblem, y: np.ndarray, delta: float, kappa: float):
-    """`balancing`'s level for data y of p, and the prefix sums P of (y/sigma)^2 it searched.
-
-    It raises what `balancing` raises.
-    """
-    factor = _square(kappa * delta)
-    w = p.inv_sigma_sq_cumsum  # nondecreasing: its ends bound every weight
+    factor = _square(kappa * obs.delta)
+    w = obs.problem.inv_sigma_sq_cumsum  # nondecreasing: its ends bound every weight
     if (factor < math.inf and w[-1] == math.inf) or (factor == math.inf and w[0] == 0.0):
-        raise ValueError(f"balancing weights overflow or underflow (delta={delta})")
+        raise ValueError(f"balancing weights overflow or underflow (delta={obs.delta})")
+    P = obs.estimate_sq
     with np.errstate(over="ignore"):
-        P = _prefix_sq(y / p.sigma)
         thresh = factor * w
-    # P is nondecreasing, so its last entry bounds every compared sum
-    if not np.isfinite(P[..., -1]).all():
-        raise ValueError(f"balancing sums overflow (D={p.size}, delta={delta})")
-    return _max_level(P, P[..., 1:] - thresh), P
+    return _max_level(P, P[..., 1:] - thresh)
 
 
 def early_stop(obs: NoisyObservation, *, tau: float = 1.0) -> int:
@@ -280,7 +265,7 @@ def det_strong(p: SpectralProblem, delta: float) -> int:
     """Deterministic counterpart of the strong oracle: expected variance delta^2 sum sigma^(-2)."""
     _check_parameter("delta", delta)
     with np.errstate(over="ignore"):  # an infinite variance term exceeds every finite bias
-        return _first_level(_cumsum0((delta / p.sigma) ** 2), p.truth_tail)
+        return _first_level(_prefix_sq(delta / p.sigma), p.truth_tail)
 
 
 def empirical_sup_deviation(z: np.ndarray, kappa_idx: int) -> float:

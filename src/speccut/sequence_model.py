@@ -11,16 +11,17 @@ resolution D.
 An observation is its problem's data: the problem, y_obs and delta. The
 problem owns the truth and the clean data y_clean = sigma * x_true with their
 tail sums; the observation stores y_obs read-only and memoises the sums that
-several rules and error profiles read, each built once per observation: the
-prefix sums of y_obs^2, of the noise (y_obs - y_clean)^2 and of the amplified
+rules, error profiles and `montecarlo` read, each built once per observation:
+the prefix sums of y_obs^2, of (y_obs / sigma)^2 (the squared norms of the
+cut-off estimates), of the noise (y_obs - y_clean)^2 and of the amplified
 noise (y_obs / sigma - x_true)^2, and the strong error profile, which adds
 the truth's tail sums to the last. Like the problem's sums they are
 `problems.memoised`: formed with overflow warnings off, and each reader
 decides what an inf in them means. An observation holds one row (D,) or a
 block of R rows (R, D) of one problem and noise level; every sum and profile
 works along the last axis, row by row, with the same floating-point
-operations as for one row. The prefix sums of y_obs^2 raise ValueError when
-they overflow a double, so no residual rule returns a level past D.
+operations as for one row. The two prefix sums of the data raise ValueError
+when they overflow a double, so no rule returns a level past D.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def _prefix_sq(y: np.ndarray) -> np.ndarray:
     """S with S[..., k] = sum of the first k squared entries of each row, S[..., 0] = 0.
 
     Callers reach it by its module-level name (here, and as `rules._prefix_sq` in
-    `balancing`), which is how `perfbench` counts prefix-sum builds per replicate.
+    `det_strong`), which is how `perfbench` counts prefix-sum builds per replicate.
     """
     return _cumsum0(y * y)
 
@@ -110,6 +111,18 @@ class NoisyObservation:
         if not (S[..., -1] < math.inf).all():  # a sum of squares is finite when below inf
             raise ValueError(f"sums of y_obs^2 overflow (D={self.size}, delta={self.delta})")
         return S
+
+    @memoised
+    def estimate_sq(self) -> np.ndarray:
+        """E with E[..., k] = ||x_k||^2 = sum of (y_obs_j / sigma_j)^2 over j <= k.
+
+        The squared norms of the cut-off estimates, searched by `balancing`.
+        Nondecreasing like `prefix_sq`, and it raises ValueError alike.
+        """
+        E = _prefix_sq(self.y_obs / self.problem.sigma)
+        if not (E[..., -1] < math.inf).all():
+            raise ValueError(f"balancing sums overflow (D={self.size}, delta={self.delta})")
+        return E
 
     @memoised
     def noise_prefix_sq(self) -> np.ndarray:

@@ -195,7 +195,7 @@ def replicate_values(cols):
 
 def test_reductions_agree_on_columns_and_lists(small_records):
     records = replicate_values(small_records)
-    consts = constants(1.5, q=2.0, c_q=1.0, C_q=1.0)
+    consts = constants(1.5, q=2.0)
     # groups of unequal size (25 and 5 replicates), and interleaved noise levels
     for subset in (slice(None), slice(30), slice(None, None, -3)):
         cols, rows = small_records[subset], records[subset]
@@ -381,7 +381,8 @@ def test_boxplot_degenerate_constant():
 def zero_noise_records(D=30, delta=1e-6, scale=10.0):
     # strong signal, vanishing noise: the residual rule runs to the full
     # resolution and every error is exactly zero, so each guarantee holds
-    p = build_synthetic(D, "poly", q=2.0, truth=scale / np.arange(1.0, D + 1.0))
+    sigma = build_synthetic(D, "poly", q=2.0).sigma
+    p = SpectralProblem("synthetic-poly", sigma, scale / np.arange(1.0, D + 1.0))
     obs = NoisyObservation(p, p.sigma * p.x_true, delta)
     records = ReplicateColumns.empty(1)
     evaluate_replicate(obs, RuleConfig(), records, 0)
@@ -390,7 +391,7 @@ def zero_noise_records(D=30, delta=1e-6, scale=10.0):
 
 def test_theorem_frequency_zero_noise_fixture():
     records = zero_noise_records()
-    consts = constants(1.5, q=2.0, c_q=1.0, C_q=1.0)
+    consts = constants(1.5, q=2.0)
     assert per_rule(records.k_by_rule)["dp"] == 30
     assert theorem_frequency(records, "thm1", consts) == 1.0
     assert theorem_frequency(records, "thm2", consts) == 1.0
@@ -810,9 +811,9 @@ class CountingNumpy:
 
 
 def test_one_replicate_builds_each_shared_sum_once(monkeypatch):
-    # S, balancing's (y/sigma)^2 sum, the noise sum and the amplified-noise sum, which the
-    # strong oracle and the strong profile share, on every problem: balancing builds its
-    # own sum also where every sigma is 1
+    # S, the estimates' squared norms (balancing's (y/sigma)^2 sum), the noise sum and the
+    # amplified-noise sum, which the strong oracle and the strong profile share, on every
+    # problem: the observation memoises the estimates' norms also where every sigma is 1
     cases = [(build_synthetic(300, "poly", q=2.0, truth_power=1.0), 4),
              (make_problem(ProblemSpec("direct", 300)), 4)]
     out = ReplicateColumns.empty(1)
@@ -841,7 +842,9 @@ def test_one_replicate_builds_each_shared_sum_once(monkeypatch):
         assert counts == {"cumsum": cumsums, "suffix_sum": 0, "maximum.accumulate": 0}, p.name
         # beside its fields, the observation holds only the sums sequence_model memoises on it
         memoised = set(vars(obs)) - {field.name for field in dataclasses.fields(obs)}
-        assert memoised == {"prefix_sq", "noise_prefix_sq", "amplified_noise_sq", "strong_sq"}
+        assert memoised == {
+            "prefix_sq", "estimate_sq", "noise_prefix_sq", "amplified_noise_sq", "strong_sq"
+        }
     # c01 compares balancing with dp_modified on unit sigma: each builds one sum per block,
     # and y/1 is y, so both search the same bits; example1_frequency reads its levels and
     # norms from one sum per block

@@ -171,7 +171,9 @@ def test_synthetic_exp_spectrum():
 
 
 def test_synthetic_truth_variants():
-    explicit = build_synthetic(4, "poly", q=1.0, truth=np.array([1.0, -2.0, 0.0, 4.0]))
+    # any other truth is a problem of its own, on the same spectrum
+    sigma = build_synthetic(4, "poly", q=1.0).sigma
+    explicit = SpectralProblem("synthetic-poly", sigma, np.array([1.0, -2.0, 0.0, 4.0]))
     assert np.array_equal(explicit.x_true, [1.0, -2.0, 0.0, 4.0])
     power = build_synthetic(4, "poly", q=1.0, truth_power=1.0)
     assert np.allclose(power.x_true, [1.0, 0.5, 1.0 / 3.0, 0.25], rtol=1e-15)
@@ -181,7 +183,7 @@ def test_synthetic_truth_variants():
 
 def test_problem_is_immune_to_later_writes():
     truth = np.array([1.0, -2.0, 0.0, 4.0])
-    p = build_synthetic(4, "poly", q=1.0, truth=truth)
+    p = SpectralProblem("synthetic-poly", build_synthetic(4, "poly", q=1.0).sigma, truth)
     assert p.truth_tail[0] == 21.0
     truth[:] = 7.0
     assert np.array_equal(p.x_true, [1.0, -2.0, 0.0, 4.0]) and p.truth_tail[0] == 21.0
@@ -238,8 +240,8 @@ def test_synthetic_rejects_bad_arguments():
         build_synthetic(4, "poly", q=0.0)
     with pytest.raises(ValueError):
         build_synthetic(4, "poly", q=1.0, truth_power=0.5)
-    with pytest.raises(ValueError):
-        build_synthetic(4, "poly", q=1.0, truth=np.array([1.0, np.inf, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="^non-finite entries$"):
+        SpectralProblem("synthetic-poly", np.ones(4), np.array([1.0, np.inf, 0.0, 0.0]))
     for bad in (0, 3.5, 3.0):
         with pytest.raises(ValueError, match="^need an integer D >= 1, got "):
             build_synthetic(bad, "poly", q=1.0)

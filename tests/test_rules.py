@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speccut import sequence_model
 from speccut.problems import ProblemSpec, SpectralProblem, build_synthetic, make_problem
 from speccut.rules import (
     RULE_NAMES,
@@ -185,6 +186,30 @@ def test_balancing_rejects_overflowing_sums():
                 balancing(obs, 4.0)
             with pytest.raises(ValueError, match="overflow"):
                 select_all(obs, RuleConfig())
+
+
+def test_estimate_norms_are_memoised_on_the_observation(monkeypatch):
+    # ||x_k||^2 is S where every sigma is 1, and the strong error profile on a zero truth
+    direct, zero = make_problem(ProblemSpec("direct", 40)), build_synthetic(40, "exp")
+    for seed in (6, [6, 7]):  # a row and a 2-row block
+        for p, twin in ((direct, lambda o: o.prefix_sq), (zero, strong_error_sq_profile)):
+            obs = observe(p, 0.1, GAUSS, seed)
+            assert obs.estimate_sq.shape == twin(obs).shape
+            assert obs.estimate_sq.tobytes() == twin(obs).tobytes(), p.name
+    # balancing builds the sum once per observation, whatever kappa it is called with
+    builds = []
+    prefix_sq = sequence_model._prefix_sq
+
+    def counted(y):
+        builds.append(y.shape)
+        return prefix_sq(y)
+
+    monkeypatch.setattr(sequence_model, "_prefix_sq", counted)
+    obs = observe(zero, 0.1, GAUSS, [6, 7])
+    levels = [balancing(obs, kappa).tolist() for kappa in (1.5, 4.0)]
+    assert builds == [(2, 40)]
+    # and the memo gives each kappa the levels a fresh observation gives
+    assert levels == [balancing(on_problem(zero, obs), kappa).tolist() for kappa in (1.5, 4.0)]
 
 
 def test_balancing_threshold_overflow_admits_every_level():
@@ -408,21 +433,12 @@ def test_constants_arithmetic():
     # at tau=1.5 the first branch of the max wins: (tau+1)/(tau-1) + 1 = 6
     assert c.c_tau_strong == pytest.approx(math.sqrt(2.0) * 6.0, rel=1e-14)
     assert c.c_tau_cor is None
-    full = constants(1.5, q=2.0, c_q=1.0, C_q=1.0)
+    full = constants(1.5, q=2.0)
     expected = math.sqrt(2.0) + 4.0 * math.sqrt(9.0**3 * 3.0 * 4.0)
     assert full.c_tau_cor == pytest.approx(expected, rel=1e-14)
     with pytest.raises(ValueError):
         constants(1.0)
-    with pytest.raises(ValueError):
-        constants(1.5, q=2.0, c_q=2.0, C_q=1.0)
-    with pytest.raises(ValueError):
-        constants(1.5, q=2.0)
-    for bad in (
-        dict(tau=math.nan), dict(tau=math.inf),
-        dict(tau=1.5, q=math.nan, c_q=1.0, C_q=1.0),
-        dict(tau=1.5, q=2.0, c_q=1.0, C_q=math.inf),
-        dict(tau=1.5, q=2.0, c_q=math.nan, C_q=1.0),
-    ):
+    for bad in (dict(tau=math.nan), dict(tau=math.inf), dict(tau=1.5, q=math.nan)):
         with pytest.raises(ValueError):
             constants(**bad)
 
@@ -431,10 +447,10 @@ def test_constants_reject_decay_exponents_they_cannot_evaluate():
     # q <= 0 is the bound `build_synthetic` applies; 9^(1+q) overflows a double past q ~ 322
     for q, message in ((0.0, "exceed 0.0"), (-2.0, "exceed 0.0"), (math.inf, "be finite")):
         with pytest.raises(ValueError, match=f"^q must {message}, got "):
-            constants(1.5, q=q, c_q=1.0, C_q=1.0)
+            constants(1.5, q=q)
     with pytest.raises(ValueError, match="q=1000000.0"):
-        constants(1.5, q=1e6, c_q=1.0, C_q=1.0)
-    assert math.isfinite(constants(1.5, q=300.0, c_q=1.0, C_q=1.0).c_tau_cor)
+        constants(1.5, q=1e6)
+    assert math.isfinite(constants(1.5, q=300.0).c_tau_cor)
 
 
 def test_empirical_sup_deviation_examples():
