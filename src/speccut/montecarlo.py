@@ -61,10 +61,13 @@ from .sequence_model import (
 # which raises that threshold to 4 MiB, so under the command line the size rests on timing:
 # perfbench's `mc-synthetic` ran faster with blocks of 24,576 to 49,152 entries in only 5 to
 # 8 of 10 paired runs. Every array a block allocates has a size fixed by (R, D), never by the
-# data, so each block reuses the heap the one before it freed. Under the default thresholds,
-# with larger arrays (2^15 entries) or with `combined`'s thresholds sized by the data, glibc
-# gave that memory back after a block and refaulted it in the next, on some inputs or on
-# all: up to 26 minor page faults per replicate more than one-row blocks, against about 1 here.
+# data. Under `cli.main`, which every command and benchmark run goes through, the trim
+# threshold is raised too, so freed blocks stay resident and the next block reuses them:
+# `check_oracle_inequalities` takes 0 minor faults per call. A program that only imports
+# speccut keeps the 128 KiB trim threshold, and whether glibc gives a freed block back, to be
+# refaulted by the next, depends on how many block arrays are alive at once (an observation
+# memoises four sums): that check took about 22,400 minor faults per call there, and
+# `run_experiment` on synthetic-poly with 250 replicates 9,150 at D=1024 but 252 at D=5000.
 _BLOCK_ELEMENTS = 16381
 
 
@@ -87,10 +90,10 @@ class ExperimentConfig:
     base_seed: int = 20240717
 
     def __post_init__(self):
+        for delta in self.deltas:  # before `float`, which would turn a bool into 0.0 or 1.0
+            _check_parameter("delta", delta)
         deltas = tuple(float(d) for d in self.deltas)
         object.__setattr__(self, "deltas", deltas)
-        for delta in deltas:
-            _check_parameter("delta", delta)
         # summarize groups replicates by delta, so a repeat would merge two rows
         if not deltas or len(set(deltas)) != len(deltas):
             raise ValueError(f"deltas must be nonempty and distinct, got {deltas}")
@@ -222,19 +225,22 @@ def _mean_std(values: np.ndarray) -> tuple[float, float]:
     return mean, std
 
 
-def _quartiles(x: np.ndarray) -> tuple[float, ...]:
-    """`np.percentile(x, [25, 50, 75])` of a nonempty float array without NaN, bit for bit.
+def _quantiles(x: np.ndarray, qs: tuple[float, ...]) -> tuple[float, ...]:
+    """`np.percentile(x, 100 * q)` for each q in `qs`, of a nonempty float array without NaN.
 
-    numpy's linear method on a sorted copy s: quantile q sits at v = (n - 1) q;
-    with k = floor(v), a = s[k], b = s[k + 1] and t = v - k it is a + (b - a) t,
-    or b - (b - a)(1 - t) when t >= 1/2. For v >= n - 1 numpy takes k = -1, so
-    that a = b = s[-1]; so does this. Unlike `np.percentile`, it does not import
-    `numpy.ma` (about 1 MB of resident memory).
+    Bit for bit numpy's linear method on a sorted copy s: quantile q sits at
+    v = (n - 1) q; with k = floor(v), a = s[k], b = s[k + 1] and t = v - k it is
+    a + (b - a) t, or b - (b - a)(1 - t) when t >= 1/2. For v >= n - 1 numpy
+    takes k = -1, so that a = b = s[-1]; so does this. Its median (q = 0.5) can
+    differ from `np.median`, which averages the middle pair, in the last bit.
+    Bench's boxplot and verify's `check_cor1_efficiency` take their quantiles
+    here: unlike `np.percentile`, this does not import `numpy.ma` (about 1 MB
+    of resident memory).
     """
     s = np.sort(x).tolist()
     n = len(s)
     out = []
-    for q in (0.25, 0.5, 0.75):
+    for q in qs:
         v = (n - 1) * q
         k = -1 if v >= n - 1 else math.floor(v)
         t = v - k
@@ -250,7 +256,7 @@ def boxplot_stats(samples: np.ndarray) -> BoxplotStats:
         raise ValueError("no samples")
     if not np.isfinite(x).all():
         raise ValueError("samples must be finite")
-    q25, median, q75 = _quartiles(x)
+    q25, median, q75 = _quantiles(x, (0.25, 0.5, 0.75))
     iqr = q75 - q25
     lo_fence, hi_fence = q25 - 1.5 * iqr, q75 + 1.5 * iqr
     inside = x[(x >= lo_fence) & (x <= hi_fence)]

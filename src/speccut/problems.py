@@ -69,18 +69,6 @@ def memoised(method) -> cached_property:
     return cached_property(form)
 
 
-def _square(x: float) -> float:
-    """x ** 2, or inf where the square of the float overflows a double.
-
-    Python's float power raises OverflowError there. The power is kept because
-    `x * x` rounds differently from `x ** 2` for some doubles.
-    """
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
-
-
 def suffix_sum(x: np.ndarray) -> np.ndarray:
     """T with T[k] = sum of x[k:], T[x.size] = 0, summed from the back."""
     return np.concatenate([np.cumsum(x[::-1])[::-1], [0.0]])
@@ -228,6 +216,8 @@ def _check_count(name: str, value, least: int, most: int | None = None):
 
 
 def _check_parameter(name: str, value: float):
+    if isinstance(value, (bool, np.bool_)):  # a real number, as `_check_count` wants an integer
+        raise ValueError(f"{name} must be a real number, not a bool, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     if value <= _LOWER_BOUNDS[name]:
@@ -320,7 +310,7 @@ def build_gravity(n: int, depth: float = ProblemSpec.depth) -> DenseProblem:
     """
     _check_parameter("depth", depth)
     return _discretize(
-        "gravity", 0.0, 1.0, n, lambda s, t: depth * (_square(depth) + (s - t) ** 2) ** (-1.5),
+        "gravity", 0.0, 1.0, n, lambda s, t: depth * (depth * depth + (s - t) ** 2) ** (-1.5),
         lambda t: np.sin(np.pi * t) + 0.5 * np.sin(2.0 * np.pi * t),
     )
 
@@ -331,7 +321,7 @@ def _heat_kernel(u: np.ndarray, kappa_heat: float) -> np.ndarray:
     pos = u > 0.0
     up = u[pos]
     out[pos] = up ** (-1.5) / (2.0 * kappa_heat * math.sqrt(math.pi)) * np.exp(
-        -1.0 / (4.0 * _square(kappa_heat) * up)
+        -1.0 / (4.0 * (kappa_heat * kappa_heat) * up)
     )
     return out
 

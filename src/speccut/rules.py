@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import SpectralProblem, _check_count, _check_parameter, _square
+from .problems import SpectralProblem, _check_count, _check_parameter
 from .sequence_model import NoisyObservation, _cumsum0, _prefix_sq, strong_error_sq_profile
 
 
@@ -148,7 +148,8 @@ def _first_level(a: np.ndarray, b):
 def _thresholds(obs: NoisyObservation, tau: float) -> np.ndarray:
     """T with T[..., m-1] = S_m - tau^2 m delta^2 for every m in [1, D], per row."""
     m = np.arange(1.0, obs.size + 1)  # float counts: no int-to-float cast in the product
-    return obs.prefix_sq[..., 1:] - _square(tau * obs.delta) * m
+    t = tau * obs.delta
+    return obs.prefix_sq[..., 1:] - t * t * m
 
 
 def _residual_level(obs: NoisyObservation, c: float, m: int):
@@ -157,7 +158,8 @@ def _residual_level(obs: NoisyObservation, c: float, m: int):
     That is the smallest k with S_k >= S_m - (c delta)^2 m, for m in [1, D].
     """
     S = obs.prefix_sq
-    return _first_level(S, S[..., m, None] - _square(c * obs.delta) * m)
+    t = c * obs.delta
+    return _first_level(S, S[..., m, None] - t * t * m)
 
 
 def _max_level(S: np.ndarray, thresholds: np.ndarray, where=True):
@@ -207,7 +209,8 @@ def balancing(obs: NoisyObservation, kappa: float) -> int:
     thresholds, which is exact.
     """
     _check_parameter("kappa", kappa)
-    factor = _square(kappa * obs.delta)
+    t = kappa * obs.delta
+    factor = t * t
     w = obs.problem.inv_sigma_sq_cumsum  # nondecreasing: its ends bound every weight
     if (factor < math.inf and w[-1] == math.inf) or (factor == math.inf and w[0] == 0.0):
         raise ValueError(f"balancing weights overflow or underflow (delta={obs.delta})")
@@ -258,7 +261,7 @@ def oracle_strong(obs: NoisyObservation) -> int:
 def det_weak(p: SpectralProblem, delta: float) -> int:
     """Deterministic counterpart of the weak oracle: expected variance delta^2 k."""
     _check_parameter("delta", delta)
-    return _first_level(_cumsum0(np.full(p.size, _square(delta))), p.clean_tail)
+    return _first_level(_cumsum0(np.full(p.size, delta * delta)), p.clean_tail)
 
 
 def det_strong(p: SpectralProblem, delta: float) -> int:

@@ -212,6 +212,25 @@ def test_unbuildable_problems_end_on_one_error_line(tmp_path, capsys):
         assert captured.out == "" and not out.exists()
 
 
+def test_underflowing_gravity_depth_ends_on_non_finite_entries(tmp_path, capsys):
+    # depth^2 underflows to 0, so each diagonal entry is depth * 0^(-3/2) = inf
+    out = tmp_path / "never"
+    argv = ["bench", "--problem", "gravity", "--depth", "1e-200", "--size", "8",
+            "--replicates", "2", "--out", str(out)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: bench: gravity: non-finite entries\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_non_number_flags_are_usage_errors(capsys):
+    for flag in ("--tau", "--depth"):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["bench", flag, "abc"])
+        assert exit_info.value.code == 2
+        assert "not a number: 'abc'" in capsys.readouterr().err
+
+
 def test_problem_too_large_for_memory_ends_on_one_error_line(tmp_path, capsys, monkeypatch):
     # numpy's message where the dense grid's matrix does not fit; nothing is allocated here
     message = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
@@ -519,4 +538,3 @@ def test_flag_defaults_are_the_configuration_defaults():
     size, replicates = cli.PRESETS["paper"]
     expected = ExperimentConfig(ProblemSpec("phillips", size), replicates=replicates)
     assert cli._experiment_config(args) == expected
-    assert isinstance(args.deltas, list)  # as a parsed --deltas is: `_metadata` joins lists

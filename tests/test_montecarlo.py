@@ -349,28 +349,41 @@ def test_boxplot_convention():
             boxplot_stats(np.array(bad))
 
 
-def test_quartiles_equal_numpy_percentile_bit_for_bit():
+def test_quantiles_equal_numpy_percentile_bit_for_bit():
     rng = np.random.default_rng(2024)
+    # bench's quartiles, verify's median and 95th percentile, and a mixed, unsorted tuple
+    qs_cases = ((0.25, 0.5, 0.75), (0.5, 0.95), (0.95,), (0.95, 0.0, 0.25, 1.0, 0.5, 0.75))
     for size in (*range(1, 10), 500):
         for _ in range(40):
             ints = rng.integers(-3, 40, size).astype(float)
             floats = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9)
             for x in (ints, floats):
-                expected = np.percentile(x, [25.0, 50.0, 75.0])
-                assert np.array(montecarlo._quartiles(x)).tobytes() == expected.tobytes()
+                for qs in qs_cases:
+                    expected = np.percentile(x, [100.0 * q for q in qs])
+                    assert np.array(montecarlo._quantiles(x, qs)).tobytes() == expected.tobytes()
 
 
-def test_bench_does_not_import_numpy_ma(tmp_path):
-    # np.percentile imports numpy.ma, about 1 MB of resident memory, on first use
-    args = ["bench", "--problem", "synthetic-poly", "--size", "32", "--replicates", "3",
-            "--out", str(tmp_path)]
+def _imports_numpy_ma(args: list[str]) -> bool:
+    """Whether `cli.main(args)`, run in a fresh interpreter, leaves `numpy.ma` imported."""
     code = f"import sys; from speccut import cli; cli.main({args!r}); print('numpy.ma' in sys.modules)"
     src = str(Path(montecarlo.__file__).parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True,
         text=True, check=True,
     )
-    assert proc.stdout.splitlines()[-1] == "False"
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+def test_bench_does_not_import_numpy_ma(tmp_path):
+    # np.percentile imports numpy.ma, about 1 MB of resident memory, on first use
+    args = ["bench", "--problem", "synthetic-poly", "--size", "32", "--replicates", "3",
+            "--out", str(tmp_path)]
+    assert not _imports_numpy_ma(args)
+
+
+def test_verify_does_not_import_numpy_ma():
+    # check_cor1_efficiency's median and 95th percentile come from `_quantiles` too
+    assert not _imports_numpy_ma(["verify", "--quick"])
 
 
 def test_boxplot_degenerate_constant():
@@ -469,8 +482,8 @@ def test_counterexample_tail_value():
 
 
 def test_bounded_reals_are_checked_by_one_rule():
-    # tau and kappa must exceed 1, delta and epsilon 0, and each be finite: one check, one
-    # message for every function that takes them
+    # tau and kappa must exceed 1, delta and epsilon 0 and so on, and each be finite and not a
+    # bool (True would act as 1.0): one check, one message for every function that takes them
     p = build_synthetic(8, "poly", q=2.0, truth_power=1.0)
     obs = observe(p, 0.1, NoiseModel(), 1)
     takers = {
@@ -488,6 +501,14 @@ def test_bounded_reals_are_checked_by_one_rule():
             lambda x: ExperimentConfig(ProblemSpec("direct", 4), deltas=(1e-2, x)),
         ),
         "epsilon": (lambda x: prop2_check(NoiseModel(), 8, 2, x, 10, 1),),
+        "depth": (
+            lambda x: ProblemSpec("gravity", 8, depth=x), lambda x: problems.build_gravity(8, x),
+        ),
+        "kappa_heat": (
+            lambda x: ProblemSpec("heat", 8, kappa_heat=x), lambda x: problems.build_heat(8, x),
+        ),
+        "q": (lambda x: ProblemSpec("synthetic-poly", 8, q=x), lambda x: build_synthetic(4, q=x)),
+        "truth_power": (lambda x: ProblemSpec("synthetic-poly", 8, truth_power=x),),
     }
     for name, calls in takers.items():
         bound = problems._LOWER_BOUNDS[name]
@@ -497,6 +518,9 @@ def test_bounded_reals_are_checked_by_one_rule():
                     call(bad)
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
+                    call(bad)
+            for bad in (True, False, np.True_):
+                with pytest.raises(ValueError, match=f"^{name} must be a real number, not a bool"):
                     call(bad)
 
 

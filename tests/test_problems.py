@@ -72,6 +72,15 @@ def test_gravity_diagonal_value():
     assert np.allclose(np.diag(p.matrix), (1.0 / n) * depth**-2, rtol=1e-14)
 
 
+def test_kernel_parameters_square_by_multiplication():
+    # x ** 2 at this x is one ulp below the correctly rounded x * x, and the entries differ
+    x, h = 1.5164326388215692, 0.5
+    assert build_gravity(2, x).matrix[0, 0] == h * (x * np.array([x * x]) ** -1.5)[0]
+    u = np.array([0.5])  # s - t below the diagonal of the 2-cell grid
+    heat = u**-1.5 / (2.0 * x * math.sqrt(math.pi)) * np.exp(-1.0 / (4.0 * (x * x) * u))
+    assert build_heat(2, x).matrix[1, 0] == h * heat[0]
+
+
 def test_gravity_severely_ill_posed():
     # reference run: s40/s1 = 3.2e-12 at n=64, depth 0.25
     s = np.linalg.svd(build_gravity(64).matrix, compute_uv=False)
@@ -212,6 +221,28 @@ def test_problem_is_immune_to_later_writes():
     for f_true in (np.ones(3), np.ones((2, 1))):  # checked up front, as `SpectralProblem`'s vectors
         with pytest.raises(ValueError, match="^x: f_true must be a vector of length 2$"):
             DenseProblem("x", np.eye(2), f_true)
+
+
+def test_dense_problem_rejects_bad_shapes_and_entries():
+    for matrix in (np.ones((2, 3)), np.ones(2), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="^x: matrix must be square$"):
+            DenseProblem("x", matrix, np.ones(2))
+    with pytest.raises(ValueError, match="^x: need dimension >= 2$"):
+        DenseProblem("x", np.ones((1, 1)), np.ones(1))
+    for matrix, f_true in ((np.diag([1.0, np.inf]), np.ones(2)), (np.eye(2), [1.0, np.nan])):
+        with pytest.raises(ValueError, match="^x: non-finite entries$"):
+            DenseProblem("x", matrix, f_true)
+
+
+def test_spectral_problem_rejects_bad_shapes_and_spectra():
+    for sigma, x_true in (
+        (np.ones(3), np.ones(2)), (np.ones((2, 2)), np.ones((2, 2))), (np.ones(2), np.ones((2, 1))),
+    ):
+        with pytest.raises(ValueError, match="^sigma and x_true must be 1-d vectors of equal"):
+            SpectralProblem("x", sigma, x_true)
+    for sigma in ([], [1.0, 0.0], [1.0, -1.0], [1.0, 2.0], [2.0, 1.0, 1.5]):
+        with pytest.raises(ValueError, match="^sigma must be strictly positive and nonincreasing$"):
+            SpectralProblem("x", np.array(sigma), np.zeros(len(sigma)))
 
 
 def test_exp_spectrum_stops_where_sigma_inverse_square_overflows():

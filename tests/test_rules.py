@@ -364,6 +364,17 @@ def test_det_weak_examples():
         det_weak(p, 0.0)
 
 
+def test_thresholds_square_by_multiplication():
+    # x * x = 2.299567948083348 is correctly rounded, and x ** 2 gives 2.2995679480833475, one
+    # ulp less. Each threshold below equals its sum exactly when squared as x * x, which admits
+    # the lower level; squared as x ** 2 it would fall one ulp short and admit only the higher.
+    x = 1.5164326388215692
+    obs = NoisyObservation(unit_problem(1), np.array([x]), 1.0)  # S_1 = P_1 = x * x
+    assert dp_at_m(obs, x, 1) == dp_modified(obs, x) == early_stop(obs, tau=x) == 0
+    assert combined(obs, x, 1.0) == balancing(obs, x) == 0
+    assert det_weak(SpectralProblem("unit", np.ones(2), np.array([1.0, x])), x) == 1
+
+
 def exact_det_strong(p, delta):
     """`det_strong` in exact rational arithmetic: the first k whose variance
     delta^2 sum_{j<=k} sigma_j^-2 reaches the bias sum_{j>k} x_true_j^2."""
