@@ -2,7 +2,7 @@
 
 Subcommands:
   bench   run the Monte Carlo comparison and write error/level tables plus
-          boxplot statistics of the sequential rule (CSV or JSON)
+          boxplot statistics of the sequential rule (CSV)
   verify  run the identity, ordering, frequency, and bound checks and write a
           pass/fail report; exit status is nonzero when any check fails
   single  run one replicate at one noise level and dump its full diagnostics,
@@ -328,15 +328,7 @@ def _metadata(args) -> dict:
     return meta
 
 
-def _write_table(path: Path, header: str, rows: list[list], meta: dict, fmt: str):
-    if fmt == "json":
-        cols = header.split(",")
-        payload = {
-            "metadata": meta,
-            "rows": [dict(zip(cols, row)) for row in rows],
-        }
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        return
+def _write_table(path: Path, header: str, rows: list[list], meta: dict):
     lines = [f"# speccut {key}={meta[key]}" for key in meta] + [header]
     for row in rows:
         lines.append(",".join(str(c) if isinstance(c, (str, int)) else _fmt(c) for c in row))
@@ -386,11 +378,10 @@ def run_bench(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     err_rows, k_rows, box_rows = _summary_tables(summary)
-    ext = args.format
-    _write_table(out / f"errors.{ext}", ERRORS_HEADER, err_rows, meta, ext)
-    _write_table(out / f"ks.{ext}", KS_HEADER, k_rows, meta, ext)
-    _write_table(out / f"boxplot.{ext}", BOXPLOT_HEADER, box_rows, meta, ext)
-    print(f"wrote errors.{ext}, ks.{ext}, boxplot.{ext} to {out}")
+    _write_table(out / "errors.csv", ERRORS_HEADER, err_rows, meta)
+    _write_table(out / "ks.csv", KS_HEADER, k_rows, meta)
+    _write_table(out / "boxplot.csv", BOXPLOT_HEADER, box_rows, meta)
+    print(f"wrote errors.csv, ks.csv, boxplot.csv to {out}")
     return 0
 
 
@@ -504,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench = subs.add_parser("bench", help="Monte Carlo comparison tables")
     _add_common(bench)
     bench.add_argument("--replicates", type=int, default=None)
-    bench.add_argument("--format", choices=("csv", "json"), default="csv")
     verify = subs.add_parser("verify", help="identity/frequency/bound checks")
     verify.add_argument("--quick", action="store_true", help="reduced replicate counts")
     verify.add_argument("--out", default=None)

@@ -87,8 +87,8 @@ class DenseProblem:
     """A discretized forward operator with known solution.
 
     Both are stored read-only (`readonly`), like `SpectralProblem`'s vectors.
-    Its exact data `g_true` is derived from the two; analytic data formulas,
-    where known, serve only as validation oracles for the quadrature.
+    Analytic data formulas, where known, serve only as validation oracles for
+    the quadrature.
     """
 
     name: str
@@ -108,11 +108,6 @@ class DenseProblem:
         for arr in (self.matrix, self.f_true):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{self.name}: non-finite entries")
-
-    @memoised
-    def g_true(self) -> np.ndarray:
-        """The exact data `matrix @ f_true`."""
-        return self.matrix @ self.f_true
 
 
 @dataclass(frozen=True)

@@ -40,17 +40,14 @@ equals the choice for max_m T_m exactly: `dp_modified` and `combined` take
 the maximum threshold and search once, O(D). So does `balancing`, on the
 prefix sums P of (y_obs/sigma)^2: the last m whose threshold g_m is the
 largest has P_m >= g_m, so every level below the search fails at that m.
-Problems and observations memoise the sums the rules share
-(`SpectralProblem`, `NoisyObservation`), so one replicate builds four
-cumulative sums for every problem, each memoised on its observation (S in
-`prefix_sq`; P, the estimates' squared norms, in `estimate_sq`; the noise
-sum; and the amplified-noise sum of `oracle_strong` and the strong profile)
-and no suffix maximum; `dp_modified` and `combined` each
-compute the thresholds they compare, both for every m in [1, D], so no array
-a rule allocates has a size that depends on the data. Callers that evaluate
-many replicates, `bench`'s replicate loop and the verify loops, pass row
-blocks of at most 16,381 entries per (R, D) array (`montecarlo._row_blocks`).
-The O(D^2) literal scans survive as test oracles.
+Problems and observations memoise the sums the rules share (`SpectralProblem`;
+`NoisyObservation` says which sums a replicate builds), and no rule builds a
+suffix maximum; `dp_modified` and `combined` each compute the thresholds they
+compare, both for every m in [1, D], so no array a rule allocates has a size
+that depends on the data. Callers that evaluate many
+replicates, `bench`'s replicate loop and the verify loops, pass row blocks
+(`montecarlo._row_blocks`, sized by `_BLOCK_ELEMENTS`). The O(D^2) literal
+scans survive as test oracles.
 """
 
 from __future__ import annotations
@@ -103,15 +100,17 @@ def constants(tau: float, q: float | None = None) -> TheoremConstants:
 
     The polynomial-spectrum constant c_tau_cor needs the decay exponent q of
     sigma_j^2 = j^(-q), whose spectrum envelope constants are c_q = C_q = 1;
-    it is left None otherwise.
+    it is left None otherwise. A constant that overflows raises ValueError: as
+    an inf, c * rhs would be NaN at rhs = 0, so its inequality could not hold.
     """
     _check_parameter("tau", tau)
-    a_tau = ((tau + 1.0) / (tau - 1.0)) ** 2
-    b_tau = (3.0 * tau + 1.0) ** 2 / 4.0
+    ratio, spread = (tau + 1.0) / (tau - 1.0), 3.0 * tau + 1.0
+    a_tau = ratio * ratio
+    b_tau = spread * spread / 4.0
     c_weak = math.sqrt(6.0) * math.sqrt(1.5 * (a_tau + 1.0) + b_tau)
-    c_strong = math.sqrt(2.0) * max(
-        (tau + 1.0) / (tau - 1.0) + 1.0, 1.0 + math.sqrt(3.0 / 8.0) * (3.0 * tau + 1.0)
-    )
+    c_strong = math.sqrt(2.0) * max(ratio + 1.0, 1.0 + math.sqrt(3.0 / 8.0) * spread)
+    if not all(map(math.isfinite, (a_tau, b_tau, c_weak, c_strong))):
+        raise ValueError(f"guarantee constants overflow for tau={tau}")
     c_cor = None
     if q is not None:
         _check_parameter("q", q)  # the bound `build_synthetic` applies
@@ -120,9 +119,11 @@ def constants(tau: float, q: float | None = None) -> TheoremConstants:
         except OverflowError:
             raise ValueError(f"9^(1+q) overflows for decay exponent q={q}") from None
         c_cor = max(
-            math.sqrt(2.0) * ((tau + 1.0) / (tau - 1.0) + 1.0),
+            math.sqrt(2.0) * (ratio + 1.0),
             math.sqrt(2.0) + (2.0 * tau + 1.0) * math.sqrt(growth * (1.0 + q) * 4.0),
         )
+        if not math.isfinite(c_cor):
+            raise ValueError(f"c_tau_cor overflows for tau={tau}, q={q}")
     return TheoremConstants(tau, a_tau, b_tau, c_weak, c_strong, c_cor)
 
 

@@ -11,17 +11,14 @@ resolution D.
 An observation is its problem's data: the problem, y_obs and delta. The
 problem owns the truth and the clean data y_clean = sigma * x_true with their
 tail sums; the observation stores y_obs read-only and memoises the sums that
-rules, error profiles and `montecarlo` read, each built once per observation:
-the prefix sums of y_obs^2, of (y_obs / sigma)^2 (the squared norms of the
-cut-off estimates), of the noise (y_obs - y_clean)^2 and of the amplified
-noise (y_obs / sigma - x_true)^2, and the strong error profile, which adds
-the truth's tail sums to the last. Like the problem's sums they are
-`problems.memoised`: formed with overflow warnings off, and each reader
-decides what an inf in them means. An observation holds one row (D,) or a
-block of R rows (R, D) of one problem and noise level; every sum and profile
-works along the last axis, row by row, with the same floating-point
-operations as for one row. The two prefix sums of the data raise ValueError
-when they overflow a double, so no rule returns a level past D.
+rules, error profiles and `montecarlo` read (`NoisyObservation` lists them).
+Like the problem's sums they are `problems.memoised`: formed with overflow
+warnings off, and each reader decides what an inf in them means. An
+observation holds one row (D,) or a block of R rows (R, D) of one problem and
+noise level; every sum and profile works along the last axis, row by row,
+with the same floating-point operations as for one row. The two prefix sums
+of the data raise ValueError when they overflow a double, so no rule returns
+a level past D.
 """
 
 from __future__ import annotations
@@ -78,6 +75,13 @@ class NoisyObservation:
     stored read-only: a caller's array is copied once unless it is read-only
     and owns its memory (`problems.readonly`), so writing to it later cannot
     change the observation or the sums memoised on it.
+
+    The rules and error profiles of a replicate read four cumulative sums,
+    each memoised here and built once: the prefix sums of y_obs^2
+    (`prefix_sq`), of (y_obs / sigma)^2, the squared norms of the cut-off
+    estimates (`estimate_sq`), of the noise (y_obs - y_clean)^2
+    (`noise_prefix_sq`) and of the amplified noise (y_obs / sigma - x_true)^2
+    (`amplified_noise_sq`); `strong_sq` adds the truth's tail sums to the last.
     """
 
     problem: SpectralProblem

@@ -58,15 +58,16 @@ def test_bench_rerun_is_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_bench_json_mirrors_schema(tmp_path):
-    out = tmp_path / "j"
-    assert cli.main(BENCH_ARGS + ["--out", str(out), "--format", "json"]) == 0
-    payload = json.loads((out / "errors.json").read_text())
-    assert payload["metadata"]["seed"] == 11
-    row = payload["rows"][0]
-    assert set(row) == {"delta", "rule", "mean_error", "std_error"}
-    boxes = json.loads((out / "boxplot.json").read_text())
-    assert set(boxes["rows"][0]) == set(cli.BOXPLOT_HEADER.split(","))
+def test_bench_writes_csv_only(tmp_path, capsys):
+    # bench has one table format; --format is no flag of any subcommand
+    out = tmp_path / "never"
+    for argv in (BENCH_ARGS, ["single", "--problem", "synthetic-poly", "--size", "16"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv + ["--out", str(out), "--format", "json"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_unwritable_path_fails(capsys):
@@ -114,11 +115,8 @@ def test_bench_rejects_bad_deltas(tmp_path, capsys):
         (["--problem", "synthetic-exp", "--truth-power", "0.5"], "truth_power must exceed"),
         (["--problem", "direct", "--size", "64", "--truth-power", "-200"], "overflows"),
     )
-    # bench's table options, which single does not take
-    bench_only = (
-        (["--replicates", "9"], "unrecognized arguments: --replicates 9"),
-        (["--format", "json"], "unrecognized arguments: --format json"),
-    )
+    # bench's table option, which single does not take
+    bench_only = ((["--replicates", "9"], "unrecognized arguments: --replicates 9"),)
     out = tmp_path / "never"
     for command, extra, cases in (
         ("bench", ["--replicates", "2"], rejected), ("single", [], rejected + bench_only),

@@ -1,3 +1,5 @@
+import argparse
+import re
 import shlex
 from pathlib import Path
 
@@ -47,3 +49,21 @@ def test_readme_python_one_liners_print_what_they_say(capsys):
             assert capsys.readouterr().out == note.removeprefix("# prints ") + "\n"
             checked += 1
     assert checked >= 1
+
+
+def unknown_flags(text: str) -> set[str]:
+    """The --flag tokens of `text` that no subcommand's parser takes."""
+    subs = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    known = {flag for parser in subs.choices.values() for flag in parser._option_string_actions}
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text)) - known
+
+
+def test_readme_flags_are_parser_flags():
+    # every --flag the README names, in prose or on a speccut line, is some subcommand's flag;
+    # the other tools' lines in its sh blocks (pip, pytest, python) carry their own flags
+    text = README.read_text()
+    for line in sh_lines():
+        if shlex.split(line, comments=True)[:1] not in ([], ["speccut"]):
+            text = text.replace(line, "")
+    assert unknown_flags(text) == set()
+    assert unknown_flags("`--format json` mirrors the same schema") == {"--format"}

@@ -439,7 +439,10 @@ def test_det_strong_examples():
 def test_constants_arithmetic():
     assert constants(3.0).a_tau == pytest.approx(4.0, rel=1e-15)
     c = constants(1.5)
-    assert c.b_tau == pytest.approx(7.5625, rel=1e-15)
+    assert (c.a_tau, c.b_tau) == (25.0, 7.5625)
+    # squared as x * x, correctly rounded; x ** 2 is one ulp off in both
+    tilted = constants(3.2828012933111457)
+    assert (tilted.a_tau, tilted.b_tau) == (3.519813319980855, 29.421966685538717)
     assert c.c_tau_weak == pytest.approx(math.sqrt(6.0 * 46.5625), rel=1e-14)
     # at tau=1.5 the first branch of the max wins: (tau+1)/(tau-1) + 1 = 6
     assert c.c_tau_strong == pytest.approx(math.sqrt(2.0) * 6.0, rel=1e-14)
@@ -452,6 +455,10 @@ def test_constants_arithmetic():
     for bad in (dict(tau=math.nan), dict(tau=math.inf), dict(tau=1.5, q=math.nan)):
         with pytest.raises(ValueError):
             constants(**bad)
+    # (3 tau + 1)^2 overflows; an inf constant would make c * rhs NaN at rhs = 0
+    for tau, shown in ((1e200, "1e\\+200"), (1.7e308, "1.7e\\+308")):
+        with pytest.raises(ValueError, match=f"^guarantee constants overflow for tau={shown}$"):
+            constants(tau)
 
 
 def test_constants_reject_decay_exponents_they_cannot_evaluate():
@@ -462,6 +469,8 @@ def test_constants_reject_decay_exponents_they_cannot_evaluate():
     with pytest.raises(ValueError, match="q=1000000.0"):
         constants(1.5, q=1e6)
     assert math.isfinite(constants(1.5, q=300.0).c_tau_cor)
+    with pytest.raises(ValueError, match=r"^c_tau_cor overflows for tau=4e\+153, q=320.0$"):
+        constants(4e153, q=320.0)
 
 
 def test_empirical_sup_deviation_examples():
