@@ -18,7 +18,7 @@ replicates one row block at a time (see `_row_blocks`): each row of a block
 gets the bits it would get on its own, memory stays bounded for any
 replicate count, a block's arrays stay in cache, and Python's per-call cost
 is paid once per block. The verify battery's peak resident set (about
-103 MB) is the dense factorization of phillips at D = 1024, which it runs
+87 MB) is the dense factorization of phillips at D = 1024, which it runs
 before its replicate loops, so no row block they freed is resident beside it.
 """
 

@@ -22,9 +22,10 @@ warnings off, so each reader decides what an inf means, and stored read-only.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cache, cached_property, wraps
 
 import numpy as np
 
@@ -116,6 +117,9 @@ class SVDFactors:
 
     Signs are fixed so the largest-magnitude entry of each left singular
     vector is positive, which makes repeated decompositions reproducible.
+    From `decompose`, `v.T` is C-contiguous as `np.linalg.svd` returns it:
+    numpy picks a product's kernel, and so its bits, by layout. `u` is
+    Fortran-ordered where LAPACK's `dgesdd` is bound directly.
     """
 
     u: np.ndarray
@@ -373,10 +377,62 @@ def build_synthetic(
     return SpectralProblem(f"synthetic-{spectrum}", sigma, x_true)
 
 
-def decompose(p: DenseProblem) -> SVDFactors:
-    """Full SVD of the problem matrix with the reproducible sign convention."""
+@cache
+def _numpy_dgesdd():
+    """The ILP64 `dgesdd` that `np.linalg.svd` calls, bound once; None if numpy exports none."""
     try:
-        u, s, vt = np.linalg.svd(p.matrix)
+        gesdd = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dgesdd_64_
+    except (AttributeError, OSError):
+        return None
+    # JOBZ, 13 pointers and the length of JOBZ that gfortran passes
+    gesdd.argtypes = [ctypes.c_char_p, *[ctypes.c_void_p] * 13, ctypes.c_size_t]
+    gesdd.restype = None
+    return gesdd
+
+
+def _gesdd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`np.linalg.svd(a)` of square `a` bit for bit, without its second copies of A, U and V^T.
+
+    numpy's own call: JOBZ='A' on a Fortran-ordered copy, with the workspace
+    size LAPACK's query returns, which sets the blocking and so the bits.
+    """
+    gesdd = _numpy_dgesdd()
+    if gesdd is None:
+        return np.linalg.svd(a)
+    n = a.shape[0]
+    a = np.array(a, dtype=float, order="F")  # dgesdd overwrites it
+    u, s, vt = np.empty((n, n), order="F"), np.empty(n), np.empty((n, n), order="F")
+    dim, info = np.array([n], dtype=np.int64), np.zeros(1, dtype=np.int64)
+    iwork = np.empty(8 * n, dtype=np.int64)
+
+    def call(lwork: int) -> float:
+        work = np.empty(max(lwork, 1))
+        gesdd(
+            b"A", dim.ctypes, dim.ctypes, a.ctypes, dim.ctypes, s.ctypes, u.ctypes, dim.ctypes,
+            vt.ctypes, dim.ctypes, work.ctypes, np.array([lwork], dtype=np.int64).ctypes,
+            iwork.ctypes, info.ctypes, 1,
+        )
+        if info[0] < 0:
+            raise RuntimeError(f"dgesdd: argument {-info[0]} is illegal")
+        return work[0]
+
+    call(int(call(-1)))  # lwork = -1 queries the workspace size
+    if info[0] > 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    del a  # freed before V^T's C-order copy, as the workspace already is
+    return u, s, np.ascontiguousarray(vt)
+
+
+def decompose(p: DenseProblem) -> SVDFactors:
+    """Full SVD of the problem matrix with the reproducible sign convention.
+
+    LAPACK's `dgesdd`, as `np.linalg.svd` calls it, or scipy's `gesvd` where it
+    fails. `u` is Fortran-ordered from the bound routine, and V^T C-contiguous
+    as numpy returns it: the layout of `v` sets the bits of `spectralize`'s
+    product with it.
+    """
+    try:
+        u, s, vt = _gesdd(p.matrix)
     except np.linalg.LinAlgError:
         # gesdd occasionally fails to converge; gesvd is slower but sturdier.
         try:

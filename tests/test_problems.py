@@ -1,4 +1,9 @@
+import ctypes
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,11 +315,16 @@ def test_decompose_sorted_diagonal():
 def test_decompose_falls_back_to_gesvd(monkeypatch):
     import scipy.linalg
 
-    def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+    gesdd = problems._numpy_dgesdd()
+    if gesdd is None:
+        pytest.skip("numpy exports no dgesdd to bind")
+
+    def no_convergence(*args):
+        gesdd(*args)
+        args[13].data_as(ctypes.POINTER(ctypes.c_int64))[0] = 1  # INFO > 0: no convergence
 
     p = build_heat(32)  # not symmetric: the left and right factors differ
-    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    monkeypatch.setattr(problems, "_numpy_dgesdd", lambda: no_convergence)
     f = decompose(p)
     scale = np.linalg.norm(p.matrix)
     assert np.linalg.norm(p.matrix - f.u @ np.diag(f.s) @ f.v.T) <= 1e-10 * scale
@@ -322,9 +332,83 @@ def test_decompose_falls_back_to_gesvd(monkeypatch):
     lead = np.argmax(np.abs(f.u), axis=0)
     assert np.all(f.u[lead, np.arange(f.u.shape[1])] > 0.0)
     # when gesvd fails too, the problem has no usable factorization
-    monkeypatch.setattr(scipy.linalg, "svd", no_convergence)
+    def gesvd_fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "svd", gesvd_fails)
     with pytest.raises(DecompositionError, match="^SVD of 'heat' did not converge$"):
         decompose(p)
+
+
+def numpy_factors(p):
+    """`decompose`'s factors and `spectralize`'s x_true, formed from `np.linalg.svd`."""
+    u, s, vt = np.linalg.svd(p.matrix)
+    lead = np.argmax(np.abs(u), axis=0)
+    signs = np.sign(u[lead, np.arange(u.shape[1])])
+    signs[signs == 0.0] = 1.0
+    u *= signs
+    v = vt.T
+    v *= signs
+    r = int(np.count_nonzero(s > problems.RANK_TOL * s[0]))
+    return u, s, v, v[:, :r].T @ p.f_true
+
+
+BIT_CASES = [
+    *[(builder, n) for builder in ALL_BUILDERS for n in (2, 3, 8, 64, 257)],
+    (lambda n: DenseProblem("eye", np.eye(n), np.ones(n)), 5),
+    (lambda n: DenseProblem("diag", np.diag([3.0, 2.0, 1.0]), np.ones(n)), 3),
+]
+
+
+@pytest.mark.parametrize("bound", [True, False], ids=["dgesdd", "np.linalg.svd"])
+@pytest.mark.parametrize("builder, n", BIT_CASES)
+def test_decompose_is_numpys_svd_bit_for_bit(monkeypatch, builder, n, bound):
+    if not bound:  # as where numpy exports no dgesdd
+        monkeypatch.setattr(problems, "_numpy_dgesdd", lambda: None)
+    p = builder(n)
+    u, s, v, x_true = numpy_factors(p)
+    f = decompose(p)
+    for name, got, want in (("u", f.u, u), ("s", f.s, s), ("v", f.v, v)):
+        assert got.tobytes() == want.tobytes(), name
+    assert spectralize(p).x_true.tobytes() == x_true.tobytes()
+
+
+def fresh_interpreter(code: str) -> str:
+    """The last line `code` prints in a new interpreter with 2 BLAS threads."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env["PYTHONPATH"] = str(Path(problems.__file__).parents[1])
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "2"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return proc.stdout.splitlines()[-1]
+
+
+def test_importing_the_cli_binds_no_lapack_and_loads_no_scipy():
+    code = (
+        "import sys, speccut.cli\n"
+        "from speccut import problems\n"
+        "print('scipy' in sys.modules, problems._numpy_dgesdd.cache_info().currsize)"
+    )
+    assert fresh_interpreter(code) == "False 0"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB")
+def test_spectralize_holds_no_second_copies_of_the_factors():
+    # np.linalg.svd copies A into its own buffer and U and V^T out of theirs: 5.80-5.81 n^2
+    # doubles above the built problem at n = 1024, against 3.81-3.95 for the bound dgesdd
+    n = 1024
+    code = (
+        "import resource\n"
+        "from speccut.problems import build_phillips, spectralize\n"
+        f"p = build_phillips({n})\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "spectralize(p)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)"
+    )
+    grew = int(fresh_interpreter(code)) * 1024 / (8 * n * n)
+    assert grew <= 4.9, f"peak rose by {grew:.2f} n^2 doubles"
 
 
 @pytest.mark.parametrize("builder", ALL_BUILDERS)
