@@ -20,7 +20,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -294,9 +294,10 @@ def verification_battery(quick: bool = False) -> list[CheckResult]:
     """The full check suite; `quick` shrinks replicate counts for smoke runs.
 
     The image-space frequency check runs first and is reported fifth. It is the
-    only check that factors a dense operator, the battery's peak memory: run
-    first, the factorization gets a heap that holds only the interpreter, not
-    the row blocks the other loops freed, which glibc keeps below the trim
+    only check that factors a dense operator (phillips at D = 1024), which sets
+    the battery's peak resident set, about 87 MB: run first, the factorization
+    gets a heap that holds only the interpreter, not the up to about 6 MB of
+    row blocks the other loops freed, which glibc keeps below the trim
     threshold `main` raises.
     """
     f = 50 if quick else 1
@@ -338,7 +339,7 @@ def _write_table(path: Path, header: str, rows: list[list], meta: dict):
 def _summary_tables(summary: ExperimentSummary):
     err_rows, k_rows, box_rows = [], [], []
     for delta in summary.deltas:
-        for rule in summary.rules:
+        for rule in RULE_NAMES:
             err_rows.append(
                 [delta, rule, summary.mean_error[(delta, rule)], summary.std_error[(delta, rule)]]
             )
@@ -392,7 +393,7 @@ def run_verify(args) -> int:
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        report = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+        report = [asdict(r) for r in results]
         (out / "verify_report.json").write_text(json.dumps(report, indent=2) + "\n")
     return 0 if all(r.passed for r in results) else 1
 
@@ -402,44 +403,34 @@ def run_single(args) -> int:
     p = make_problem(cfg.problem)
     delta = args.deltas[0]
     obs = observe(p, delta, cfg.noise, args.seed)
-    D = p.size
     cols = ReplicateColumns.empty(1)  # bench's evaluation: its replicate of this seed, bit for bit
     evaluate_replicate(obs, cfg.rules, cols, 0)
-    ks, e_strong, e_weak = (
-        dict(zip(RULE_NAMES, col[:, 0].tolist()))
-        for col in (cols.k_by_rule, cols.e_strong_by_rule, cols.e_weak_by_rule)
-    )
-    trace = [dp_at_m(obs, args.tau, m) for m in range(1, D + 1)]
-    m_max = early_stop(obs, tau=args.tau_min)
-    det_w, det_s = det_weak(p, delta), det_strong(p, delta)
-    print(f"problem={p.name} D={D} delta={_fmt(delta)} seed={args.seed}")
+    # single.json's keys in this order; stdout prints the same values
+    record = {
+        "problem": p.name,
+        "delta": delta,
+        "seed": args.seed,
+        "trace": [dp_at_m(obs, args.tau, m) for m in range(1, p.size + 1)],
+        "m_max": early_stop(obs, tau=args.tau_min),
+    }
+    per_rule = ("k_by_rule", "e_strong_by_rule", "e_weak_by_rule")
+    for key in per_rule:
+        record[key] = dict(zip(RULE_NAMES, getattr(cols, key)[:, 0].tolist()))
+    record["det_weak"], record["det_strong"] = det_weak(p, delta), det_strong(p, delta)
+    trace = record["trace"]
+    print(f"problem={p.name} D={p.size} delta={_fmt(delta)} seed={args.seed}")
     print("per-m trace of the residual rule (m: k):")
-    for start in range(0, D, 16):
+    for start in range(0, p.size, 16):
         print("  m=%-5d %s" % (start + 1, " ".join(map(str, trace[start : start + 16]))))
-    print(f"m_max (inner threshold {args.tau_min}): {m_max}")
+    print(f"m_max (inner threshold {args.tau_min}): {record['m_max']}")
     print("selected levels and errors:")
     for rule in RULE_NAMES:
-        print(
-            f"  {rule:4s} k={ks[rule]:<6d} strong={_fmt(e_strong[rule])} "
-            f"weak={_fmt(e_weak[rule])}"
-        )
-    print(f"deterministic oracle levels: weak={det_w} strong={det_s}")
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "problem": p.name,
-            "delta": delta,
-            "seed": args.seed,
-            "trace": trace,
-            "m_max": m_max,
-            "k_by_rule": ks,
-            "e_strong_by_rule": e_strong,
-            "e_weak_by_rule": e_weak,
-            "det_weak": det_w,
-            "det_strong": det_s,
-        }
-        (out / "single.json").write_text(json.dumps(payload, indent=2) + "\n")
+        k, strong, weak = (record[key][rule] for key in per_rule)
+        print(f"  {rule:4s} k={k:<6d} strong={_fmt(strong)} weak={_fmt(weak)}")
+    print(f"deterministic oracle levels: weak={record['det_weak']} strong={record['det_strong']}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "single.json").write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

@@ -12,14 +12,7 @@ with the n-1 denominator, reported as 0 for a single sample) plus boxplot
 statistics of the sequential rule's level per noise level.
 `theorem_frequency`, `example1_frequency` and `prop2_check` measure how often
 the probabilistic guarantees and the exponential-spectrum failure mode
-actually occur. `run_experiment` (and so `bench`), the last two and every
-other replicate loop of `speccut verify` draw, evaluate and reduce their
-replicates one row block at a time (see `_row_blocks`): each row of a block
-gets the bits it would get on its own, memory stays bounded for any
-replicate count, a block's arrays stay in cache, and Python's per-call cost
-is paid once per block. The verify battery's peak resident set (about
-87 MB) is the dense factorization of phillips at D = 1024, which it runs
-before its replicate loops, so no row block they freed is resident beside it.
+actually occur.
 """
 
 from __future__ import annotations
@@ -75,6 +68,11 @@ def _row_blocks(total: int, width: int) -> list[tuple[int, int]]:
     """Consecutive row ranges [lo, hi) covering `total` rows of `width` entries.
 
     Each block holds at most `_BLOCK_ELEMENTS` entries, and at least one row.
+    `run_experiment` (and so `bench`), `example1_frequency`, `prop2_check` and
+    the verify loops take their replicates in these blocks: each row gets the
+    bits it would get on its own, memory stays bounded for any replicate
+    count, a block's arrays stay in cache, and Python's per-call cost is paid
+    once per block.
     """
     rows = max(1, _BLOCK_ELEMENTS // width)
     return [(lo, min(lo + rows, total)) for lo in range(0, total, rows)]
@@ -158,7 +156,6 @@ class BoxplotStats:
 @dataclass(frozen=True)
 class ExperimentSummary:
     deltas: tuple[float, ...]
-    rules: tuple[str, ...]
     mean_error: dict[tuple[float, str], float]
     std_error: dict[tuple[float, str], float]
     mean_k: dict[tuple[float, str], float]
@@ -285,7 +282,7 @@ def summarize(cols: ReplicateColumns) -> ExperimentSummary:
             mean_error[(delta, rule)], std_error[(delta, rule)] = _mean_std(err_row)
             mean_k[(delta, rule)], std_k[(delta, rule)] = _mean_std(k_row)
         boxes[delta] = boxplot_stats(ks[RULE_NAMES.index("es")])
-    return ExperimentSummary(deltas, RULE_NAMES, mean_error, std_error, mean_k, std_k, boxes)
+    return ExperimentSummary(deltas, mean_error, std_error, mean_k, std_k, boxes)
 
 
 def _theorem_sides(

@@ -441,9 +441,9 @@ def decompose(p: DenseProblem) -> SVDFactors:
             u, s, vt = scipy_svd(p.matrix, lapack_driver="gesvd")
         except Exception as exc:
             raise DecompositionError(f"SVD of {p.name!r} did not converge") from exc
+    # a unit column's largest entry has magnitude >= 1/sqrt(n), so no sign is 0
     lead = np.argmax(np.abs(u), axis=0)
     signs = np.sign(u[lead, np.arange(u.shape[1])])
-    signs[signs == 0.0] = 1.0
     u *= signs  # in place: products with +-1 are exact, and no n x n copy is made
     v = vt.T
     v *= signs
@@ -462,7 +462,7 @@ def spectralize(p: DenseProblem) -> SpectralProblem:
     """
     factors = decompose(p)
     s = factors.s
-    if s.size == 0 or not 0.0 < s[0] < math.inf:  # NaN fails too
+    if not 0.0 < s[0] < math.inf:  # NaN fails too
         raise DecompositionError(f"{p.name!r} is numerically a zero operator or overflows")
     r = int(np.count_nonzero(s > RANK_TOL * s[0]))  # s is nonincreasing: a leading run
     x_true = factors.v[:, :r].T @ p.f_true

@@ -23,31 +23,6 @@ and the error profiles); sums of data or of the bias that overflow raise
 ValueError instead (`NoisyObservation.prefix_sq` and `estimate_sq`,
 `SpectralProblem.truth_tail` and `clean_tail`), and so does `balancing` where
 its weights leave a threshold undetermined.
-
-Implementation note: every rule and error profile is one kernel that works
-along the last axis. It takes one observation row (D,) and returns an int, or
-a block of R rows (R, D) (`NoisyObservation` holds either) and returns an
-(R,) array whose entry i equals the rule on row i alone, bit for bit: the
-cumulative sums run sequentially through each row, and maxima, minima and
-comparisons are exact. Every rule and oracle takes the first k whose test
-passes, with one search, `_first_level`: per row, the first k with
-a[..., k] >= b[..., k], for a row and a block alike. Its `argmax` is exact
-because some entry always passes (see there). With S_k the prefix sum of
-squared data coefficients, the per-m discrepancy choice is the smallest k
-with S_k >= T_m = S_m - tau^2 m delta^2. That choice is nondecreasing in the
-threshold, since S is nondecreasing, so the largest per-m choice over m
-equals the choice for max_m T_m exactly: `dp_modified` and `combined` take
-the maximum threshold and search once, O(D). So does `balancing`, on the
-prefix sums P of (y_obs/sigma)^2: the last m whose threshold g_m is the
-largest has P_m >= g_m, so every level below the search fails at that m.
-Problems and observations memoise the sums the rules share (`SpectralProblem`;
-`NoisyObservation` says which sums a replicate builds), and no rule builds a
-suffix maximum; `dp_modified` and `combined` each compute the thresholds they
-compare, both for every m in [1, D], so no array a rule allocates has a size
-that depends on the data. Callers that evaluate many
-replicates, `bench`'s replicate loop and the verify loops, pass row blocks
-(`montecarlo._row_blocks`, sized by `_BLOCK_ELEMENTS`). The O(D^2) literal
-scans survive as test oracles.
 """
 
 from __future__ import annotations
@@ -87,7 +62,6 @@ class TheoremConstants:
     term, and the polynomial-spectrum solution-space guarantee.
     """
 
-    tau: float
     a_tau: float
     b_tau: float
     c_tau_weak: float
@@ -124,24 +98,31 @@ def constants(tau: float, q: float | None = None) -> TheoremConstants:
         )
         if not math.isfinite(c_cor):
             raise ValueError(f"c_tau_cor overflows for tau={tau}, q={q}")
-    return TheoremConstants(tau, a_tau, b_tau, c_weak, c_strong, c_cor)
+    return TheoremConstants(a_tau, b_tau, c_weak, c_strong, c_cor)
 
 
 def _level(k):
-    """A per-row result as an int for one row, as the (R,) array for a block."""
+    """A per-row result as an int for one row, as the (R,) array for a block.
+
+    Every rule returns its level through here: for an observation of R rows
+    (R, D), entry i equals the rule on row i alone, bit for bit, since the
+    sums run through each row in order and maxima, minima and comparisons are
+    exact.
+    """
     return k if isinstance(k, np.ndarray) and k.ndim else int(k)
 
 
 def _first_level(a: np.ndarray, b):
     """Per row, the first k with a[..., k] >= b[..., k]; b broadcasts against a.
 
-    One `argmax` over the comparisons, for one row (an int) and a block (an
-    (R,) array) alike. It is exact only if some entry of every row passes,
-    since a row without one would give 0, and every caller ensures that:
-    each threshold a residual rule or `balancing` searches for in its
-    nondecreasing sums S (or P) is an S_m (P_m) minus a nonnegative amount,
-    or -inf, so k = m passes; each oracle compares a sum of nonnegative terms
-    with a tail sum, which is 0 at k = D.
+    Every rule and oracle takes its level with this one search: one `argmax`
+    over the comparisons, for one row (an int) and a block (an (R,) array)
+    alike. It is exact only if some entry of every row passes, since a row
+    without one would give 0, and every caller ensures that: each threshold a
+    residual rule or `balancing` searches for in its nondecreasing sums S (or
+    P) is an S_m (P_m) minus a nonnegative amount, or -inf, so k = m passes;
+    each oracle compares a sum of nonnegative terms with a tail sum, which is
+    0 at k = D.
     """
     return _level((a >= b).argmax(axis=-1))
 
@@ -167,8 +148,9 @@ def _max_level(S: np.ndarray, thresholds: np.ndarray, where=True):
     """Largest per-threshold level, max over T of the smallest k with S[k] >= T, per row.
 
     That level is nondecreasing in T for nondecreasing S, so the maximum is
-    attained at the largest threshold: one search gives it exactly. Only the
-    thresholds selected by `where` count; a row with none gets level 0.
+    attained at the largest threshold: one O(D) search gives it exactly, and
+    no rule builds a suffix maximum. Only the thresholds selected by `where`
+    count; a row with none gets level 0.
     """
     return _first_level(S, thresholds.max(axis=-1, initial=-np.inf, where=where, keepdims=True))
 
@@ -238,7 +220,8 @@ def combined(obs: NoisyObservation, tau: float, tau_min: float = RuleConfig.tau_
     if not (math.isfinite(tau) and tau > tau_min):
         raise ValueError(f"need finite tau > tau_min, got tau={tau}, tau_min={tau_min}")
     m_max = np.asarray(early_stop(obs, tau=tau_min))
-    # thresholds for every m, so their size never depends on the data; each row reads m <= m_max
+    # thresholds for every m, as in `dp_modified`: no array a rule allocates has a size that
+    # depends on the data. Each row reads m <= m_max
     T = _thresholds(obs, tau)
     m = np.arange(1, obs.size + 1)
     return _max_level(obs.prefix_sq, T, where=m <= m_max[..., None])

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The paper-scale criterion
-(c09) factors a 5000 x 5000 operator and takes about a minute; everything else
-finishes in seconds.
+(c09) factors a 5000 x 5000 operator and takes 37–49 s on 2 vCPUs; everything
+else finishes in seconds.
 """
 
 import time

@@ -284,6 +284,19 @@ def test_single_trace(tmp_path, capsys):
     assert payload["det_weak"] <= payload["det_strong"]
 
 
+def test_single_writes_its_record_to_results_by_default(tmp_path, monkeypatch, capsys):
+    # --out defaults to results: single always writes the record it prints
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["single", "--problem", "synthetic-poly", "--size", "16"]) == 0
+    payload = json.loads((tmp_path / "results" / "single.json").read_text())
+    assert list(payload) == [
+        "problem", "delta", "seed", "trace", "m_max", "k_by_rule", "e_strong_by_rule",
+        "e_weak_by_rule", "det_weak", "det_strong",
+    ]
+    assert len(payload["trace"]) == 16
+    assert f"m_max (inner threshold 1.0): {payload['m_max']}\n" in capsys.readouterr().out
+
+
 # SHA-256 of the stdout and single.json of the run below; tau_min > 1 puts the
 # stopping level (m_max = 4) below the sequential rule's level (es = 5).
 SINGLE_ARGS = [

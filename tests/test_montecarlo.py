@@ -218,7 +218,7 @@ def summarize_literal(records):
             for stat, value in zip(stats, (*mean_std(errs), *mean_std(ks))):
                 stat[(delta, rule)] = value
         boxes[delta] = boxplot_stats(np.array([r.k_by_rule["es"] for r in group], dtype=float))
-    return montecarlo.ExperimentSummary(deltas, RULE_NAMES, *stats, boxes)
+    return montecarlo.ExperimentSummary(deltas, *stats, boxes)
 
 
 def mean_std(values):
