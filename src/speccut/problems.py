@@ -214,11 +214,16 @@ def _check_count(name: str, value, least: int, most: int | None = None):
         raise ValueError(f"{name}={value} outside [{least}, {most}]")
 
 
-def _check_parameter(name: str, value: float):
-    if isinstance(value, (bool, np.bool_)):  # a real number, as `_check_count` wants an integer
+def _check_real(name: str, value: float):
+    """ValueError unless value is finite and a real number, not a bool (True would act as 1.0)."""
+    if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a real number, not a bool, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_parameter(name: str, value: float):
+    _check_real(name, value)
     if value <= _LOWER_BOUNDS[name]:
         raise ValueError(f"{name} must exceed {_LOWER_BOUNDS[name]}, got {value}")
 
@@ -243,8 +248,7 @@ class ProblemSpec:
         for param in _BOUNDED_PARAMETERS.get(self.name, ()):
             _check_parameter(param, getattr(self, param))
         if self.name == "direct":  # its largest truth entry is 1 or size ** -truth_power
-            if not math.isfinite(self.truth_power):
-                raise ValueError(f"truth_power must be finite, got {self.truth_power}")
+            _check_real("truth_power", self.truth_power)
             try:
                 float(self.size) ** -self.truth_power
             except OverflowError:
@@ -426,21 +430,14 @@ def _gesdd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def decompose(p: DenseProblem) -> SVDFactors:
     """Full SVD of the problem matrix with the reproducible sign convention.
 
-    LAPACK's `dgesdd`, as `np.linalg.svd` calls it, or scipy's `gesvd` where it
-    fails. `u` is Fortran-ordered from the bound routine, and V^T C-contiguous
-    as numpy returns it: the layout of `v` sets the bits of `spectralize`'s
-    product with it.
+    LAPACK's `dgesdd`, as `np.linalg.svd` calls it; DecompositionError where it
+    does not converge. V^T is C-contiguous as numpy returns it: the layout of
+    `v` sets the bits of `spectralize`'s product with it.
     """
     try:
         u, s, vt = _gesdd(p.matrix)
-    except np.linalg.LinAlgError:
-        # gesdd occasionally fails to converge; gesvd is slower but sturdier.
-        try:
-            from scipy.linalg import svd as scipy_svd
-
-            u, s, vt = scipy_svd(p.matrix, lapack_driver="gesvd")
-        except Exception as exc:
-            raise DecompositionError(f"SVD of {p.name!r} did not converge") from exc
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(f"SVD of {p.name!r} did not converge") from exc
     # a unit column's largest entry has magnitude >= 1/sqrt(n), so no sign is 0
     lead = np.argmax(np.abs(u), axis=0)
     signs = np.sign(u[lead, np.arange(u.shape[1])])

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import SpectralProblem, _check_count, _check_parameter
+from .problems import SpectralProblem, _check_count, _check_parameter, _check_real
 from .sequence_model import NoisyObservation, _cumsum0, _prefix_sq, strong_error_sq_profile
 
 
@@ -47,6 +47,7 @@ class RuleConfig:
     def __post_init__(self):
         _check_parameter("tau", self.tau)
         _check_parameter("kappa", self.kappa)
+        _check_real("tau_min", self.tau_min)
         if not 1 <= self.tau_min < self.tau:
             raise ValueError(f"need 1 <= tau_min < tau, got tau_min={self.tau_min}")
 
@@ -205,8 +206,9 @@ def balancing(obs: NoisyObservation, kappa: float) -> int:
 
 def early_stop(obs: NoisyObservation, *, tau: float = 1.0) -> int:
     """Sequential residual rule at full resolution with threshold factor tau >= 1."""
-    if not (math.isfinite(tau) and tau >= 1):
-        raise ValueError(f"early-stop factor must be finite and at least 1, got {tau}")
+    _check_real("tau", tau)
+    if not tau >= 1:
+        raise ValueError(f"early-stop factor must be at least 1, got {tau}")
     return _residual_level(obs, tau, obs.size)
 
 
@@ -215,10 +217,9 @@ def combined(obs: NoisyObservation, tau: float, tau_min: float = RuleConfig.tau_
 
     The stopping level m_max is `early_stop` with threshold factor tau_min;
     the level is the largest per-m choice over m in [1, m_max], or 0 when
-    m_max = 0.
+    m_max = 0. The pair must be one `RuleConfig` admits: finite, 1 <= tau_min < tau.
     """
-    if not (math.isfinite(tau) and tau > tau_min):
-        raise ValueError(f"need finite tau > tau_min, got tau={tau}, tau_min={tau_min}")
+    RuleConfig(tau=tau, tau_min=tau_min)
     m_max = np.asarray(early_stop(obs, tau=tau_min))
     # thresholds for every m, as in `dp_modified`: no array a rule allocates has a size that
     # depends on the data. Each row reads m <= m_max

@@ -508,7 +508,11 @@ def test_bounded_reals_are_checked_by_one_rule():
             lambda x: ProblemSpec("heat", 8, kappa_heat=x), lambda x: problems.build_heat(8, x),
         ),
         "q": (lambda x: ProblemSpec("synthetic-poly", 8, q=x), lambda x: build_synthetic(4, q=x)),
-        "truth_power": (lambda x: ProblemSpec("synthetic-poly", 8, truth_power=x),),
+        "truth_power": (
+            lambda x: ProblemSpec("synthetic-poly", 8, truth_power=x),
+            lambda x: ProblemSpec("synthetic-exp", 8, truth_power=x),
+            lambda x: build_synthetic(4, truth_power=x),
+        ),
     }
     for name, calls in takers.items():
         bound = problems._LOWER_BOUNDS[name]
@@ -716,6 +720,7 @@ def test_bench_row_blocks_do_not_churn_the_heap(tmp_path):
     # to the system after one block and refaulted by the next: 2^15-entry blocks cost 18-26
     # minor page faults per replicate more than one-row blocks, `combined`'s thresholds cut
     # at max(m_max) 9 at D = 4095. Shipped blocks may cost at most 2 more per replicate.
+    # D = 1024 needs the 4 MiB array `cli.main` frees: without it the extra faults read ~8,700.
     run = (
         "import sys; from speccut import cli, montecarlo\n"
         "if sys.argv[1] == 'rows': montecarlo._BLOCK_ELEMENTS = 1\n"
@@ -740,7 +745,7 @@ def test_bench_row_blocks_do_not_churn_the_heap(tmp_path):
         assert os.waitstatus_to_exitcode(status) == 0, (blocks, size)
         return usage.ru_minflt
 
-    for size in (5000, 4095):
+    for size in (5000, 4095, 1024):
         extra = minor_faults("shipped", size) - minor_faults("rows", size)
         assert extra <= 2 * 4 * replicates, (size, extra)
 

@@ -142,13 +142,6 @@ def test_builders_default_to_the_problem_spec():
         assert np.array_equal(direct.x_true, via_spec.x_true)
 
 
-def test_gravity_heat_reject_bad_parameters():
-    with pytest.raises(ValueError):
-        build_gravity(8, depth=0.0)
-    with pytest.raises(ValueError):
-        build_heat(8, kappa_heat=-1.0)
-
-
 @pytest.mark.parametrize("builder", ALL_BUILDERS)
 def test_builders_store_their_arrays_uncopied(builder, monkeypatch):
     readonly, kept = problems.readonly, []
@@ -280,22 +273,13 @@ def test_synthetic_rejects_bad_arguments():
 
 
 def test_problem_parameters_must_be_finite():
-    # rejected by name up front, not by what building or factoring then trips over
-    for name, param, bad in (
-        ("gravity", "depth", math.nan), ("heat", "kappa_heat", math.inf),
-        ("synthetic-poly", "q", math.inf), ("synthetic-poly", "truth_power", math.nan),
-        ("synthetic-exp", "truth_power", math.inf), ("direct", "truth_power", -math.inf),
-    ):
-        with pytest.raises(ValueError, match=f"^{param} must be finite, got "):
-            ProblemSpec(name, 8, **{param: bad})
-    for build, param in (
-        (lambda: build_gravity(8, depth=math.nan), "depth"),
-        (lambda: build_heat(8, kappa_heat=math.inf), "kappa_heat"),
-        (lambda: build_synthetic(8, "poly", q=math.inf), "q"),
-        (lambda: build_synthetic(8, "poly", q=1.0, truth_power=math.nan), "truth_power"),
-    ):
-        with pytest.raises(ValueError, match=f"^{param} must be finite, got "):
-            build()
+    # `direct`'s truth_power has no lower bound; the bounded ones are checked by
+    # test_montecarlo.py::test_bounded_reals_are_checked_by_one_rule
+    with pytest.raises(ValueError, match="^truth_power must be finite, got -inf$"):
+        ProblemSpec("direct", 8, truth_power=-math.inf)
+    for bad in (True, False, np.True_):
+        with pytest.raises(ValueError, match="^truth_power must be a real number, not a bool"):
+            ProblemSpec("direct", 8, truth_power=bad)
 
 
 def test_decompose_identity():
@@ -312,31 +296,27 @@ def test_decompose_sorted_diagonal():
     assert np.array_equal(decompose(p).s, [3.0, 2.0, 1.0])
 
 
-def test_decompose_falls_back_to_gesvd(monkeypatch):
-    import scipy.linalg
-
+def test_decompose_reports_a_non_converging_svd(monkeypatch):
+    p = build_heat(32)
+    message = "^SVD of 'heat' did not converge$"
     gesdd = problems._numpy_dgesdd()
-    if gesdd is None:
-        pytest.skip("numpy exports no dgesdd to bind")
+    if gesdd is not None:
 
-    def no_convergence(*args):
-        gesdd(*args)
-        args[13].data_as(ctypes.POINTER(ctypes.c_int64))[0] = 1  # INFO > 0: no convergence
+        def no_convergence(*args):
+            gesdd(*args)
+            args[13].data_as(ctypes.POINTER(ctypes.c_int64))[0] = 1  # INFO > 0: no convergence
 
-    p = build_heat(32)  # not symmetric: the left and right factors differ
-    monkeypatch.setattr(problems, "_numpy_dgesdd", lambda: no_convergence)
-    f = decompose(p)
-    scale = np.linalg.norm(p.matrix)
-    assert np.linalg.norm(p.matrix - f.u @ np.diag(f.s) @ f.v.T) <= 1e-10 * scale
-    assert np.all(np.diff(f.s) <= 0.0)
-    lead = np.argmax(np.abs(f.u), axis=0)
-    assert np.all(f.u[lead, np.arange(f.u.shape[1])] > 0.0)
-    # when gesvd fails too, the problem has no usable factorization
-    def gesvd_fails(*args, **kwargs):
+        monkeypatch.setattr(problems, "_numpy_dgesdd", lambda: no_convergence)
+        with pytest.raises(DecompositionError, match=message):
+            decompose(p)
+
+    def svd_fails(a):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(scipy.linalg, "svd", gesvd_fails)
-    with pytest.raises(DecompositionError, match="^SVD of 'heat' did not converge$"):
+    # as where numpy exports no dgesdd to bind
+    monkeypatch.setattr(problems, "_numpy_dgesdd", lambda: None)
+    monkeypatch.setattr(np.linalg, "svd", svd_fails)
+    with pytest.raises(DecompositionError, match=message):
         decompose(p)
 
 

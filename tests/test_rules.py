@@ -772,21 +772,20 @@ def test_rule_config_validation():
 
 
 def test_rules_reject_non_finite_parameters():
-    p, obs = random_instance(np.random.default_rng(5), 16)
-    for call in (
-        lambda x: dp_at_m(obs, x, 4),
-        lambda x: dp_modified(obs, x),
-        lambda x: early_stop(obs, tau=x),
-        lambda x: balancing(obs, x),
-        lambda x: combined(obs, x),
-        lambda x: combined(obs, 1.5, x),
-        lambda x: det_weak(p, x),
-        lambda x: det_strong(p, x),
-        lambda x: NoisyObservation(p, obs.y_obs, x),
-        lambda x: observe(p, x, GAUSS, 0),
+    # the factors with bounds of their own; test_montecarlo.py's
+    # test_bounded_reals_are_checked_by_one_rule checks the rules' tau, kappa and delta
+    _, obs = random_instance(np.random.default_rng(5), 16)
+    for name, call in (
+        ("tau", lambda x: early_stop(obs, tau=x)),
+        ("tau", lambda x: combined(obs, x)),
+        ("tau_min", lambda x: combined(obs, 1.5, x)),
+        ("tau_min", lambda x: RuleConfig(tau_min=x)),
     ):
         for x in (math.nan, math.inf):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {x}$"):
+                call(x)
+        for x in (True, False, np.True_):  # True would act as 1.0
+            with pytest.raises(ValueError, match=f"^{name} must be a real number, not a bool"):
                 call(x)
 
 
