@@ -295,7 +295,7 @@ def verification_battery(quick: bool = False) -> list[CheckResult]:
 
     The image-space frequency check runs first and is reported fifth. It is the
     only check that factors a dense operator (phillips at D = 1024), which sets
-    the battery's peak resident set, about 87 MB: run first, the factorization
+    the battery's peak resident set, about 80 MB: run first, the factorization
     gets a heap that holds only the interpreter, not the up to about 6 MB of
     row blocks the other loops freed, which glibc keeps below the trim
     threshold `main` raises.

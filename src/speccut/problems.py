@@ -15,9 +15,11 @@ sqrt(h) * g(s_i), which is what `matrix @ f_true` converges to. The four
 kernel builders pass their kernel and solution to `_discretize`, which holds
 this convention.
 
-Problems store their arrays read-only (`readonly`); every array derived from
-them, here and on observations, is `memoised`: formed once with overflow
-warnings off, so each reader decides what an inf means, and stored read-only.
+Problems store their arrays read-only (`readonly`), with one exception: the
+matrix `make_problem` builds, which nothing else holds and its factorization
+overwrites. Every array derived from them, here and on observations, is
+`memoised`: formed once with overflow warnings off, so each reader decides what
+an inf means, and stored read-only.
 """
 
 from __future__ import annotations
@@ -119,7 +121,9 @@ class SVDFactors:
     vector is positive, which makes repeated decompositions reproducible.
     From `decompose`, `v.T` is C-contiguous as `np.linalg.svd` returns it:
     numpy picks a product's kernel, and so its bits, by layout. `u` is
-    Fortran-ordered where LAPACK's `dgesdd` is bound directly.
+    Fortran-ordered where LAPACK's `dgesdd` is bound directly. All three are
+    new arrays; the matrix they factor is overwritten only where `make_problem`
+    handed it over (see `decompose`).
     """
 
     u: np.ndarray
@@ -260,15 +264,17 @@ def _discretize(name: str, a: float, b: float, n: int, kernel, solution) -> Dens
 
     The kernel is evaluated with floating-point warnings off: an entry no double
     holds is inf or NaN, which `DenseProblem` rejects, and a kernel that
-    vanishes everywhere is a zero operator, which `spectralize` rejects.
+    vanishes everywhere is a zero operator, which `spectralize` rejects. The
+    matrix is Fortran-ordered and owns its memory, so `dgesdd` can factor it
+    where it lies.
     """
     _check_count("n", n, 2)
     t, h = _midpoints(a, b, n)
-    with np.errstate(all="ignore"):
-        matrix = h * kernel(t[:, None], t[None, :])
+    with np.errstate(all="ignore"):  # on the transposed grid: Fortran order, as LAPACK reads it
+        matrix = np.multiply(h, kernel(t[None, :], t[:, None]).T, out=np.empty((n, n), order="F"))
     f_true = math.sqrt(h) * solution(t)
-    for a in (matrix, f_true):  # nobody else holds them: freeze, so `readonly` keeps them
-        a.flags.writeable = False
+    for arr in (matrix, f_true):  # nobody else holds them: freeze, so `readonly` keeps them
+        arr.flags.writeable = False
     return DenseProblem(name, matrix, f_true)
 
 
@@ -397,14 +403,17 @@ def _numpy_dgesdd():
 def _gesdd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`np.linalg.svd(a)` of square `a` bit for bit, without its second copies of A, U and V^T.
 
-    numpy's own call: JOBZ='A' on a Fortran-ordered copy, with the workspace
+    numpy's own call: JOBZ='A' on a Fortran-ordered array, with the workspace
     size LAPACK's query returns, which sets the blocking and so the bits.
+    `dgesdd` overwrites that array: `a` itself where it is writeable and
+    Fortran-contiguous, else a copy of `a`, which is left as it was.
     """
     gesdd = _numpy_dgesdd()
     if gesdd is None:
         return np.linalg.svd(a)
     n = a.shape[0]
-    a = np.array(a, dtype=float, order="F")  # dgesdd overwrites it
+    if not (a.flags.writeable and a.flags.f_contiguous):
+        a = np.array(a, dtype=float, order="F")  # dgesdd overwrites it
     u, s, vt = np.empty((n, n), order="F"), np.empty(n), np.empty((n, n), order="F")
     dim, info = np.array([n], dtype=np.int64), np.zeros(1, dtype=np.int64)
     iwork = np.empty(8 * n, dtype=np.int64)
@@ -423,7 +432,7 @@ def _gesdd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     call(int(call(-1)))  # lwork = -1 queries the workspace size
     if info[0] > 0:
         raise np.linalg.LinAlgError("SVD did not converge")
-    del a  # freed before V^T's C-order copy, as the workspace already is
+    del a  # a copy is freed before V^T's C-order copy, as the workspace already is
     return u, s, np.ascontiguousarray(vt)
 
 
@@ -432,7 +441,10 @@ def decompose(p: DenseProblem) -> SVDFactors:
 
     LAPACK's `dgesdd`, as `np.linalg.svd` calls it; DecompositionError where it
     does not converge. V^T is C-contiguous as numpy returns it: the layout of
-    `v` sets the bits of `spectralize`'s product with it.
+    `v` sets the bits of `spectralize`'s product with it. `dgesdd` overwrites
+    `p.matrix` only where it is writeable, which only the matrix `make_problem`
+    builds is; a problem a caller holds is read-only, so its matrix is copied
+    and left as it was.
     """
     try:
         u, s, vt = _gesdd(p.matrix)
@@ -485,7 +497,9 @@ PROBLEM_NAMES = tuple(DENSE_BUILDERS) + ("synthetic-poly", "synthetic-exp", "dir
 def make_problem(spec: ProblemSpec) -> SpectralProblem:
     """Build the spectral problem described by `spec`."""
     if spec.name in DENSE_BUILDERS:
-        return spectralize(DENSE_BUILDERS[spec.name](spec))
+        p = DENSE_BUILDERS[spec.name](spec)
+        p.matrix.flags.writeable = True  # nothing else holds p: its factorization overwrites it
+        return spectralize(p)
     if spec.name == "synthetic-poly":
         return build_synthetic(spec.size, "poly", q=spec.q, truth_power=spec.truth_power)
     if spec.name == "synthetic-exp":

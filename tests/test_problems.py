@@ -154,8 +154,34 @@ def test_builders_store_their_arrays_uncopied(builder, monkeypatch):
     monkeypatch.setattr(problems, "readonly", spy)
     p = builder(16)
     assert kept == [True, True]  # matrix and f_true: no n x n copy raises the build's peak
+    # in LAPACK's layout, owning its memory, so `make_problem` hands it to dgesdd uncopied
+    assert p.matrix.flags.f_contiguous and p.matrix.flags.owndata and not p.matrix.flags.writeable
     again = DenseProblem(p.name, p.matrix, p.f_true)
     assert again.matrix is p.matrix and again.f_true is p.f_true
+
+
+def c_order_matrix(name: str, n: int) -> np.ndarray:
+    """The phillips or heat matrix evaluated in C order, its kernel written out here."""
+    with np.errstate(all="ignore"):
+        if name == "phillips":
+            h = 12.0 / n
+            t = -6.0 + h * (np.arange(n) + 0.5)
+            d = t[:, None] - t[None, :]
+            return h * np.where(np.abs(d) < 3.0, 1.0 + np.cos(np.pi * d / 3.0), 0.0)
+        h = 1.0 / n  # heat, kappa = 1: the positive entries are gathered in C order
+        t = h * (np.arange(n) + 0.5)
+        u = t[:, None] - t[None, :]
+        k = np.zeros_like(u)
+        pos = u > 0.0
+        up = u[pos]
+        k[pos] = up ** (-1.5) / (2.0 * 1.0 * math.sqrt(math.pi)) * np.exp(-1.0 / (4.0 * up))
+        return h * k
+
+
+@pytest.mark.parametrize("builder, name", [(build_phillips, "phillips"), (build_heat, "heat")])
+def test_fortran_order_build_is_the_c_order_evaluation_bit_for_bit(builder, name):
+    n = 257
+    assert builder(n).matrix.tobytes() == c_order_matrix(name, n).tobytes()
 
 
 def test_synthetic_poly_spectrum():
@@ -207,6 +233,8 @@ def test_problem_is_immune_to_later_writes():
     writeable[0, 0] = 5.0
     assert np.array_equal(e.matrix, np.diag([2.0, 1.0]))
     assert np.array_equal(e.matrix @ e.f_true, [2.0, 1.0])
+    assert e.matrix.flags.c_contiguous and np.array_equal(spectralize(e).sigma, [2.0, 1.0])
+    assert np.array_equal(e.matrix, np.diag([2.0, 1.0]))  # factored on a copy: C order, read-only
     lists = DenseProblem("x", [[2.0, 0.0], [0.0, 1.0]], [1.0, 1.0])  # taken, as by `SpectralProblem`
     assert np.array_equal(spectralize(lists).sigma, [2.0, 1.0])
     for f_true in (np.ones(3), np.ones((2, 1))):  # checked up front, as `SpectralProblem`'s vectors
@@ -353,6 +381,19 @@ def test_decompose_is_numpys_svd_bit_for_bit(monkeypatch, builder, n, bound):
     assert spectralize(p).x_true.tobytes() == x_true.tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 3, 257, 512])
+@pytest.mark.parametrize("builder", ALL_BUILDERS)
+def test_make_problem_factors_in_place_the_bits_of_a_held_problem(builder, n):
+    # make_problem's dgesdd overwrites the matrix it built; a held problem's matrix is copied
+    held = builder(n)
+    before = held.matrix.copy()
+    want = spectralize(held)
+    got = make_problem(ProblemSpec(held.name, n))
+    assert got.sigma.tobytes() == want.sigma.tobytes()
+    assert got.x_true.tobytes() == want.x_true.tobytes()
+    assert held.matrix.tobytes() == before.tobytes() and not held.matrix.flags.writeable
+
+
 def fresh_interpreter(code: str) -> str:
     """The last line `code` prints in a new interpreter with 2 BLAS threads."""
     env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
@@ -374,21 +415,40 @@ def test_importing_the_cli_binds_no_lapack_and_loads_no_scipy():
     assert fresh_interpreter(code) == "False 0"
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB")
+def peak_rise(setup: str, step: str, n: int) -> float:
+    """How far `step` raises a new interpreter's peak resident set after `setup`, in n^2 doubles.
+
+    The peak is VmHWM, the high-water mark of the interpreter's own memory. Its ru_maxrss
+    also counts the process that spawned it: Linux carries the peak of the memory an exec
+    replaces over to the new program, so under pytest it would read pytest's own peak.
+    """
+    code = (
+        "def peak():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+        f"{setup}\nbefore = peak()\n{step}\nprint(peak() - before)"
+    )
+    return int(fresh_interpreter(code)) * 1024 / (8 * n * n)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 def test_spectralize_holds_no_second_copies_of_the_factors():
     # np.linalg.svd copies A into its own buffer and U and V^T out of theirs: 5.80-5.81 n^2
     # doubles above the built problem at n = 1024, against 3.81-3.95 for the bound dgesdd
     n = 1024
-    code = (
-        "import resource\n"
-        "from speccut.problems import build_phillips, spectralize\n"
-        f"p = build_phillips({n})\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "spectralize(p)\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)"
-    )
-    grew = int(fresh_interpreter(code)) * 1024 / (8 * n * n)
+    setup = f"from speccut.problems import build_phillips, spectralize\np = build_phillips({n})"
+    grew = peak_rise(setup, "spectralize(p)", n)
     assert grew <= 4.9, f"peak rose by {grew:.2f} n^2 doubles"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_make_problem_factors_the_matrix_it_built_where_it_lies():
+    # a Fortran-ordered copy of the built matrix under dgesdd: 7.07-7.20 n^2 doubles above the
+    # imported interpreter at n = 1024, against 6.06-6.07 with dgesdd overwriting the matrix
+    n = 1024
+    setup = "from speccut.problems import ProblemSpec, make_problem"
+    grew = peak_rise(setup, f"make_problem(ProblemSpec('phillips', {n}))", n)
+    assert grew <= 6.6, f"peak rose by {grew:.2f} n^2 doubles"
 
 
 @pytest.mark.parametrize("builder", ALL_BUILDERS)
